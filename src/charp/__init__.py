@@ -15,7 +15,7 @@ from .frobenius import FrobDecomposition, bracket_root, decompose, \
 from .cartier import (CartierAlgebraSpec, MixedPair, OperatorGen,
                       RelativeChart, TraceTwist, cplus, pullback_cartier,
                       scale_test_ideal, sigma, skoda_reduce, tau_mixed,
-                      theorem_b_check)
+                      theorem_b_check, theorem_b_sides)
 from .thresholds import (ThresholdError, ThresholdResult, breakpoints,
                          fpt_search, jump_scaling_probe, jumping_numbers)
 from .regions import (BoundaryLength, RasterGrid, RegionFunction, TOperator,

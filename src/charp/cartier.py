@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
 from .frobenius import bracket_root, relative_trace, trace
 from .ideals import BudgetExceeded, Ideal, ideal_eq, power, product, sum_ideal
-from .rings import Polynomial, RingCtx
+from .rings import Polynomial, RingCtx, pow_poly
 
 SIGMA_BUDGET = 128
 TAU_BUDGET = 36
@@ -159,6 +160,9 @@ def _ceil_mul(t: Fraction, P: int) -> int:
 
 _tau_cache: dict = {}
 
+# consecutive unchanged steps after which _tau_chain stops (a heuristic)
+_CHAIN_CONF = 2
+
 
 def _p_depth(t: Fraction, p: int) -> int:
     """The p-adic valuation of the denominator of t."""
@@ -170,31 +174,86 @@ def _p_depth(t: Fraction, p: int) -> int:
     return k
 
 
-def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec, conf: int = 2,
-              start_e: int = 1, budget: int = TAU_BUDGET) -> Ideal:
+def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
+              budget: int = TAU_BUDGET) -> Ideal:
     """Mixed test ideal on a regular chart with M = R and test element 1.
 
-    Accumulates I_e = C_{e*e0} applied to prod_i a_i^ceil(t_i p^(e*e0)) for
-    e = start_e, start_e+1, ... and returns the accumulated sum once it is
-    unchanged for ``conf`` consecutive steps.  Steps with e*e0 below the
-    p-adic depth of the exponents are warm-up: ceil(t p^e) is not yet exact
-    there and the chain may still jump, so those repetitions do not count.
+    Principal a_i = (f_i) under the full algebra take an exact path.  The
+    chain I_e = (prod f_i^ceil(t_i p^e))^[1/p^e] only grows and equals tau for
+    e >> 0 (Blickle-Mustata-Smith 2008).  Write t_i = a_i/(b p^s) with
+    gcd(b, p) = 1.  As tau(f^(t/p)) = tau(f^t)^[1/p], tau is
+    tau(prod f_i^(a_i/b))^[1/p^s], so let t_i = a_i/b.  With r = ord_b(p) and
+    c_i = a_i (p^r - 1)/b, t_i p^r = c_i + t_i, and
+    (g^(p^e) B)^[1/p^e] = g B^[1/p^e] gives I_(e+r) = Psi(I_e) for
+    Psi(J) = (prod f_i^c_i J)^[1/p^r].  So the I_(kr) start at
+    I_0 = (prod f_i^ceil(a_i/b)) and only grow, and once one repeats, all
+    later ones equal it: the repeat is tau.  ``budget`` bounds the Psi steps.
+    For b = 1, I_0 = (prod f_i^a_i) is already tau.
+
+    Other ideals and algebras go through ``_tau_chain``, whose stop is a
+    heuristic.
     """
-    if conf < 1:
-        raise ValueError("conf must be >= 1")
-    ckey = C.cache_key()
-    key = None
-    if ckey is not None:
-        key = (pair.cache_key(), ckey, conf, start_e)
-        hit = _tau_cache.get(key)
-        if hit is not None:
-            return hit
+    ckey = C.cache_key()  # None for operator-backed algebras: never cached
+    key = None if ckey is None else (pair.cache_key(), ckey)
+    hit = _tau_cache.get(key)
+    if hit is not None:
+        return hit
+    if C.full and all(len(a.gens) == 1 for a in pair.ideals):
+        result = _tau_principal(pair, budget)
+    else:
+        result = _tau_chain(pair, C, _CHAIN_CONF, budget)
+    if key is not None:
+        _tau_cache[key] = result
+    return result
+
+
+def _tau_principal(pair: MixedPair, budget: int) -> Ideal:
+    """The exact path of ``tau_mixed``; see its docstring."""
+    ring, p = pair.ring, pair.ring.p
+    s = max(_p_depth(t, p) for t in pair.exponents)
+    b = lcm(*(t.denominator for t in pair.exponents)) // p ** s
+    J = Ideal(ring, [_principal_power(pair, p ** s)])
+    if b > 1:
+        r = 1
+        while p ** r % b != 1:
+            r += 1
+        mult = Ideal(ring, [_principal_power(pair, p ** s * (p ** r - 1))])
+        for _ in range(budget):
+            nxt = bracket_root(product(mult, J), r)
+            if ideal_eq(nxt, J):
+                break
+            J = nxt
+        else:
+            raise BudgetExceeded(f"tau chain did not repeat within {budget} steps")
+    if s:
+        J = bracket_root(J, s)
+    return Ideal(ring, list(J.groebner()))
+
+
+def _principal_power(pair: MixedPair, P: int) -> Polynomial:
+    """prod f_i^ceil(t_i P) for principal a_i = (f_i)."""
+    out = pair.ring.one()
+    for a, t in zip(pair.ideals, pair.exponents):
+        out = out * pow_poly(a.gens[0], _ceil_mul(t, P))
+    return out
+
+
+def _tau_chain(pair: MixedPair, C: CartierAlgebraSpec, conf: int,
+               budget: int) -> Ideal:
+    """Accumulates I_e = C_{e*e0} applied to prod_i a_i^ceil(t_i p^(e*e0))
+    for e = 1, 2, ... and returns the accumulated sum once it is unchanged for
+    ``conf`` consecutive steps.  That stop is a heuristic: a chain whose
+    period exceeds ``conf`` can stop early with too small an ideal.  Steps
+    with e*e0 below the p-adic depth of the exponents are warm-up: ceil(t p^e)
+    is not yet exact there and the chain may still jump, so those repetitions
+    do not count.
+    """
     e0 = C.degree()
     ring = pair.ring
     warmup = max((_p_depth(t, ring.p) for t in pair.exponents), default=0)
     accum = Ideal(ring, [])
     stable = 0
-    for e in range(start_e, start_e + budget):
+    for e in range(1, 1 + budget):
         total = e * e0
         P = ring.p ** total
         J = Ideal(ring, [ring.one()])
@@ -212,19 +271,13 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec, conf: int = 2,
         if total > warmup and ideal_eq(nxt, accum):
             stable += 1
             if stable >= conf:
-                result = Ideal(ring, list(accum.groebner()))
-                if key is not None:
-                    _tau_cache[key] = result
-                return result
+                return Ideal(ring, list(accum.groebner()))
         else:
             stable = 0
         accum = Ideal(ring, list(nxt.groebner()))
         if accum.is_unit():
             # the accumulated chain only grows, so the unit ideal is final
-            result = accum
-            if key is not None:
-                _tau_cache[key] = result
-            return result
+            return accum
     raise BudgetExceeded(f"tau chain did not stabilize within {budget} steps")
 
 
@@ -340,15 +393,20 @@ def _pulled_action(gen: TraceTwist, chart: RelativeChart):
     return act
 
 
-def theorem_b_check(C: CartierAlgebraSpec, pair: MixedPair,
-                    chart: RelativeChart, conf: int = 2) -> bool:
-    """Compare tau computed on the base and extended, against tau of the
-    pulled-back data on the total chart."""
+def theorem_b_sides(C: CartierAlgebraSpec, pair: MixedPair,
+                    chart: RelativeChart):
+    """The two sides of the pullback comparison: tau computed on the base and
+    extended, and tau of the pulled-back data on the total chart."""
     if pair.ring != chart.base_ring:
         raise ValueError("pair does not live on the chart's base ring")
-    tau_base = tau_mixed(pair, C, conf=conf)
-    lhs = chart.extend_ideal(tau_base)
+    lhs = chart.extend_ideal(tau_mixed(pair, C))
     pair_top = MixedPair(tuple(chart.extend_ideal(a) for a in pair.ideals),
                          pair.exponents)
-    rhs = tau_mixed(pair_top, pullback_cartier(C, chart), conf=conf)
-    return ideal_eq(lhs, rhs)
+    rhs = tau_mixed(pair_top, pullback_cartier(C, chart))
+    return lhs, rhs
+
+
+def theorem_b_check(C: CartierAlgebraSpec, pair: MixedPair,
+                    chart: RelativeChart) -> bool:
+    """Whether the two sides of ``theorem_b_sides`` agree."""
+    return ideal_eq(*theorem_b_sides(C, pair, chart))

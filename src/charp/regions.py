@@ -11,7 +11,6 @@ grid at mesh exponent k has lattice points m/p^k, 0 <= m <= T*p^k, per axis.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -106,61 +105,27 @@ class RegionFunction:
         return self.values.get(tuple(idx), Fraction(0))
 
 
-def _tau_at_cell(ideals, exponents, C, conf):
-    pair = MixedPair(tuple(ideals), tuple(exponents))
-    return tau_mixed(pair, C, conf=conf)
+def _tau_at_cell(ideals, exponents, C):
+    return tau_mixed(MixedPair(tuple(ideals), tuple(exponents)), C)
 
 
-def _raster_rows(args):
-    ideals, C, conf, p, k, side, n, rows = args
-    out = []
-    for i0 in rows:
-        for rest in iproduct(range(side + 1), repeat=n - 1):
-            idx = (i0,) + rest
-            exps = tuple(Fraction(i, p ** k) for i in idx)
-            tau = _tau_at_cell(ideals, exps, C, conf)
-            out.append((idx, tau.content_hash(), tau.basis_strings()))
-    return out
-
-
-def constancy_raster(ideals, T, k, C=None, conf: int = 2, jobs: int = 1) -> RasterGrid:
+def constancy_raster(ideals, T, k, C=None) -> RasterGrid:
     """Evaluate tau at every lattice point of [0, T]^n at mesh p^-k.
 
     ``ideals`` lists the mixed family a_1..a_n; cell coordinates are the
-    exponent vectors.  Evaluation is data-parallel over rows when jobs > 1
-    (requires a picklable algebra spec).
+    exponent vectors.
     """
     ideals = tuple(ideals)
     ring = ideals[0].ring
     if C is None:
         C = CartierAlgebraSpec.full_algebra(ring)
-    p = ring.p
-    n = len(ideals)
-    M = Fraction(T) * p ** k
-    if M.denominator != 1:
-        raise ValueError("T*p^k must be an integer")
-    side = int(M)
-    classes, reps = {}, {}
-    rows = list(range(side + 1))
-    if jobs > 1:
-        chunk = max(1, len(rows) // (4 * jobs))
-        batches = [rows[i:i + chunk] for i in range(0, len(rows), chunk)]
-        payload = [(ideals, C, conf, p, k, side, n, batch) for batch in batches]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_raster_rows, payload)
-        for batch_out in results:
-            for idx, h, basis in batch_out:
-                classes[idx] = h
-                if h not in reps:
-                    reps[h] = Ideal(ring, [ring.poly(s) for s in basis])
-    else:
-        for batch_out in map(_raster_rows,
-                             [(ideals, C, conf, p, k, side, n, rows)]):
-            for idx, h, basis in batch_out:
-                classes[idx] = h
-                if h not in reps:
-                    reps[h] = Ideal(ring, [ring.poly(s) for s in basis])
-    return RasterGrid(p, Fraction(T), k, n, classes, reps)
+    grid = RasterGrid(ring.p, T, k, len(ideals), {}, {})
+    for idx in iproduct(range(grid.side + 1), repeat=grid.n):
+        tau = _tau_at_cell(ideals, grid.coord(idx), C)
+        h = tau.content_hash()
+        grid.classes[idx] = h
+        grid.ideals.setdefault(h, tau)
+    return grid
 
 
 def chi_function(raster: RasterGrid, N: Ideal) -> RegionFunction:

@@ -236,12 +236,6 @@ class Polynomial:
             return len(self.terms) == 1
         return self.is_constant()
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, i: int) -> int:
-        return max((e[i] for e in self.terms), default=0)
-
     def sorted_terms(self):
         key = order_key(self.ring)
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)

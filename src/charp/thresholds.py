@@ -34,17 +34,15 @@ class ThresholdResult:
 
 
 class _TauProbe:
-    def __init__(self, fixed, free, C, conf):
+    def __init__(self, fixed, free, C):
         self.ideals = tuple(I for I, _ in fixed) + (free,)
         self.ts = tuple(Fraction(t) for _, t in fixed)
-        ring = free.ring
-        self.C = C if C is not None else CartierAlgebraSpec.full_algebra(ring)
-        self.conf = conf
+        self.C = C if C is not None else CartierAlgebraSpec.full_algebra(free.ring)
         self.transcript = []
 
     def tau(self, t: Fraction) -> Ideal:
         pair = MixedPair(self.ideals, self.ts + (Fraction(t),))
-        tau = tau_mixed(pair, self.C, conf=self.conf)
+        tau = tau_mixed(pair, self.C)
         self.transcript.append((Fraction(t), tau.content_hash()))
         return tau
 
@@ -52,15 +50,15 @@ class _TauProbe:
         return self.tau(t).is_unit()
 
 
-def fpt_search(fixed, free: Ideal, depth: int, C=None, conf: int = 2,
-               confirm_depth: int = 2, hi_cap: int = 64) -> ThresholdResult:
+def fpt_search(fixed, free: Ideal, depth: int, C=None, confirm_depth: int = 2,
+               hi_cap: int = 64) -> ThresholdResult:
     """Mixed F-pure threshold in the free exponent: bisection on p-adic
     rationals, refining the denominator by a factor of p per level.
 
     ``fixed`` is a list of (Ideal, exponent) pairs held constant; the slice
     must be F-regular at free exponent 0.
     """
-    probe = _TauProbe(fixed, free, C, conf)
+    probe = _TauProbe(fixed, free, C)
     p = free.ring.p
     if not probe.is_unit_at(Fraction(0)):
         raise ThresholdError("slice is not F-regular at free exponent 0")
@@ -86,25 +84,20 @@ def fpt_search(fixed, free: Ideal, depth: int, C=None, conf: int = 2,
             hi = found
             lo = found - step
     candidate = None
-    den = hi.denominator
-    k = 0
-    d = den
-    while d > 1:
-        d //= p
-        k += 1
-    below = hi - Fraction(1, p ** (k + confirm_depth))
+    # hi has a p-power denominator; confirm confirm_depth levels finer
+    below = hi - Fraction(1, hi.denominator * p ** confirm_depth)
     if below <= lo or probe.is_unit_at(below):
         candidate = hi
     return ThresholdResult(lo, hi, candidate, tuple(probe.transcript))
 
 
-def jumping_numbers(fixed, free: Ideal, T, depth: int, C=None, conf: int = 2):
+def jumping_numbers(fixed, free: Ideal, T, depth: int, C=None):
     """Partition [0, T] into maximal constancy runs at resolution p^-depth.
 
     Returns a list of (start, end, class_hash) covering the grid; breakpoints
     are the boundaries between consecutive runs.
     """
-    probe = _TauProbe(fixed, free, C, conf)
+    probe = _TauProbe(fixed, free, C)
     p = free.ring.p
     T = Fraction(T)
     M = T * p ** depth
@@ -143,7 +136,7 @@ def avoidance_windows(candidate, p: int, max_e: int = 4):
     return hits
 
 
-def jump_scaling_probe(free: Ideal, t, T, depth: int, conf: int = 2):
+def jump_scaling_probe(free: Ideal, t, T, depth: int):
     """Check that p*t is a breakpoint whenever t is, for the one-parameter
     family free^t, using the scaling law tau(a^s) = C_1 tau(a^(p s)).
 
@@ -158,7 +151,7 @@ def jump_scaling_probe(free: Ideal, t, T, depth: int, conf: int = 2):
     if p * t > Fraction(T):
         return "vacuous"
     C = CartierAlgebraSpec.full_algebra(ring)
-    probe = _TauProbe([], free, C, conf)
+    probe = _TauProbe([], free, C)
     eps = Fraction(1, p ** depth)
     tau_t = probe.tau(t)
     tau_t_eps = probe.tau(t - eps)

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 import charp as ch
 from charp import CartierAlgebraSpec, Ideal, MixedPair, poly_str
+from charp.cartier import _tau_chain
 
 
 def ring(p=3, names=("x", "y")):
@@ -98,12 +100,13 @@ class TestTauMixed:
         bumped = ch.tau_mixed(pair(R, ("x*y", F(1, 2) + F(1, 3 ** 6))), full)
         assert ch.ideal_eq(base, bumped)
 
-    def test_start_index_exposed(self, R, full):
-        a = ch.tau_mixed(pair(R, ("x+y", F(1, 3)), ("x*y", F(2, 3))), full,
-                         start_e=1)
-        b = ch.tau_mixed(pair(R, ("x+y", F(1, 3)), ("x*y", F(2, 3))), full,
-                         start_e=3)
-        assert ch.ideal_eq(a, b)
+    def test_period_longer_than_two_steps(self, R, full):
+        # ord_11(3) = 5: the chain for 7/11 sits at (x, y) for three steps
+        # before it reaches (1); fpt(x^2+y^3) = 2/3 > 7/11
+        assert ch.tau_mixed(pair(R, ("x^2+y^3", F(7, 11))), full).is_unit()
+        # Skoda: tau(f^(18/11)) = f tau(f^(7/11)) = (f)
+        tau = ch.tau_mixed(pair(R, ("x^2+y^3", F(18, 11))), full)
+        assert tau.basis_strings() == ("y^3 + x^2",)
 
     def test_twisted_algebra_chain(self, R):
         # principal algebra <kappa o x^3> on (x*y)^(1/3): by hand,
@@ -111,6 +114,49 @@ class TestTauMixed:
         C = CartierAlgebraSpec.from_twists(R, [(1, R.poly("x^3"))])
         tau = ch.tau_mixed(pair(R, ("x*y", F(1, 3))), C)
         assert tau.basis_strings() == ("x",)
+
+
+def _order(p, b):
+    r = 1
+    while p ** r % b != 1:
+        r += 1
+    return r
+
+
+def _inner(values, k):
+    """k entries of ``values`` spread evenly, leaving out both ends."""
+    return [values[(i + 1) * len(values) // (k + 1)] for i in range(k)]
+
+
+class TestExactPathAgainstChain:
+    """The exact principal path against the chain run far past its period
+    (conf = 2r + 2 with r = ord_b(p)).  The oracle's exponents grow like
+    p^(3r), which rules out p = 7 with b = 5 and limits each (p, b, f) to five
+    exponents; the sample skips t near 0 and 2."""
+
+    @pytest.mark.parametrize("p,b", [(3, 5), (3, 7), (3, 11), (3, 13), (5, 3),
+                                     (5, 4), (5, 6), (7, 3), (7, 4)])
+    @pytest.mark.parametrize("f", ["x^2+y^3", "x*y*(x+y)", "x^2*y+y^4", "x+y"])
+    def test_principal(self, p, b, f):
+        R = ring(p)
+        full = CartierAlgebraSpec.full_algebra(R)
+        conf = 2 * _order(p, b) + 2
+        for den, k in ((b, 3), (b * p, 2)):
+            nums = [a for a in range(1, 2 * den) if gcd(a, b) == 1]
+            for a in _inner(nums, k):
+                pr = pair(R, (f, F(a, den)))
+                want = _tau_chain(pr, full, conf, 80)
+                assert ch.ideal_eq(ch.tau_mixed(pr, full), want), F(a, den)
+
+    @pytest.mark.parametrize("b", [4, 5, 13])
+    def test_mixed_pair(self, R, full, b):
+        conf = 2 * _order(3, b) + 2
+        nums = [a for a in range(2 * b) if gcd(a, b) == 1]
+        for a1 in _inner(nums, 3):
+            for a2 in _inner(nums, 3):
+                pr = pair(R, ("x+y", F(a1, b)), ("x*y", F(a2, b)))
+                want = _tau_chain(pr, full, conf, 80)
+                assert ch.ideal_eq(ch.tau_mixed(pr, full), want), (a1, a2)
 
 
 class TestSkodaAndScaling:
@@ -223,8 +269,8 @@ class TestPullback:
 
 
 def test_budget_reported():
-    # fresh variable names so the tau memo cannot serve a finished result
+    # ord_7(3) = 6: one step reaches (1), and a second is needed to repeat
     R2 = ring(names=("u", "v"))
     full = CartierAlgebraSpec.full_algebra(R2)
     with pytest.raises(ch.BudgetExceeded):
-        ch.tau_mixed(pair(R2, ("u*v", F(1))), full, budget=1)
+        ch.tau_mixed(pair(R2, ("u*v", F(5, 7))), full, budget=1)

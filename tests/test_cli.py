@@ -26,6 +26,16 @@ class TestExitCodes:
                            "--pair", "x:1/2")
         assert code == 1
 
+    def test_zero_denominator_is_usage(self, capsys):
+        code, _, err = run(capsys, "tau", "--p", "3", "--vars", "x,y",
+                           "--pair", "x:1/0")
+        assert code == 1 and "verification" not in err
+
+    def test_exponent_overflow_is_usage(self, capsys):
+        code, _, err = run(capsys, "tau", "--p", "3", "--vars", "x,y",
+                           "--pair", "x^9223372036854775807*x:1")
+        assert code == 1 and "verification" not in err
+
     def test_threshold_error_reported(self, capsys):
         # fixed slice not F-regular at the free exponent 0
         code, _, err = run(capsys, "fpt", "--p", "3", "--vars", "x,y",
@@ -48,6 +58,18 @@ class TestTau:
                            "--pair", "x+y:1/3", "--pair", "x*y:2/3")
         assert code == 0
         assert "tau = {x, y}" in out
+
+    def test_period_five_chain(self, capsys):
+        # fpt(x^2+y^3) = 2/3 at p = 3, so tau is the unit ideal at 7/11
+        code, out, _ = run(capsys, "tau", "--p", "3", "--vars", "x,y",
+                           "--pair", "x^2+y^3:7/11")
+        assert code == 0
+        assert "tau = {1}" in out
+
+    def test_removed_conf_flag(self, capsys):
+        code, _, err = run(capsys, "tau", "--p", "3", "--vars", "x,y",
+                           "--pair", "x^2+y^3:7/11", "--conf", "6")
+        assert code == 1 and "usage error" in err
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "tau", "--p", "3", "--vars", "x,y",
@@ -105,16 +127,11 @@ class TestRaster:
         assert m1 == m2
         assert "manifest_hash" in m1 and m1["artifacts"]
 
-    def test_jobs_byte_identical(self, capsys, tmp_path):
-        outs = []
-        for jobs, name in [("1", "a.csv"), ("2", "b.csv")]:
-            path = str(tmp_path / name)
-            code, _, _ = run(capsys, "raster", "--p", "3", "--vars", "x,y",
-                             "--pair", "x*y:0", "--T", "1", "--depth", "1",
-                             "--out", path, "--jobs", jobs)
-            assert code == 0
-            outs.append(open(path).read())
-        assert outs[0] == outs[1]
+    def test_removed_jobs_flag(self, capsys, tmp_path):
+        code, _, err = run(capsys, "raster", "--p", "3", "--vars", "x,y",
+                           "--pair", "x*y:0", "--T", "1", "--depth", "1",
+                           "--out", str(tmp_path / "r.csv"), "--jobs", "2")
+        assert code == 1 and "usage error" in err
 
 
 def test_hashes_stable_across_hash_seeds(tmp_path):
