@@ -244,10 +244,6 @@ class Ideal:
         self._gb = None
         self._key = None
 
-    @classmethod
-    def from_strings(cls, ring: RingCtx, exprs):
-        return cls(ring, [ring.poly(s) for s in exprs])
-
     def cache_key(self):
         if self._key is None:
             key = order_key(self.ring)

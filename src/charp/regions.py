@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .cartier import CartierAlgebraSpec, MixedPair, tau_mixed
+from .frobenius import bracket_root
 from .ideals import Ideal, colon, frob_power
 from .rings import pow_poly
 
@@ -75,10 +76,7 @@ class RasterGrid:
         return self.classes[tuple(idx)]
 
     def class_count(self) -> int:
-        return len(set(self.classes.values()))
-
-    def cells_of_class(self, hash_id) -> set:
-        return {idx for idx, h in self.classes.items() if h == hash_id}
+        return len(self.ideals)
 
 
 class RegionFunction:
@@ -113,19 +111,99 @@ def constancy_raster(ideals, T, k, C=None) -> RasterGrid:
     """Evaluate tau at every lattice point of [0, T]^n at mesh p^-k.
 
     ``ideals`` lists the mixed family a_1..a_n; cell coordinates are the
-    exponent vectors.
+    exponent vectors.  Principal a_i = (f_i) under the full algebra take the
+    digit recursion of ``_digit_recursion``; twisted and operator algebras and
+    non-principal ideals evaluate ``tau_mixed`` cell by cell.
     """
     ideals = tuple(ideals)
     ring = ideals[0].ring
     if C is None:
         C = CartierAlgebraSpec.full_algebra(ring)
     grid = RasterGrid(ring.p, T, k, len(ideals), {}, {})
-    for idx in iproduct(range(grid.side + 1), repeat=grid.n):
-        tau = _tau_at_cell(ideals, grid.coord(idx), C)
-        h = tau.content_hash()
-        grid.classes[idx] = h
-        grid.ideals.setdefault(h, tau)
+    if C.full and all(len(a.gens) == 1 for a in ideals):
+        classes, table = _digit_recursion([a.gens[0] for a in ideals], grid)
+        hashes = {cid: _class_hash(grid, classes[cid])
+                  for cid in sorted(set(table.values()))}
+        grid.classes = {idx: hashes[cid] for idx, cid in table.items()}
+    else:
+        for idx in iproduct(range(grid.side + 1), repeat=grid.n):
+            tau = _tau_at_cell(ideals, grid.coord(idx), C)
+            grid.classes[idx] = _class_hash(grid, tau)
     return grid
+
+
+def _class_hash(grid: RasterGrid, tau: Ideal) -> str:
+    """Register ``tau`` in ``grid.ideals`` under its content hash, refusing to
+    let two different reduced bases share one hash."""
+    h = tau.content_hash()
+    seen = grid.ideals.setdefault(h, tau)
+    if seen is not tau and seen.groebner() != tau.groebner():
+        raise ArithmeticError(f"content hash {h} names two tau classes: "
+                              f"{seen.canonical_str()} and {tau.canonical_str()}")
+    return h
+
+
+def _digit_recursion(fs, grid: RasterGrid):
+    """tau at every cell of ``grid`` for a_i = (f_i) under the full algebra.
+
+    Returns the classes (Ideals generated by their reduced bases) and the
+    table cell -> class index.  With tau_j(m) = (prod f_i^m_i)^[1/p^j], the
+    cell m has tau(prod f_i^(m_i/p^k)) = tau_k(m) (Blickle-Mustata-Smith
+    2008).  Write m = d p^(j-1) + r with r in [0, p^(j-1))^n.  Since
+    I^[1/p^(e+1)] = (I^[1/p^e])^[1/p] and (g^(p^e) B)^[1/p^e] = g B^[1/p^e],
+    with g = prod f_i^d_i, e = j - 1 and B = prod f_i^r_i,
+
+        tau_j(m) = (g^(p^e) B)^[1/p^(e+1)] = (g tau_(j-1)(r))^[1/p].
+
+    The table is built level by level from tau_0(m) = (prod f_i^m_i): for
+    k >= 1 level 0 is the single cell tau_0(0) = (1), and for k = 0 it is the
+    whole grid with no root taken.  Level j < k covers [0, p^j)^n capped at
+    the grid side, which is all that level j + 1 looks up, so its top digits
+    d lie in [0, p)^n; level k covers the grid, where d_i runs up to
+    side // p^(k-1).  The step (d, class of
+    tau_(j-1)(r)) -> class of tau_j(m) does not depend on j, so one memo
+    serves every level.  Classes are interned by their reduced Groebner basis,
+    so the memo key is canonical.
+    """
+    ring = fs[0].ring
+    p, k, n, side = grid.p, grid.k, grid.n, grid.side
+    classes = []
+    index = {}  # reduced Groebner basis -> class index
+
+    def intern(I):
+        gb = I.groebner()
+        cid = index.get(gb)
+        if cid is None:
+            cid = index[gb] = len(classes)
+            classes.append(Ideal(ring, list(gb)))
+        return cid
+
+    def power_product(m):
+        out = ring.one()
+        for f, e in zip(fs, m):
+            out = out * pow_poly(f, e)
+        return out
+
+    steps = {}
+
+    def step(d, cid):
+        out = steps.get((d, cid))
+        if out is None:
+            g = power_product(d)
+            J = Ideal(ring, [g * h for h in classes[cid].gens])
+            out = steps[d, cid] = intern(bracket_root(J, 1))
+        return out
+
+    top = side if k == 0 else 0
+    table = {m: intern(Ideal(ring, [power_product(m)]))
+             for m in iproduct(range(top + 1), repeat=n)}
+    for j in range(1, k + 1):
+        q = p ** (j - 1)
+        top = side if j == k else min(side, p ** j - 1)
+        table = {m: step(tuple(x // q for x in m),
+                         table[tuple(x % q for x in m)])
+                 for m in iproduct(range(top + 1), repeat=n)}
+    return classes, table
 
 
 def chi_function(raster: RasterGrid, N: Ideal) -> RegionFunction:

@@ -67,12 +67,6 @@ class PrimeModulus:
     def normalize(self, c: int) -> int:
         return c % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -81,9 +75,6 @@ class PrimeModulus:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, m: int) -> int:
         return pow(a % self.p, m, self.p)

@@ -127,6 +127,24 @@ class TestRaster:
         assert m1 == m2
         assert "manifest_hash" in m1 and m1["artifacts"]
 
+    def test_twisted_algebra(self, capsys, tmp_path):
+        out_csv = tmp_path / "r.csv"
+        code, out, _ = run(capsys, "raster", "--p", "3", "--vars", "x,y",
+                           "--pair", "x+y:0", "--pair", "x*y:0", "--T", "1",
+                           "--depth", "1", "--alg", "1:x", "--out", str(out_csv))
+        assert code == 0
+        assert "cells = 16" in out and "classes = 7" in out
+        assert len(out_csv.read_text().splitlines()) == 17
+
+    def test_hash_collision_is_verification_failure(self, capsys, tmp_path,
+                                                     monkeypatch):
+        from charp import Ideal
+        monkeypatch.setattr(Ideal, "content_hash", lambda self: "0" * 16)
+        code, _, err = run(capsys, "raster", "--p", "3", "--vars", "x,y",
+                           "--pair", "x+y:0", "--pair", "x*y:0", "--T", "1",
+                           "--depth", "1", "--out", str(tmp_path / "r.csv"))
+        assert code == 2 and "verification failure" in err
+
     def test_removed_jobs_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "raster", "--p", "3", "--vars", "x,y",
                            "--pair", "x*y:0", "--T", "1", "--depth", "1",

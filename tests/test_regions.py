@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 import charp as ch
-from charp import Ideal, RegionFunction, TOperator
+from charp import (CartierAlgebraSpec, Ideal, MixedPair, RegionFunction,
+                   TOperator)
 
 
 def ring(p=3):
@@ -166,6 +167,89 @@ class TestConstancyRaster:
             for c in chis:
                 prod *= c.at(idx)
             assert rho.at(idx) == prod - chi_p.at(idx)
+
+
+def count_bracket_roots(monkeypatch):
+    """Count bracket_root calls made through any charp module."""
+    import sys
+    from charp import frobenius
+    original = frobenius.bracket_root
+    calls = []
+
+    def counting(I, e):
+        calls.append(e)
+        return original(I, e)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "charp" or name.startswith("charp.")) \
+                and getattr(mod, "bracket_root", None) is original:
+            monkeypatch.setattr(mod, "bracket_root", counting)
+    return calls
+
+
+def oracle_cases():
+    three_lines = ("x+y", "x*y")
+    cases = []
+    for k in range(4):
+        for T in (F(1), F(2), F(1, 3)):
+            if (T * 3 ** k).denominator == 1:
+                cases.append((3, three_lines, T, k))
+    for k in range(4):
+        cases.append((5, ("x^2+y^3",), F(1), k))
+    for k in range(3):
+        cases.append((3, ("x", "y", "x+y"), F(1), k))
+        cases.append((7, three_lines, F(1), k))
+    return [pytest.param(*c, id=f"p{c[0]}-{','.join(c[1])}-T{c[2]}-k{c[3]}")
+            for c in cases]
+
+
+class TestDigitRecursion:
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_bracket_roots_per_class_not_per_cell(self, monkeypatch,
+                                                  three_lines_family, k):
+        calls = count_bracket_roots(monkeypatch)
+        ras = ch.constancy_raster(three_lines_family, 1, k)
+        assert len(ras.classes) == (3 ** k + 1) ** 2
+        assert ras.class_count() == 5
+        assert 0 < len(calls) <= 40
+
+    @pytest.mark.parametrize("p,polys,T,k", oracle_cases())
+    def test_matches_per_cell_tau(self, monkeypatch, p, polys, T, k):
+        from charp import cartier
+        from charp.regions import _tau_at_cell
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        Rp = ring(p)
+        fam = [Ideal(Rp, [Rp.poly(s)]) for s in polys]
+        full = CartierAlgebraSpec.full_algebra(Rp)
+        ras = ch.constancy_raster(fam, T, k)
+        assert len(ras.classes) == (ras.side + 1) ** len(fam)
+        for idx, h in ras.classes.items():
+            assert _tau_at_cell(fam, ras.coord(idx), full).content_hash() == h
+        assert ras.class_count() == len(set(ras.classes.values()))
+        assert all(I.content_hash() == h for h, I in ras.ideals.items())
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_twisted_algebra_stays_per_cell(self, monkeypatch, R,
+                                            three_lines_family, k):
+        from charp import cartier
+        C = CartierAlgebraSpec.from_twists(R, [(1, R.var("x"))])
+        ras = ch.constancy_raster(three_lines_family, 1, k, C)
+        full = ch.constancy_raster(three_lines_family, 1, k)
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        for idx, h in ras.classes.items():
+            pair = MixedPair(tuple(three_lines_family), ras.coord(idx))
+            assert ch.tau_mixed(pair, C).content_hash() == h
+        if k:
+            assert ras.classes != full.classes
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_hash_collision_is_refused(self, monkeypatch, R,
+                                       three_lines_family, twisted):
+        C = CartierAlgebraSpec.from_twists(R, [(1, R.var("x"))]) \
+            if twisted else None
+        monkeypatch.setattr(Ideal, "content_hash", lambda self: "0" * 16)
+        with pytest.raises(ArithmeticError, match="two tau classes"):
+            ch.constancy_raster(three_lines_family, 1, 1, C)
 
 
 class TestThreeParameterFamilies:
