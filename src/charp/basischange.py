@@ -183,9 +183,10 @@ def dual_generator_ratio(new_basis, ring: RingCtx, e: int = 1) -> Polynomial:
     is_d, is_p = validate_basis(new_basis, ring, 1)
     if not (is_d and is_p):
         raise ValueError("candidate is not a p-basis")
-    xi = _dual_ratio_level_one(new_basis, ring)
+    xi_1 = dual_ratio_direct(new_basis, ring, 1)
+    xi = xi_1
     for _ in range(e - 1):
-        xi = _dual_ratio_level_one(new_basis, ring) * frob(xi, 1)
+        xi = xi_1 * frob(xi, 1)
     det = jacobian(new_basis, ring).det()
     expected = pow_poly(det, ring.p ** e - 1)
     if xi != expected:
@@ -193,28 +194,9 @@ def dual_generator_ratio(new_basis, ring: RingCtx, e: int = 1) -> Polynomial:
     return xi
 
 
-def _dual_ratio_level_one(new_basis, ring: RingCtx) -> Polynomial:
-    p = ring.p
-    n = ring.nvars
-    top = (p - 1,) * n
-    xi = ring.zero()
-    for j in iproduct(range(p), repeat=n):
-        yj = ring.one()
-        for y, power in zip(new_basis, j):
-            yj = yj * pow_poly(y, power)
-        comp = decompose(yj, 1, "absolute").component(top)
-        if comp.is_zero():
-            continue
-        rest = ring.one()
-        for y, power in zip(new_basis, j):
-            rest = rest * pow_poly(y, p - 1 - power)
-        xi = xi + frob(comp, 1) * rest
-    return xi
-
-
 def dual_ratio_direct(new_basis, ring: RingCtx, e: int) -> Polynomial:
-    """Level-e extraction done in one shot; independent cross-check of the
-    cocycle route used by dual_generator_ratio."""
+    """Level-e extraction done in one shot.  ``dual_generator_ratio`` uses it
+    at e = 1; at e >= 2 it cross-checks that function's cocycle route."""
     q = ring.p ** e
     n = ring.nvars
     top = (q - 1,) * n

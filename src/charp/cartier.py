@@ -181,14 +181,15 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
     Principal a_i = (f_i) under the full algebra take an exact path.  The
     chain I_e = (prod f_i^ceil(t_i p^e))^[1/p^e] only grows and equals tau for
     e >> 0 (Blickle-Mustata-Smith 2008).  Write t_i = a_i/(b p^s) with
-    gcd(b, p) = 1.  As tau(f^(t/p)) = tau(f^t)^[1/p], tau is
-    tau(prod f_i^(a_i/b))^[1/p^s], so let t_i = a_i/b.  With r = ord_b(p) and
-    c_i = a_i (p^r - 1)/b, t_i p^r = c_i + t_i, and
+    gcd(b, p) = 1.  For b = 1 the chain is exact from e = s on, so tau is
+    (prod f_i^(t_i p^s))^[1/p^s].  Otherwise, as tau(f^(t/p)) =
+    tau(f^t)^[1/p], tau is tau(prod f_i^(a_i/b))^[1/p^s], so let t_i = a_i/b.
+    With r = ord_b(p) and c_i = a_i (p^r - 1)/b, t_i p^r = c_i + t_i, and
     (g^(p^e) B)^[1/p^e] = g B^[1/p^e] gives I_(e+r) = Psi(I_e) for
     Psi(J) = (prod f_i^c_i J)^[1/p^r].  So the I_(kr) start at
     I_0 = (prod f_i^ceil(a_i/b)) and only grow, and once one repeats, all
     later ones equal it: the repeat is tau.  ``budget`` bounds the Psi steps.
-    For b = 1, I_0 = (prod f_i^a_i) is already tau.
+    Every root here is taken by ``_digit_walk``.
 
     Other ideals and algebras go through ``_tau_chain``, whose stop is a
     heuristic.
@@ -210,32 +211,61 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
 def _tau_principal(pair: MixedPair, budget: int) -> Ideal:
     """The exact path of ``tau_mixed``; see its docstring."""
     ring, p = pair.ring, pair.ring.p
+    fs = [a.gens[0] for a in pair.ideals]
     s = max(_p_depth(t, p) for t in pair.exponents)
     b = lcm(*(t.denominator for t in pair.exponents)) // p ** s
-    J = Ideal(ring, [_principal_power(pair, p ** s)])
-    if b > 1:
+    unit = Ideal(ring, [ring.one()])
+    if b == 1:
+        J = _digit_walk(fs, [int(t * p ** s) for t in pair.exponents], s, unit)
+    else:
         r = 1
         while p ** r % b != 1:
             r += 1
-        mult = Ideal(ring, [_principal_power(pair, p ** s * (p ** r - 1))])
+        J = _digit_walk(fs, [_ceil_mul(t, p ** s) for t in pair.exponents],
+                        0, unit)
+        c = [int(t * p ** s * (p ** r - 1)) for t in pair.exponents]
         for _ in range(budget):
-            nxt = bracket_root(product(mult, J), r)
+            nxt = _digit_walk(fs, c, r, J)
             if ideal_eq(nxt, J):
                 break
             J = nxt
         else:
             raise BudgetExceeded(f"tau chain did not repeat within {budget} steps")
-    if s:
-        J = bracket_root(J, s)
+        J = _digit_walk(fs, [0] * len(fs), s, J)
     return Ideal(ring, list(J.groebner()))
 
 
-def _principal_power(pair: MixedPair, P: int) -> Polynomial:
-    """prod f_i^ceil(t_i P) for principal a_i = (f_i)."""
-    out = pair.ring.one()
-    for a, t in zip(pair.ideals, pair.exponents):
-        out = out * pow_poly(a.gens[0], _ceil_mul(t, P))
-    return out
+def _digit_walk(fs, m, k: int, J: Ideal) -> Ideal:
+    """(prod f_i^m_i J)^[1/p^k] for polynomials f_i, one p-th root per
+    base-p digit of m, lowest digit first.
+
+    Write m = d + p m' with d the lowest digit vector, and let
+    g = prod f_i^m'_i and B = prod f_i^d_i J.  Since
+    I^[1/p^k] = (I^[1/p])^[1/p^(k-1)] and (g^p B)^[1/p] = g B^[1/p]
+    (Blickle-Mustata-Smith 2008),
+
+        (prod f_i^m_i J)^[1/p^k] = (g^p B)^[1/p^k] = (g B^[1/p])^[1/p^(k-1)].
+
+    So each step multiplies in one digit and takes one p-th root; the last
+    step multiplies in what is left of m, m_i // p^(k-1), whole.  The ideal
+    is reduced between steps.  For k = 0 this is the plain product.
+    """
+    ring = J.ring
+    p = ring.p
+
+    def times(d, J):
+        g = ring.one()
+        for f, e in zip(fs, d):
+            g = g * pow_poly(f, e)
+        return Ideal(ring, [g * h for h in J.gens])
+
+    if k == 0:
+        return times(m, J)
+    for _ in range(k - 1):
+        J = bracket_root(times([x % p for x in m], J), 1)
+        J = Ideal(ring, list(J.groebner()))
+        m = [x // p for x in m]
+    return bracket_root(times(m, J), 1)
 
 
 def _tau_chain(pair: MixedPair, C: CartierAlgebraSpec, conf: int,

@@ -369,14 +369,15 @@ def build_parser() -> _Parser:
     top = _Parser(prog="charp", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, vars_flag=True):
+    def common(sp, vars_flag=True, laurent=True, manifest=False):
         sp.add_argument("--p", type=int, required=True)
         if vars_flag:
             sp.add_argument("--vars", required=True, help="comma-separated")
-        sp.add_argument("--laurent", action="store_true")
-        sp.add_argument("--seed", type=int, default=0)
+        if laurent:
+            sp.add_argument("--laurent", action="store_true")
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--manifest", default=None)
+        if manifest:
+            sp.add_argument("--manifest", default=None)
 
     sp = sub.add_parser("tau")
     common(sp)
@@ -393,7 +394,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_fpt)
 
     sp = sub.add_parser("jumps")
-    common(sp)
+    common(sp, manifest=True)
     sp.add_argument("--fixed", action="append", metavar="EXPR:NUM/DEN")
     sp.add_argument("--free", required=True)
     sp.add_argument("--T", required=True)
@@ -402,7 +403,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_jumps)
 
     sp = sub.add_parser("raster")
-    common(sp)
+    common(sp, manifest=True)
     sp.add_argument("--pair", action="append", required=True)
     sp.add_argument("--alg", default="full")
     sp.add_argument("--T", required=True)
@@ -432,7 +433,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_sigma)
 
     sp = sub.add_parser("pullback-check")
-    common(sp, vars_flag=False)
+    common(sp, vars_flag=False, laurent=False)
     sp.add_argument("--base", required=True)
     sp.add_argument("--fiber", required=True)
     sp.add_argument("--pair", action="append", required=True)
@@ -440,7 +441,8 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_pullback_check)
 
     sp = sub.add_parser("xi")
-    common(sp, vars_flag=False)
+    common(sp, vars_flag=False, laurent=False)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--exhaustive", action="store_true")
@@ -448,7 +450,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_xi)
 
     sp = sub.add_parser("xi-comb")
-    common(sp, vars_flag=False)
+    common(sp, vars_flag=False, laurent=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--matrix", default=None, metavar="a11,a12,...")
     sp.set_defaults(func=_cmd_xi_comb)
@@ -461,7 +463,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_basis_change)
 
     sp = sub.add_parser("staircase")
-    common(sp, vars_flag=False)
+    common(sp, vars_flag=False, laurent=False, manifest=True)
     sp.add_argument("--depth", type=int, default=3)
     sp.add_argument("--terms", type=int, default=12)
     sp.add_argument("--svg", default=None)

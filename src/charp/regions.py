@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 
-from .cartier import CartierAlgebraSpec, MixedPair, tau_mixed
-from .frobenius import bracket_root
+from .cartier import CartierAlgebraSpec, MixedPair, _digit_walk, tau_mixed
 from .ideals import Ideal, colon, frob_power
 from .rings import pow_poly
 
@@ -147,13 +147,12 @@ def _digit_recursion(fs, grid: RasterGrid):
     """tau at every cell of ``grid`` for a_i = (f_i) under the full algebra.
 
     Returns the classes (Ideals generated by their reduced bases) and the
-    table cell -> class index.  With tau_j(m) = (prod f_i^m_i)^[1/p^j], the
-    cell m has tau(prod f_i^(m_i/p^k)) = tau_k(m) (Blickle-Mustata-Smith
-    2008).  Write m = d p^(j-1) + r with r in [0, p^(j-1))^n.  Since
-    I^[1/p^(e+1)] = (I^[1/p^e])^[1/p] and (g^(p^e) B)^[1/p^e] = g B^[1/p^e],
-    with g = prod f_i^d_i, e = j - 1 and B = prod f_i^r_i,
+    table cell -> class index.  The cell m has tau_k(m), where
+    tau_j(m) = (prod f_i^m_i)^[1/p^j] (Blickle-Mustata-Smith 2008).  Write
+    m = d p^(j-1) + r with r in [0, p^(j-1))^n: ``_digit_walk`` takes the
+    digits of r first and d whole in its last step, so
 
-        tau_j(m) = (g^(p^e) B)^[1/p^(e+1)] = (g tau_(j-1)(r))^[1/p].
+        tau_j(m) = _digit_walk(fs, d, 1, tau_(j-1)(r)).
 
     The table is built level by level from tau_0(m) = (prod f_i^m_i): for
     k >= 1 level 0 is the single cell tau_0(0) = (1), and for k = 0 it is the
@@ -178,24 +177,17 @@ def _digit_recursion(fs, grid: RasterGrid):
             classes.append(Ideal(ring, list(gb)))
         return cid
 
-    def power_product(m):
-        out = ring.one()
-        for f, e in zip(fs, m):
-            out = out * pow_poly(f, e)
-        return out
-
     steps = {}
 
     def step(d, cid):
         out = steps.get((d, cid))
         if out is None:
-            g = power_product(d)
-            J = Ideal(ring, [g * h for h in classes[cid].gens])
-            out = steps[d, cid] = intern(bracket_root(J, 1))
+            out = steps[d, cid] = intern(_digit_walk(fs, d, 1, classes[cid]))
         return out
 
+    unit = Ideal(ring, [ring.one()])
     top = side if k == 0 else 0
-    table = {m: intern(Ideal(ring, [power_product(m)]))
+    table = {m: intern(_digit_walk(fs, m, 0, unit))
              for m in iproduct(range(top + 1), repeat=n)}
     for j in range(1, k + 1):
         q = p ** (j - 1)
@@ -360,10 +352,7 @@ def hausdorff_distance(A, B) -> Fraction:
     A, B = list(A), list(B)
     if not A or not B:
         raise ValueError("Hausdorff distance needs nonempty sets")
-    denoms = {c.denominator for pt in A + B for c in map(Fraction, pt)}
-    L = 1
-    for d in denoms:
-        L = L * d // _gcd(L, d)
+    L = lcm(*{c.denominator for pt in A + B for c in map(Fraction, pt)})
     Ai = [tuple(int(Fraction(c) * L) for c in pt) for pt in A]
     Bi = [tuple(int(Fraction(c) * L) for c in pt) for pt in B]
     n = len(Ai[0])
@@ -372,12 +361,6 @@ def hausdorff_distance(A, B) -> Fraction:
     else:
         d = max(_directed_brute(Ai, Bi), _directed_brute(Bi, Ai))
     return Fraction(d, L)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _directed_brute(A, B) -> int:

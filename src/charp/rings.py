@@ -59,25 +59,15 @@ class PrimeModulus:
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def require_odd(self, context: str):
-        if self.p == 2:
-            raise ValueError(f"{context} requires an odd prime, got p = 2")
-
     # scalar field operations; residues are plain ints in [0, p)
     def normalize(self, c: int) -> int:
         return c % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, m: int) -> int:
-        return pow(a % self.p, m, self.p)
 
 
 @dataclass(frozen=True)

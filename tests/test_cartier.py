@@ -5,7 +5,7 @@ import pytest
 
 import charp as ch
 from charp import CartierAlgebraSpec, Ideal, MixedPair, poly_str
-from charp.cartier import _tau_chain
+from charp.cartier import _digit_walk, _tau_chain
 
 
 def ring(p=3, names=("x", "y")):
@@ -157,6 +157,54 @@ class TestExactPathAgainstChain:
                 pr = pair(R, ("x+y", F(a1, b)), ("x*y", F(a2, b)))
                 want = _tau_chain(pr, full, conf, 80)
                 assert ch.ideal_eq(ch.tau_mixed(pr, full), want), (a1, a2)
+
+
+def max_decompose_terms(monkeypatch):
+    """Record the largest term count handed to decompose through any charp
+    module, with a fresh tau cache; returns a one-element list."""
+    import sys
+    from charp import cartier, frobenius
+    monkeypatch.setattr(cartier, "_tau_cache", {})
+    original = frobenius.decompose
+    most = [0]
+
+    def recording(g, *args, **kwargs):
+        most[0] = max(most[0], len(g.terms))
+        return original(g, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "charp" or name.startswith("charp.")) \
+                and getattr(mod, "decompose", None) is original:
+            monkeypatch.setattr(mod, "decompose", recording)
+    return most
+
+
+class TestDigitWalk:
+    @pytest.mark.parametrize("start", [("1",), ("x", "y^2"), ("x^2+y",)])
+    def test_matches_one_shot_root(self, R, start):
+        fs = [R.poly("x+y"), R.poly("x*y")]
+        J = I(R, *start)
+        for k in range(4):
+            for m in [(0, 0), (1, 2), (5, 3), (13, 0), (8, 26), (40, 17)]:
+                g = ch.pow_poly(fs[0], m[0]) * ch.pow_poly(fs[1], m[1])
+                one_shot = Ideal(R, [g * h for h in J.gens])
+                if k:
+                    one_shot = ch.bracket_root(one_shot, k)
+                assert ch.ideal_eq(_digit_walk(fs, m, k, J), one_shot), (m, k)
+
+    def test_fpt_search_stays_small(self, monkeypatch):
+        most = max_decompose_terms(monkeypatch)
+        R5 = ring(5)
+        res = ch.fpt_search([], I(R5, "x^3+x^2*y+y^3"), depth=6)
+        assert res.candidate == F(3, 5)
+        assert 0 < most[0] <= 50  # the one-shot root takes 22,681
+
+    def test_psi_steps_stay_small(self, monkeypatch, R, full):
+        most = max_decompose_terms(monkeypatch)
+        for b in (5, 7, 11, 13):
+            for a in range(1, 2 * b):
+                ch.tau_mixed(pair(R, ("x^2+y^3", F(a, b))), full)
+        assert 0 < most[0] <= 20  # the one-shot p^r-th root takes 144
 
 
 class TestSkodaAndScaling:

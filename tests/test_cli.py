@@ -51,6 +51,15 @@ class TestExitCodes:
                            "--svg", str(tmp_path / "r.svg"))
         assert code == 1
 
+    def test_removed_no_op_flags(self, capsys, tmp_path):
+        for argv in (["staircase", "--p", "3", "--seed", "1"],
+                     ["tau", "--p", "3", "--vars", "x,y", "--pair", "x:1",
+                      "--manifest", str(tmp_path / "m.json")],
+                     ["xi", "--p", "3", "--n", "2", "--exhaustive",
+                      "--laurent"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 1 and "usage error" in err, argv
+
 
 class TestTau:
     def test_three_lines_pair(self, capsys):

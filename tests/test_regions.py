@@ -215,16 +215,26 @@ class TestDigitRecursion:
 
     @pytest.mark.parametrize("p,polys,T,k", oracle_cases())
     def test_matches_per_cell_tau(self, monkeypatch, p, polys, T, k):
+        # the oracle is the one-shot identity tau = (prod f_i^m_i)^[1/p^k],
+        # which shares no code with the digit walk
         from charp import cartier
-        from charp.regions import _tau_at_cell
         monkeypatch.setattr(cartier, "_tau_cache", {})
         Rp = ring(p)
-        fam = [Ideal(Rp, [Rp.poly(s)]) for s in polys]
+        fs = [Rp.poly(s) for s in polys]
+        fam = [Ideal(Rp, [f]) for f in fs]
         full = CartierAlgebraSpec.full_algebra(Rp)
         ras = ch.constancy_raster(fam, T, k)
         assert len(ras.classes) == (ras.side + 1) ** len(fam)
         for idx, h in ras.classes.items():
-            assert _tau_at_cell(fam, ras.coord(idx), full).content_hash() == h
+            g = Rp.one()
+            for f, m in zip(fs, idx):
+                g = g * ch.pow_poly(f, m)
+            want = Ideal(Rp, [g])
+            if k:
+                want = ch.bracket_root(want, k)
+            assert want.content_hash() == h
+            pair = MixedPair(tuple(fam), ras.coord(idx))
+            assert ch.tau_mixed(pair, full).content_hash() == h
         assert ras.class_count() == len(set(ras.classes.values()))
         assert all(I.content_hash() == h for h, I in ras.ideals.items())
 
