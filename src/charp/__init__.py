@@ -12,10 +12,9 @@ from .ideals import (BudgetExceeded, Ideal, colon, exact_div, frob_power,
                      ideal_eq, intersect, power, product, sum_ideal)
 from .frobenius import FrobDecomposition, bracket_root, decompose, \
     relative_trace, trace
-from .cartier import (CartierAlgebraSpec, MixedPair, OperatorGen,
-                      RelativeChart, TraceTwist, cplus, pullback_cartier,
-                      scale_test_ideal, sigma, skoda_reduce, tau_mixed,
-                      theorem_b_check, theorem_b_sides)
+from .cartier import (CartierAlgebraSpec, MixedPair, RelativeChart, TraceTwist,
+                      cplus, pullback_cartier, scale_test_ideal, sigma,
+                      skoda_reduce, tau_mixed, theorem_b_check, theorem_b_sides)
 from .thresholds import (ThresholdError, ThresholdResult, breakpoints,
                          fpt_search, jump_scaling_probe, jumping_numbers)
 from .regions import (BoundaryLength, RasterGrid, RegionFunction, TOperator,

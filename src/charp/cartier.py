@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from math import lcm
 
 from .frobenius import bracket_root, relative_trace, trace
@@ -29,83 +28,60 @@ class TraceTwist:
     twist: Polynomial
 
 
-class OperatorGen:
-    """A degree-e generator given by an arbitrary p^(-e)-linear map on S."""
-
-    __slots__ = ("e", "apply", "label")
-
-    def __init__(self, e, apply, label=""):
-        self.e = e
-        self.apply = apply
-        self.label = label
-
-
 class CartierAlgebraSpec:
-    """Finitely many twisted trace generators, or the full Cartier algebra."""
+    """The Cartier algebra generated by finitely many trace twists
+    kappa^e o g; the full algebra is the single twist kappa o 1."""
 
-    __slots__ = ("ring", "full", "generators")
+    __slots__ = ("ring", "generators", "_fixes_unit")
 
-    def __init__(self, ring: RingCtx, generators=(), full=False):
+    def __init__(self, ring: RingCtx, generators):
         self.ring = ring
-        self.full = full
         self.generators = tuple(generators)
         for g in self.generators:
             if g.e < 1:
                 raise ValueError("generator degrees must be >= 1")
+        self._fixes_unit = None
 
     @classmethod
     def full_algebra(cls, ring):
-        return cls(ring, (), full=True)
+        return cls.from_twists(ring, [(1, ring.one())])
 
     @classmethod
     def from_twists(cls, ring, pairs):
         return cls(ring, tuple(TraceTwist(e, g) for e, g in pairs))
 
+    @property
+    def full(self) -> bool:
+        """Whether this is the full Cartier algebra, the one twist kappa o 1."""
+        return self.generators == (TraceTwist(1, self.ring.one()),)
+
     def degree(self) -> int:
         """Single generation degree e0; mixed degrees are rejected outright."""
-        if self.full:
-            return 1
         degrees = {g.e for g in self.generators}
         if len(degrees) != 1:
             raise ValueError("Cartier algebra must be generated in a single "
                              f"degree, got degrees {sorted(degrees)}")
         return degrees.pop()
 
+    def fixes_unit(self) -> bool:
+        """Whether C_+(R) = R, decided once.  A nonzero constant twist c
+        settles it at once, as kappa^e(c x^(q-1,...,q-1)) = c."""
+        if self._fixes_unit is None:
+            self._fixes_unit = any(
+                g.twist.is_constant() and g.twist for g in self.generators) \
+                or cplus(Ideal(self.ring, [self.ring.one()]), self).is_unit()
+        return self._fixes_unit
+
     def cache_key(self):
-        if self.full:
-            return (self.ring, "full")
-        if all(isinstance(g, TraceTwist) for g in self.generators):
-            return (self.ring, tuple((g.e, g.twist) for g in self.generators))
-        return None  # operator-backed algebras are not cached
-
-
-def _operator_image(op: OperatorGen, I: Ideal) -> list:
-    """Generators of the image ideal op(S*I), via the monomial basis of F^e_* S."""
-    ring = I.ring
-    q = ring.p ** op.e
-    gens = []
-    for u in I.gens:
-        for exps in iproduct(range(q), repeat=ring.nvars):
-            v = op.apply(u.mul_monomial(exps))
-            if v and not v.is_zero():
-                gens.append(v)
-    return gens
+        return (self.ring, self.generators)
 
 
 def cplus(I: Ideal, C: CartierAlgebraSpec) -> Ideal:
     """The degree-positive action: sum over generators of kappa^e(g * I)."""
-    if C.full:
-        return bracket_root(I, 1)
-    parts = []
-    for gen in C.generators:
-        if isinstance(gen, TraceTwist):
-            twisted = Ideal(I.ring, [gen.twist * u for u in I.gens])
-            parts.append(bracket_root(twisted, gen.e))
-        else:
-            parts.append(Ideal(I.ring, _operator_image(gen, I)))
     total = Ideal(I.ring, [])
-    for part in parts:
-        total = sum_ideal(total, part)
+    for gen in C.generators:
+        twisted = Ideal(I.ring, [gen.twist * u for u in I.gens])
+        total = sum_ideal(total, bracket_root(twisted, gen.e))
     return total
 
 
@@ -178,108 +154,131 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
               budget: int = TAU_BUDGET) -> Ideal:
     """Mixed test ideal on a regular chart with M = R and test element 1.
 
-    Principal a_i = (f_i) under the full algebra take an exact path.  The
-    chain I_e = (prod f_i^ceil(t_i p^e))^[1/p^e] only grows and equals tau for
-    e >> 0 (Blickle-Mustata-Smith 2008).  Write t_i = a_i/(b p^s) with
-    gcd(b, p) = 1.  For b = 1 the chain is exact from e = s on, so tau is
-    (prod f_i^(t_i p^s))^[1/p^s].  Otherwise, as tau(f^(t/p)) =
-    tau(f^t)^[1/p], tau is tau(prod f_i^(a_i/b))^[1/p^s], so let t_i = a_i/b.
-    With r = ord_b(p) and c_i = a_i (p^r - 1)/b, t_i p^r = c_i + t_i, and
-    (g^(p^e) B)^[1/p^e] = g B^[1/p^e] gives I_(e+r) = Psi(I_e) for
-    Psi(J) = (prod f_i^c_i J)^[1/p^r].  So the I_(kr) start at
-    I_0 = (prod f_i^ceil(a_i/b)) and only grow, and once one repeats, all
-    later ones equal it: the repeat is tau.  ``budget`` bounds the Psi steps.
-    Every root here is taken by ``_digit_walk``.
+    tau is the sum over e >= 1 of I_e = C_e(prod a_i^ceil(t_i q^e)), where
+    q = p^e0 for the degree e0 of C, C_e is C_+ applied e times, and
+    C_+(J) = (G J)^[1/q] for the twist ideal G (Blickle 2013).
 
-    Other ideals and algebras go through ``_tau_chain``, whose stop is a
-    heuristic.
+    Principal a_i = (f_i) take a certified path under every algebra.  Let
+    s = ceil(d/e0) for the p-depth d of the exponents, u_i = t_i q^s,
+    b = lcm(den(u_i)), r = ord_b(q), c_i = u_i (q^r - 1) and
+    I'_e = C_e(prod f_i^ceil(u_i q^e)), so that I_(e+s) = C_s(I'_e).  As
+    C_+(h^q B) = h C_+(B) (Blickle-Mustata-Smith 2008), I'_(e+r) = Psi(I'_e)
+    for Psi(J) = C_r(prod f_i^c_i J), which preserves sums and inclusions.
+    With lo = 1 if s = 0 and lo = 0 otherwise, S = I'_lo + ... + I'_(lo+r-1)
+    and T_0 = S, the sum of the I'_e over e >= lo is the limit T of
+    T_(k+1) = S + Psi(T_k).  That sequence only grows, so its first repeat is
+    T, and tau = I_1 + ... + I_(s-1) + C_s(T).  When C_+(R) = R every chain
+    here only grows: then S = I'_0, T_(k+1) = Psi(T_k), tau = C_s(T), and for
+    b = 1 tau = C_s(prod f_i^u_i).  ``budget`` bounds the Psi steps.  Every
+    root here is taken by ``_digit_walk``.
+
+    Other ideals go through ``_tau_chain``, whose stop is a heuristic.
     """
-    ckey = C.cache_key()  # None for operator-backed algebras: never cached
-    key = None if ckey is None else (pair.cache_key(), ckey)
+    key = (pair.cache_key(), C.cache_key())
     hit = _tau_cache.get(key)
     if hit is not None:
         return hit
-    if C.full and all(len(a.gens) == 1 for a in pair.ideals):
-        result = _tau_principal(pair, budget)
+    if all(len(a.gens) == 1 for a in pair.ideals):
+        result = _tau_principal(pair, C, budget)
     else:
         result = _tau_chain(pair, C, _CHAIN_CONF, budget)
-    if key is not None:
-        _tau_cache[key] = result
+    _tau_cache[key] = result
     return result
 
 
-def _tau_principal(pair: MixedPair, budget: int) -> Ideal:
-    """The exact path of ``tau_mixed``; see its docstring."""
-    ring, p = pair.ring, pair.ring.p
+def _tau_principal(pair: MixedPair, C: CartierAlgebraSpec,
+                   budget: int) -> Ideal:
+    """The certified path of ``tau_mixed``; see its docstring."""
+    ring, e0 = pair.ring, C.degree()
+    q = ring.p ** e0
     fs = [a.gens[0] for a in pair.ideals]
-    s = max(_p_depth(t, p) for t in pair.exponents)
-    b = lcm(*(t.denominator for t in pair.exponents)) // p ** s
+    s = -(-max(_p_depth(t, ring.p) for t in pair.exponents) // e0)
+    u = [t * q ** s for t in pair.exponents]
+    b = lcm(*(x.denominator for x in u))
+    grows = C.fixes_unit()
     unit = Ideal(ring, [ring.one()])
-    if b == 1:
-        J = _digit_walk(fs, [int(t * p ** s) for t in pair.exponents], s, unit)
+
+    def term(ts, e):
+        """C_e(prod f_i^ceil(t_i q^e))."""
+        return _digit_walk(fs, [_ceil_mul(t, q ** e) for t in ts], e, unit, C)
+
+    if b == 1 and grows:
+        return Ideal(ring, list(term(pair.exponents, s).groebner()))
+    r = 1
+    while (q ** r - 1) % b:
+        r += 1
+    c = [int(x * (q ** r - 1)) for x in u]
+    lo = 0 if s or grows else 1
+    S = Ideal(ring, [])
+    for e in range(lo, lo + (1 if grows else r)):
+        S = sum_ideal(S, term(u, e))
+    T = S
+    for _ in range(budget):
+        nxt = _digit_walk(fs, c, r, T, C)
+        if not grows:
+            nxt = Ideal(ring, list(sum_ideal(S, nxt).groebner()))
+        if ideal_eq(nxt, T):
+            break
+        T = nxt
     else:
-        r = 1
-        while p ** r % b != 1:
-            r += 1
-        J = _digit_walk(fs, [_ceil_mul(t, p ** s) for t in pair.exponents],
-                        0, unit)
-        c = [int(t * p ** s * (p ** r - 1)) for t in pair.exponents]
-        for _ in range(budget):
-            nxt = _digit_walk(fs, c, r, J)
-            if ideal_eq(nxt, J):
-                break
-            J = nxt
-        else:
-            raise BudgetExceeded(f"tau chain did not repeat within {budget} steps")
-        J = _digit_walk(fs, [0] * len(fs), s, J)
-    return Ideal(ring, list(J.groebner()))
+        raise BudgetExceeded(f"tau chain did not repeat within {budget} steps")
+    tau = _digit_walk(fs, [0] * len(fs), s, T, C)
+    for e in range(1, 1 if grows else s):
+        tau = sum_ideal(tau, term(pair.exponents, e))
+    return Ideal(ring, list(tau.groebner()))
 
 
-def _digit_walk(fs, m, k: int, J: Ideal) -> Ideal:
-    """(prod f_i^m_i J)^[1/p^k] for polynomials f_i, one p-th root per
-    base-p digit of m, lowest digit first.
+def _digit_walk(fs, m, k: int, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
+    """C_k(prod f_i^m_i J) for polynomials f_i, one step of C_+ per base-q
+    digit of m (q = p^e0), lowest digit first.
 
-    Write m = d + p m' with d the lowest digit vector, and let
-    g = prod f_i^m'_i and B = prod f_i^d_i J.  Since
-    I^[1/p^k] = (I^[1/p])^[1/p^(k-1)] and (g^p B)^[1/p] = g B^[1/p]
+    Write m = d + q m' with d the lowest digit vector, and let
+    g = prod f_i^m'_i and B = prod f_i^d_i J.  Since C_+(J) = (G J)^[1/q]
+    for the twist ideal G and (g^q B)^[1/q] = g B^[1/q]
     (Blickle-Mustata-Smith 2008),
 
-        (prod f_i^m_i J)^[1/p^k] = (g^p B)^[1/p^k] = (g B^[1/p])^[1/p^(k-1)].
+        C_k(prod f_i^m_i J) = C_k(g^q B) = C_(k-1)(g C_+(B)).
 
-    So each step multiplies in one digit and takes one p-th root; the last
-    step multiplies in what is left of m, m_i // p^(k-1), whole.  The ideal
-    is reduced between steps.  For k = 0 this is the plain product.
+    So each step multiplies in one digit and takes one q-th root; the last
+    step multiplies in what is left of m, m_i // q^(k-1), whole.  Each
+    twist t starts its own digit product, t prod f_i^d_i.  The ideal is
+    reduced between steps.  For k = 0 this is the plain product.
     """
     ring = J.ring
-    p = ring.p
+    e0 = C.degree()
+    q = ring.p ** e0
 
-    def times(d, J):
-        g = ring.one()
+    def times(g, d, J):
         for f, e in zip(fs, d):
             g = g * pow_poly(f, e)
-        return Ideal(ring, [g * h for h in J.gens])
+        return [g * h for h in J.gens]
+
+    def step(d, J):
+        gens = [u for gen in C.generators for u in times(gen.twist, d, J)]
+        return bracket_root(Ideal(ring, gens), e0)
 
     if k == 0:
-        return times(m, J)
+        return Ideal(ring, times(ring.one(), m, J))
     for _ in range(k - 1):
-        J = bracket_root(times([x % p for x in m], J), 1)
-        J = Ideal(ring, list(J.groebner()))
-        m = [x // p for x in m]
-    return bracket_root(times(m, J), 1)
+        J = Ideal(ring, list(step([x % q for x in m], J).groebner()))
+        m = [x // q for x in m]
+    return step(m, J)
 
 
 def _tau_chain(pair: MixedPair, C: CartierAlgebraSpec, conf: int,
                budget: int) -> Ideal:
-    """Accumulates I_e = C_{e*e0} applied to prod_i a_i^ceil(t_i p^(e*e0))
-    for e = 1, 2, ... and returns the accumulated sum once it is unchanged for
-    ``conf`` consecutive steps.  That stop is a heuristic: a chain whose
+    """Accumulates I_e = C_e applied to prod_i a_i^ceil(t_i q^e), q = p^e0,
+    for e = 1, 2, ... and returns the accumulated sum once it is unchanged
+    for ``conf`` consecutive steps.  That stop is a heuristic: a chain whose
     period exceeds ``conf`` can stop early with too small an ideal.  Steps
-    with e*e0 below the p-adic depth of the exponents are warm-up: ceil(t p^e)
+    with e*e0 below the p-adic depth of the exponents are warm-up: ceil(t q^e)
     is not yet exact there and the chain may still jump, so those repetitions
-    do not count.
+    do not count.  C_e(J) = (G^[q^(e-1)] ... G^[q] G J)^[1/q^e] for the twist
+    ideal G: one root when G = (1), e steps of ``cplus`` otherwise.
     """
     e0 = C.degree()
     ring = pair.ring
+    one_root = Ideal(ring, [g.twist for g in C.generators]).is_unit()
     warmup = max((_p_depth(t, ring.p) for t in pair.exponents), default=0)
     accum = Ideal(ring, [])
     stable = 0
@@ -290,10 +289,9 @@ def _tau_chain(pair: MixedPair, C: CartierAlgebraSpec, conf: int,
         for a, t in zip(pair.ideals, pair.exponents):
             if t:
                 J = product(J, power(a, _ceil_mul(t, P)))
-        if C.full:
+        if one_root:
             I_e = bracket_root(J, total)
         else:
-            # C_{e*e0} is spanned by length-e words in the degree-e0 part
             I_e = J
             for _ in range(e):
                 I_e = cplus(I_e, C)
@@ -324,10 +322,9 @@ def skoda_reduce(pair: MixedPair, i: int):
 
 
 def scale_test_ideal(tau: Ideal, C: CartierAlgebraSpec) -> Ideal:
-    """Apply the degree-e0 part: carries tau(a^t) to tau(a^(t/p^e0))."""
-    e0 = C.degree()
-    if C.full:
-        return bracket_root(tau, e0)
+    """Apply C_+.  When C_+(R) = R this carries tau(a^t) to tau(a^(t/q)),
+    q = p^e0.  Otherwise it can give less: it drops the term e = 1 of the
+    sum for tau(a^(t/q)), which the later terms then need not contain."""
     return cplus(tau, C)
 
 
@@ -388,27 +385,25 @@ class RelativeChart:
 
 
 def pullback_cartier(C: CartierAlgebraSpec, chart: RelativeChart) -> CartierAlgebraSpec:
-    """Pull a Cartier algebra on R back to S = R[fiber].
+    """Pull a Cartier algebra on R back to S = R[fiber] by extending its
+    twists: the pullback of kappa^e o g is kappa_S^e o g.
 
-    A base generator phi = kappa^e o g acts on S by
-    s |-> sum_j s_j * kappa^e(g * r_j) where Phi^e(F^e_* s) = sum_j s_j (x) r_j;
-    the canonical-form tag is carried formally.  The full algebra pulls back
-    to the full algebra of the chart.
+    The paper's action of kappa^e o g on S is s |-> sum_j s_j kappa^e(g r_j)
+    for Phi^e(F^e_* s) = sum_j s_j (x) F^e_* r_j (``_pulled_action``).  The
+    relative trace takes the top fiber component of s, and kappa^e the top
+    base component of g r_j, so together they take the top component of g s.
+    The canonical-form tag is carried formally, and the full algebra pulls
+    back to the full algebra of the chart.
     """
     if C.ring != chart.base_ring:
         raise ValueError("algebra does not live on the chart's base ring")
-    if C.full:
-        return CartierAlgebraSpec.full_algebra(chart.ring)
-    gens = []
-    for gen in C.generators:
-        if not isinstance(gen, TraceTwist):
-            raise ValueError("only trace-twist generators can be pulled back")
-        gens.append(OperatorGen(gen.e, _pulled_action(gen, chart),
-                                label=f"pullback@{gen.e}"))
-    return CartierAlgebraSpec(chart.ring, gens)
+    return CartierAlgebraSpec.from_twists(
+        chart.ring, [(g.e, chart.from_base(g.twist)) for g in C.generators])
 
 
 def _pulled_action(gen: TraceTwist, chart: RelativeChart):
+    """The paper's relative action of a base generator on S; the test oracle
+    for ``pullback_cartier``."""
     e, twist = gen.e, gen.twist
 
     def act(s: Polynomial) -> Polynomial:

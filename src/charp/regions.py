@@ -112,7 +112,7 @@ def constancy_raster(ideals, T, k, C=None) -> RasterGrid:
 
     ``ideals`` lists the mixed family a_1..a_n; cell coordinates are the
     exponent vectors.  Principal a_i = (f_i) under the full algebra take the
-    digit recursion of ``_digit_recursion``; twisted and operator algebras and
+    digit recursion of ``_digit_recursion``; twisted algebras and
     non-principal ideals evaluate ``tau_mixed`` cell by cell.
     """
     ideals = tuple(ideals)
@@ -121,7 +121,7 @@ def constancy_raster(ideals, T, k, C=None) -> RasterGrid:
         C = CartierAlgebraSpec.full_algebra(ring)
     grid = RasterGrid(ring.p, T, k, len(ideals), {}, {})
     if C.full and all(len(a.gens) == 1 for a in ideals):
-        classes, table = _digit_recursion([a.gens[0] for a in ideals], grid)
+        classes, table = _digit_recursion([a.gens[0] for a in ideals], grid, C)
         hashes = {cid: _class_hash(grid, classes[cid])
                   for cid in sorted(set(table.values()))}
         grid.classes = {idx: hashes[cid] for idx, cid in table.items()}
@@ -143,7 +143,7 @@ def _class_hash(grid: RasterGrid, tau: Ideal) -> str:
     return h
 
 
-def _digit_recursion(fs, grid: RasterGrid):
+def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec):
     """tau at every cell of ``grid`` for a_i = (f_i) under the full algebra.
 
     Returns the classes (Ideals generated by their reduced bases) and the
@@ -152,7 +152,7 @@ def _digit_recursion(fs, grid: RasterGrid):
     m = d p^(j-1) + r with r in [0, p^(j-1))^n: ``_digit_walk`` takes the
     digits of r first and d whole in its last step, so
 
-        tau_j(m) = _digit_walk(fs, d, 1, tau_(j-1)(r)).
+        tau_j(m) = _digit_walk(fs, d, 1, tau_(j-1)(r), C).
 
     The table is built level by level from tau_0(m) = (prod f_i^m_i): for
     k >= 1 level 0 is the single cell tau_0(0) = (1), and for k = 0 it is the
@@ -182,12 +182,12 @@ def _digit_recursion(fs, grid: RasterGrid):
     def step(d, cid):
         out = steps.get((d, cid))
         if out is None:
-            out = steps[d, cid] = intern(_digit_walk(fs, d, 1, classes[cid]))
+            out = steps[d, cid] = intern(_digit_walk(fs, d, 1, classes[cid], C))
         return out
 
     unit = Ideal(ring, [ring.one()])
     top = side if k == 0 else 0
-    table = {m: intern(_digit_walk(fs, m, 0, unit))
+    table = {m: intern(_digit_walk(fs, m, 0, unit, C))
              for m in iproduct(range(top + 1), repeat=n)}
     for j in range(1, k + 1):
         q = p ** (j - 1)

@@ -1,11 +1,12 @@
+import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 import charp as ch
-from charp import CartierAlgebraSpec, Ideal, MixedPair, poly_str
-from charp.cartier import _digit_walk, _tau_chain
+from charp import CartierAlgebraSpec, Ideal, MixedPair, TraceTwist, poly_str
+from charp.cartier import _digit_walk, _pulled_action, _tau_chain
 
 
 def ring(p=3, names=("x", "y")):
@@ -116,9 +117,9 @@ class TestTauMixed:
         assert tau.basis_strings() == ("x",)
 
 
-def _order(p, b):
+def _order(q, b):
     r = 1
-    while p ** r % b != 1:
+    while (q ** r - 1) % b:
         r += 1
     return r
 
@@ -159,29 +160,123 @@ class TestExactPathAgainstChain:
                 assert ch.ideal_eq(ch.tau_mixed(pr, full), want), (a1, a2)
 
 
+def _oracle_exponents(dens):
+    """Two exponents a/den < 2 per denominator, leaving out 0 and 2."""
+    out = []
+    for den in dens:
+        nums = [a for a in range(1, 2 * den) if gcd(a, den) == 1]
+        out += [F(a, den) for a in _inner(nums, 2)]
+    return out
+
+
+class TestCertifiedTwistedAgainstChain:
+    """The certified path under trace twists against the chain run far past
+    its period (conf = 2r + 2, r = ord_b(q)).  Denominators are chosen so
+    that (3r + 3) e0 plus the p-depth stays at most 9 at p = 3 and 13 at
+    p = 2, which keeps the chain's powers small."""
+
+    @pytest.mark.parametrize("p,twists,dens", [
+        (3, [(1, "2")], (1, 2, 3, 4, 6, 8, 9, 18, 27)),
+        (3, [(1, "x^3")], (1, 2, 3, 4, 6, 8, 9, 18, 27)),
+        (3, [(1, "x"), (1, "y")], (1, 2, 3, 4, 6, 8, 9, 18, 27)),
+        (3, [(1, "x+y")], (1, 2, 3, 4, 6, 8, 9, 18, 27)),
+        (2, [(1, "x^3")], (1, 2, 3, 4, 6, 7, 8, 12, 14)),
+        (2, [(1, "x^4")], (1, 2, 3, 4, 6, 7, 8, 12, 14)),
+        (2, [(2, "x")], (1, 2, 3, 6)),
+        (2, [(2, "x^5*y")], (1, 2, 3, 6)),
+    ])
+    def test_against_chain(self, p, twists, dens):
+        R = ring(p)
+        C = CartierAlgebraSpec.from_twists(R, [(e, R.poly(g)) for e, g in twists])
+        q = p ** C.degree()
+        ts = _oracle_exponents(dens)
+        cases = [pair(R, (f, t)) for t in ts for f in ("x^2+y^3", "x*y*(x+y)")]
+        cases += [pair(R, ("x+y", t), ("x*y", u)) for t, u in zip(ts, ts[1:])]
+        for pr in cases:
+            b = lcm(*(t.denominator for t in pr.exponents))
+            while b % p == 0:
+                b //= p
+            want = _tau_chain(pr, C, 2 * _order(q, b) + 2, 80)
+            assert ch.ideal_eq(ch.tau_mixed(pr, C), want), pr.exponents
+
+    def test_unit_twist_is_the_full_algebra(self, R, full):
+        assert CartierAlgebraSpec.from_twists(R, [(1, R.one())]).full
+        C = CartierAlgebraSpec.from_twists(R, [(1, R.poly("2"))])
+        assert not C.full and C.fixes_unit()
+        for t in (F(1, 2), F(4, 13), F(7, 9), F(17, 13)):
+            pr = pair(R, ("x^2+y^3", t))
+            assert ch.ideal_eq(ch.tau_mixed(pr, C), ch.tau_mixed(pr, full)), t
+
+
+def test_principal_pairs_never_reach_the_chain(monkeypatch):
+    from charp import cartier
+
+    def refuse(*args):
+        raise AssertionError("a principal pair reached _tau_chain")
+
+    monkeypatch.setattr(cartier, "_tau_chain", refuse)
+    monkeypatch.setattr(cartier, "_tau_cache", {})
+    R = ring()
+    algebras = [CartierAlgebraSpec.full_algebra(R)] + [
+        CartierAlgebraSpec.from_twists(R, [(e, R.poly(g)) for e, g in tw])
+        for tw in ([(1, "x")], [(1, "x^3")], [(1, "x"), (1, "y")],
+                   [(2, "x^5*y")])]
+    for C in algebras:
+        for t in (F(0), F(4, 13), F(5, 9), F(17, 13), F(2)):
+            ch.tau_mixed(pair(R, ("x^2+y^3", t)), C)
+        ch.tau_mixed(pair(R, ("x+y", F(1, 4)), ("x*y", F(7, 9))), C)
+    chart = ch.RelativeChart.build(("t", "u"), ("x",), 3)
+    Rb = chart.base_ring
+    for tw in ("1", "t", "t^3"):
+        C = CartierAlgebraSpec.from_twists(Rb, [(1, Rb.poly(tw))])
+        base = MixedPair.of([(Ideal(Rb, [Rb.poly("t^2+u^3")]), F(4, 13))])
+        assert ch.ideal_eq(*ch.theorem_b_sides(C, base, chart))
+
+
+def wrap_in_charp(monkeypatch, name, before):
+    """Replace frobenius.<name> in every charp module that imported it with a
+    wrapper that calls ``before`` on the arguments first."""
+    import sys
+    from charp import frobenius
+    original = getattr(frobenius, name)
+
+    def wrapper(*args, **kwargs):
+        before(*args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "charp" or mod_name.startswith("charp.")) \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
 def max_decompose_terms(monkeypatch):
     """Record the largest term count handed to decompose through any charp
     module, with a fresh tau cache; returns a one-element list."""
-    import sys
-    from charp import cartier, frobenius
+    from charp import cartier
     monkeypatch.setattr(cartier, "_tau_cache", {})
-    original = frobenius.decompose
     most = [0]
 
-    def recording(g, *args, **kwargs):
+    def record(g, *args):
         most[0] = max(most[0], len(g.terms))
-        return original(g, *args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if (name == "charp" or name.startswith("charp.")) \
-                and getattr(mod, "decompose", None) is original:
-            monkeypatch.setattr(mod, "decompose", recording)
+    wrap_in_charp(monkeypatch, "decompose", record)
     return most
+
+
+def count_bracket_roots(monkeypatch):
+    """Count bracket_root calls made through any charp module, with a fresh
+    tau cache; returns the list of root exponents."""
+    from charp import cartier
+    monkeypatch.setattr(cartier, "_tau_cache", {})
+    calls = []
+    wrap_in_charp(monkeypatch, "bracket_root", lambda I, e: calls.append(e))
+    return calls
 
 
 class TestDigitWalk:
     @pytest.mark.parametrize("start", [("1",), ("x", "y^2"), ("x^2+y",)])
-    def test_matches_one_shot_root(self, R, start):
+    def test_matches_one_shot_root(self, R, full, start):
         fs = [R.poly("x+y"), R.poly("x*y")]
         J = I(R, *start)
         for k in range(4):
@@ -190,7 +285,23 @@ class TestDigitWalk:
                 one_shot = Ideal(R, [g * h for h in J.gens])
                 if k:
                     one_shot = ch.bracket_root(one_shot, k)
-                assert ch.ideal_eq(_digit_walk(fs, m, k, J), one_shot), (m, k)
+                assert ch.ideal_eq(_digit_walk(fs, m, k, J, full), one_shot), \
+                    (m, k)
+
+    @pytest.mark.parametrize("twists", [[(1, "x^3")], [(1, "x"), (1, "y")],
+                                        [(2, "x+y")]])
+    def test_twisted_matches_cplus_steps(self, R, twists):
+        # C_k(prod f_i^m_i J) as k plain C_+ steps on the whole product
+        C = CartierAlgebraSpec.from_twists(R, [(e, R.poly(g)) for e, g in twists])
+        fs = [R.poly("x+y"), R.poly("x*y")]
+        J = I(R, "x", "y^2")
+        for k in range(3):
+            for m in [(0, 0), (1, 2), (5, 3), (13, 0), (8, 26), (40, 17)]:
+                g = ch.pow_poly(fs[0], m[0]) * ch.pow_poly(fs[1], m[1])
+                want = Ideal(R, [g * h for h in J.gens])
+                for _ in range(k):
+                    want = ch.cplus(want, C)
+                assert ch.ideal_eq(_digit_walk(fs, m, k, J, C), want), (m, k)
 
     def test_fpt_search_stays_small(self, monkeypatch):
         most = max_decompose_terms(monkeypatch)
@@ -205,6 +316,15 @@ class TestDigitWalk:
             for a in range(1, 2 * b):
                 ch.tau_mixed(pair(R, ("x^2+y^3", F(a, b))), full)
         assert 0 < most[0] <= 20  # the one-shot p^r-th root takes 144
+
+    def test_full_algebra_root_count(self, monkeypatch, R, full):
+        # kappa o 1 is one twist like any other, yet does no extra work
+        calls = count_bracket_roots(monkeypatch)
+        for b in (5, 7, 11, 13):
+            for a in range(1, 2 * b):
+                if gcd(a, b) == 1:
+                    ch.tau_mixed(pair(R, ("x^2+y^3", F(a, b))), full)
+        assert 0 < len(calls) <= 553  # 552
 
 
 class TestSkodaAndScaling:
@@ -245,6 +365,26 @@ class TestSkodaAndScaling:
         assert ch.scale_test_ideal(I(R, "1"), full).basis_strings() == ("1",)
         assert ch.scale_test_ideal(Ideal(R, []), full).basis_strings() == ()
 
+    def test_scale_loses_the_first_term(self, R):
+        # kappa o x^3 has C_+(R) = (x): tau(f^(1/3)) = (x), but C_+ carries
+        # tau(f) only to the smaller (x^2, xy)
+        C = CartierAlgebraSpec.from_twists(R, [(1, R.poly("x^3"))])
+        assert not C.fixes_unit()
+        f = "x^2+y^3"
+        assert ch.tau_mixed(pair(R, (f, F(1, 3))), C).basis_strings() == ("x",)
+        scaled = ch.scale_test_ideal(ch.tau_mixed(pair(R, (f, 1)), C), C)
+        assert scaled.basis_strings() == ("x^2", "x*y")
+
+    @pytest.mark.parametrize("twist", ["x", "y^2", "x+y"])
+    def test_scaling_law_twisted(self, R, twist):
+        C = CartierAlgebraSpec.from_twists(R, [(1, R.poly(twist))])
+        assert C.fixes_unit()
+        for expr in ("x^2+y^3", "x*y"):
+            for t in (F(1, 3), F(1), F(4, 3), F(5, 9), F(4, 5), F(12, 7)):
+                lhs = ch.tau_mixed(pair(R, (expr, t / 3)), C)
+                rhs = ch.scale_test_ideal(ch.tau_mixed(pair(R, (expr, t)), C), C)
+                assert ch.ideal_eq(lhs, rhs), (expr, t)
+
     def test_scaling_law_grid(self, R, full):
         for expr in ("x+y", "x*y"):
             for t in (F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 9)):
@@ -259,9 +399,38 @@ class TestPullback:
         chart = ch.RelativeChart.build(("t",), ("x",), 3)
         S, Rb = chart.ring, chart.base_ring
         kappa = CartierAlgebraSpec.from_twists(Rb, [(1, Rb.one())])
-        act = ch.pullback_cartier(kappa, chart).generators[0].apply
+        assert ch.pullback_cartier(kappa, chart).generators == \
+            (TraceTwist(1, S.one()),)
+        act = _pulled_action(TraceTwist(1, Rb.one()), chart)
         assert poly_str(act(S.poly("x^2*t^2"))) == "1"
         assert act(S.poly("x^2")).is_zero()
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_pulled_action_is_extended_twist(self, p):
+        # the paper's relative action of kappa^e o g is kappa_S^e o g on S;
+        # exponents 0 or q in g and q - 1 or 2q - 1 in s keep many traces
+        # nonzero
+        rng = random.Random(p)
+
+        def random_poly(ring, near, q):
+            return sum((ring.monomial([rng.choice(near + (rng.randrange(2 * q),))
+                                       for _ in ring.names],
+                                      rng.randrange(1, p))
+                        for _ in range(rng.randrange(1, 6))), ring.zero())
+
+        nonzero = 0
+        for fiber in (("x",), ("x", "y")):
+            chart = ch.RelativeChart.build(("t", "u"), fiber, p)
+            for e in (1, 2):
+                q = p ** e
+                for _ in range(8):
+                    g = random_poly(chart.base_ring, (0, q), q)
+                    s = random_poly(chart.ring, (q - 1, 2 * q - 1), q)
+                    want = ch.trace(chart.from_base(g) * s, e)
+                    act = _pulled_action(TraceTwist(e, g), chart)
+                    assert act(s) == want, (fiber, e, g, s)
+                    nonzero += not want.is_zero()
+        assert nonzero >= 8
 
     def test_sigma_commutes_with_pullback(self):
         for fiber in (("x",), ("x", "y")):

@@ -75,6 +75,19 @@ class TestTau:
         assert code == 0
         assert "tau = {1}" in out
 
+    def test_twisted_period_three_chain(self, capsys):
+        # ord_13(3) = 3 is longer than the two steps the old twisted chain
+        # waited; tau((x^2+y^3)^(4/13)) under kappa o x is (1)
+        code, out, _ = run(capsys, "tau", "--p", "3", "--vars", "x,y",
+                           "--pair", "x^2+y^3:4/13", "--alg", "1:x")
+        assert code == 0
+        assert "tau = {1}" in out
+        # 17/13 = 1 + 4/13: the old chain printed {x*y^3 + x^3, y^4 + x^2*y}
+        code, out, _ = run(capsys, "tau", "--p", "3", "--vars", "x,y",
+                           "--pair", "x^2+y^3:17/13", "--alg", "1:x")
+        assert code == 0
+        assert "tau = {y^3 + x^2}" in out
+
     def test_removed_conf_flag(self, capsys):
         code, _, err = run(capsys, "tau", "--p", "3", "--vars", "x,y",
                            "--pair", "x^2+y^3:7/11", "--conf", "6")
@@ -203,6 +216,16 @@ class TestVerificationCommands:
         code, out, _ = run(capsys, "pullback-check", "--p", "3", "--base", "t",
                            "--fiber", "x,y", "--pair", "t*(t+1):2/3")
         assert code == 0
+        assert "AGREE" in out
+
+    def test_pullback_check_twisted_period_three(self, capsys):
+        # both sides used to agree on the wrong ideal {t, u}
+        code, out, _ = run(capsys, "pullback-check", "--p", "3", "--base",
+                           "t,u", "--fiber", "x", "--pair", "t^2+u^3:4/13",
+                           "--alg", "1:t")
+        assert code == 0
+        assert "extended tau  = {1}" in out
+        assert "pulled-back tau = {1}" in out
         assert "AGREE" in out
 
     def test_sigma_and_bracket_root(self, capsys):
