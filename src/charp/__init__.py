@@ -8,8 +8,9 @@ change-of-basis identity xi = det^(p-1), all in exact arithmetic.
 from .rings import (ExponentOverflow, ParseError, Polynomial, PrimeModulus,
                     RingCtx, frob, parse_poly, partial_derivative, poly_str,
                     pow_poly, root_exact)
-from .ideals import (BudgetExceeded, Ideal, colon, exact_div, frob_power,
-                     ideal_eq, intersect, power, product, sum_ideal)
+from .ideals import (BudgetExceeded, Ideal, VerificationError, colon, exact_div,
+                     frob_power, ideal_eq, intersect, power, product,
+                     sum_ideal)
 from .frobenius import FrobDecomposition, bracket_root, decompose, \
     relative_trace, trace
 from .cartier import (CartierAlgebraSpec, MixedPair, RelativeChart, TraceTwist,

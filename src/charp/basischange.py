@@ -11,7 +11,7 @@ from itertools import permutations, product as iproduct
 from random import Random
 
 from .frobenius import decompose
-from .ideals import BudgetExceeded, exact_div
+from .ideals import BudgetExceeded, VerificationError, exact_div
 from .rings import Polynomial, RingCtx, frob, partial_derivative, poly_str, pow_poly
 
 FROBJAC_SIZE_BUDGET = 81
@@ -132,8 +132,8 @@ def frobenius_jacobian(new_basis, ring: RingCtx, e: int = 1) -> FrobJacobian:
         for i in indices:
             recomposed = recomposed + col[i].mul_monomial((0,) * nb + i)
         if recomposed != yj:
-            raise ArithmeticError("Frobenius jacobian recomposition failed; "
-                                  "this is an internal error")
+            raise VerificationError("Frobenius jacobian recomposition failed; "
+                                    "this is an internal error")
         columns[j] = col
     entries = [[columns[j][i] for j in indices] for i in indices]
     return FrobJacobian(ring, e, indices, entries)
@@ -164,7 +164,7 @@ def validate_basis(candidate, ring: RingCtx, e: int = 1):
     Xi = frobenius_jacobian(candidate, ring, e)
     is_p = _is_unit_operator(Xi.matrix().det(), ring, q)
     if is_d != is_p:
-        raise ArithmeticError(
+        raise VerificationError(
             f"d-basis/p-basis disagreement for {[poly_str(c) for c in candidate]}: "
             f"d={is_d}, p={is_p}; this is an internal error")
     return is_d, is_p
@@ -190,7 +190,7 @@ def dual_generator_ratio(new_basis, ring: RingCtx, e: int = 1) -> Polynomial:
     det = jacobian(new_basis, ring).det()
     expected = pow_poly(det, ring.p ** e - 1)
     if xi != expected:
-        raise ArithmeticError("xi != det(J)^(q-1); this is an internal error")
+        raise VerificationError("xi != det(J)^(q-1); this is an internal error")
     return xi
 
 

@@ -473,7 +473,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    from .ideals import BudgetExceeded
+    from .ideals import BudgetExceeded, VerificationError
     from .thresholds import ThresholdError
     started = time.time()
     parser = build_parser()
@@ -488,7 +488,7 @@ def main(argv=None) -> int:
             BudgetExceeded, ThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
 

@@ -11,52 +11,89 @@ nothing.
 from __future__ import annotations
 
 import hashlib
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 
-from .rings import (Polynomial, RingCtx, frob, order_key, poly_str, pow_poly)
+from .rings import (Polynomial, RingCtx, frob, heap_key, order_key, poly_str,
+                    pow_poly)
 
 S_PAIR_BUDGET = 200_000
+"""Default bound on the S-pairs one ``buchberger`` run actually reduces;
+pairs that the pair criteria prune do not count."""
 
 
 class BudgetExceeded(RuntimeError):
     pass
 
 
+class VerificationError(ArithmeticError):
+    """A computed result failed one of charp's internal consistency checks."""
+
+
 # --- polynomial division --------------------------------------------------------
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+def _monic_split(g: Polynomial):
+    """(lead monomial, tail of g / lc(g) as a list of terms)."""
+    gm, gc = g.lead()
+    p = g.ring.p
+    inv = g.ring.modulus.inv(gc)
+    return gm, [(m, c * inv % p) for m, c in g.terms.items() if m != gm]
+
+
+def _divide(f: Polynomial, step) -> dict:
+    """Long division of f, largest term first, on a heap of monomials.
+
+    ``step(m, c)`` sees each leading term c*x^m of what is left.  It returns
+    None to move the term to the remainder, or (shift, tail) to cancel the
+    term by subtracting c*x^shift*(x^lead + tail), where tail is the monic
+    tail of a divisor with lead monomial m - shift.  Every subtracted term
+    is below m, so each monomial has one heap entry; a term that cancels to
+    0 keeps it and is skipped when popped.  Returns the remainder's terms.
+    """
+    ring = f.ring
+    hkey = heap_key(ring)
+    p = ring.p
+    work = dict(f.terms)
+    heap = [(hkey(m), m) for m in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m)
+        if not c:
+            continue
+        hit = step(m, c)
+        if hit is None:
+            rem[m] = c
+            continue
+        shift, tail = hit
+        for tm, tc in tail:
+            t = tuple(map(add, tm, shift))
+            old = work.get(t)
+            if old is None:
+                work[t] = -c * tc % p
+                heappush(heap, (hkey(t), t))
+            else:
+                work[t] = (old - c * tc) % p
+    return rem
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Fully reduced remainder of f modulo the list of divisors."""
-    ring = f.ring
-    key = order_key(ring)
-    inv = ring.modulus.inv
-    data = [(g.lead(), g) for g in basis if g]
-    rem = {}
-    work = dict(f.terms)
-    p = ring.p
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for (gm, gc), g in data:
+    divisors = [_monic_split(g) for g in basis if g]
+
+    def step(m, c):
+        for gm, tail in divisors:
             if _divides(gm, m):
-                shift = tuple(x - y for x, y in zip(m, gm))
-                factor = (c * inv(gc)) % p
-                for tm, tc in g.terms.items():
-                    if tm == gm:
-                        continue
-                    t = tuple(x + y for x, y in zip(tm, shift))
-                    v = (work.get(t, 0) - factor * tc) % p
-                    if v:
-                        work[t] = v
-                    else:
-                        work.pop(t, None)
-                break
-        else:
-            rem[m] = c
-    return Polynomial(ring, rem)
+                return tuple(map(sub, m, gm)), tail
+        return None
+
+    return Polynomial(f.ring, _divide(f, step))
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -64,26 +101,19 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    key = order_key(ring)
-    inv = ring.modulus.inv
-    gm, gc = g.lead()
+    gm, tail = _monic_split(g)
+    inv = ring.modulus.inv(g.lead()[1])
     p = ring.p
     quot = {}
-    work = dict(f.terms)
-    while work:
-        m = max(work, key=key)
-        shift = tuple(x - y for x, y in zip(m, gm))
+
+    def step(m, c):
+        shift = tuple(map(sub, m, gm))
         if not ring.laurent and any(x < 0 for x in shift):
             raise ValueError("not an exact multiple")
-        factor = (work[m] * inv(gc)) % p
-        quot[shift] = factor
-        for tm, tc in g.terms.items():
-            t = tuple(x + y for x, y in zip(tm, shift))
-            v = (work.get(t, 0) - factor * tc) % p
-            if v:
-                work[t] = v
-            else:
-                work.pop(t, None)
+        quot[shift] = c * inv % p
+        return shift, tail
+
+    _divide(f, step)
     return Polynomial(ring, quot)
 
 
@@ -102,49 +132,72 @@ def _spoly(f, g):
 
 
 def buchberger(gens, budget=S_PAIR_BUDGET):
-    """Groebner basis of the span of gens (non-Laurent ring)."""
+    """Groebner basis of the span of gens (non-Laurent ring).
+
+    Buchberger's algorithm with the pair criteria of Gebauer and Moeller
+    (*On an installation of Buchberger's algorithm*, 1988) and the normal
+    selection strategy: the pending pair with the smallest lcm is reduced
+    first.  Returns the elements that no later lead made redundant.
+    """
     G = [g for g in gens if g]
     if not G:
         return []
     ring = G[0].ring
-    # units shortcut and monomial pre-filtering keep the common cases cheap
+    # units and monomial ideals need no pairs
     for g in G:
         if g.is_constant():
             return [ring.one()]
-    G = _prune_monomial_multiples(list(dict.fromkeys(G)))
+    G = list(dict.fromkeys(G))
     if all(g.is_monomial() for g in G):
         return G
-    pairs = [(i, j) for i in range(len(G)) for j in range(i)]
+    key = order_key(ring)
+    basis, leads = [], []
+    active = []   # indices of the reducers: no later lead divides their lead
+    pending = {}  # (i, j) -> lcm of the pairs still to reduce
+    heap = []     # (key(lcm), i, j); entries no longer pending are skipped
+
+    def update(h):
+        """Gebauer-Moeller update for a new basis element h."""
+        n = len(basis)
+        hm = h.lead()[0]
+        new = [(k, tuple(map(max, leads[k], hm))) for k in active]
+        kept = []  # criteria M and F; coprime pairs stay to prune others
+        for idx, (k, lcm) in enumerate(new):
+            coprime = not any(map(min, leads[k], hm))
+            if coprime or not (
+                    any(_divides(other, lcm) for _, other in new[idx + 1:])
+                    or any(_divides(other, lcm) for _, other, _ in kept)):
+                kept.append((k, lcm, coprime))
+        for ij, lcm in list(pending.items()):  # criterion B
+            i, j = ij
+            if (_divides(hm, lcm) and tuple(map(max, leads[i], hm)) != lcm
+                    and tuple(map(max, leads[j], hm)) != lcm):
+                del pending[ij]
+        active[:] = [k for k in active if not _divides(hm, leads[k])]
+        active.append(n)
+        basis.append(h)
+        leads.append(hm)
+        for k, lcm, coprime in kept:  # the product criterion
+            if not coprime:
+                pending[n, k] = lcm
+                heappush(heap, (key(lcm), n, k))
+
+    for g in G:
+        update(g)
     count = 0
-    while pairs:
+    while heap:
+        _, i, j = heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue
         count += 1
         if count > budget:
             raise BudgetExceeded(f"Buchberger S-pair budget {budget} exceeded")
-        i, j = pairs.pop()
-        fm = G[i].lead()[0]
-        gm = G[j].lead()[0]
-        if all(min(a, b) == 0 for a, b in zip(fm, gm)):  # product criterion
-            continue
-        r = normal_form(_spoly(G[i], G[j]), G)
+        r = normal_form(_spoly(basis[i], basis[j]), [basis[k] for k in active])
         if r:
             if r.is_constant():
                 return [ring.one()]
-            G.append(r)
-            pairs.extend((len(G) - 1, k) for k in range(len(G) - 1))
-    return G
-
-
-def _prune_monomial_multiples(G):
-    """Drop monomial generators that are multiples of other monomial
-    generators; safe on arbitrary (non-GB) input."""
-    monos = [(i, g.lead()[0]) for i, g in enumerate(G) if g.is_monomial()]
-    drop = set()
-    for i, mi in monos:
-        for j, mj in monos:
-            if i != j and j not in drop and _divides(mj, mi) and mi != mj:
-                drop.add(i)
-                break
-    return [g for i, g in enumerate(G) if i not in drop]
+            update(r)
+    return [basis[k] for k in active]
 
 
 def _prune_redundant(G):

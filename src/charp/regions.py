@@ -17,7 +17,7 @@ from itertools import product as iproduct
 from math import lcm
 
 from .cartier import CartierAlgebraSpec, MixedPair, _digit_walk, tau_mixed
-from .ideals import Ideal, colon, frob_power
+from .ideals import Ideal, VerificationError, colon, frob_power
 from .rings import pow_poly
 
 
@@ -138,8 +138,8 @@ def _class_hash(grid: RasterGrid, tau: Ideal) -> str:
     h = tau.content_hash()
     seen = grid.ideals.setdefault(h, tau)
     if seen is not tau and seen.groebner() != tau.groebner():
-        raise ArithmeticError(f"content hash {h} names two tau classes: "
-                              f"{seen.canonical_str()} and {tau.canonical_str()}")
+        raise VerificationError(f"content hash {h} names two tau classes: "
+                                f"{seen.canonical_str()} and {tau.canonical_str()}")
     return h
 
 

@@ -7,8 +7,8 @@ are signed ints bounded by |e| < 2**63 (exceeding that aborts loudly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 EXP_LIMIT = 2 ** 63
 
@@ -78,7 +78,8 @@ class RingCtx:
     variables of a relative chart and the remaining suffix are the fiber
     variables.  ``order`` is ``("grevlex",)`` for user-facing rings; internal
     elimination rings use ``("elim", k)`` which eliminates the first k
-    variables (block grevlex order).
+    variables (block grevlex order).  The order's sort keys are built once,
+    at construction (see ``order_key`` and ``heap_key``).
     """
 
     names: tuple
@@ -92,6 +93,15 @@ class RingCtx:
             raise ValueError(f"duplicate variable names: {self.names}")
         if not (0 <= self.n_base <= len(self.names)):
             raise ValueError("n_base out of range")
+        if self.order[0] == "grevlex":
+            keys = (_grevlex_key, _grevlex_heap_key)
+        elif self.order[0] == "elim":
+            keys = (partial(_elim_key, self.order[1]),
+                    partial(_elim_heap_key, self.order[1]))
+        else:
+            raise ValueError(f"unknown term order {self.order}")
+        # plain attributes, not fields: they take no part in eq and hash
+        object.__setattr__(self, "_keys", keys)
 
     @property
     def p(self) -> int:
@@ -159,19 +169,32 @@ class RingCtx:
 
 def order_key(ring: RingCtx):
     """Sort key on exponent tuples; larger key = larger monomial."""
-    if ring.order[0] == "grevlex":
-        def key(e):
-            return (sum(e), tuple(-x for x in reversed(e)))
-        return key
-    if ring.order[0] == "elim":
-        k = ring.order[1]
+    return ring._keys[0]
 
-        def key(e):
-            a, b = e[:k], e[k:]
-            return (sum(a), tuple(-x for x in reversed(a)),
-                    sum(b), tuple(-x for x in reversed(b)))
-        return key
-    raise ValueError(f"unknown term order {ring.order}")
+
+def heap_key(ring: RingCtx):
+    """Sort key on exponent tuples; smaller key = larger monomial, so a
+    min-heap on it pops the largest monomial first."""
+    return ring._keys[1]
+
+
+def _grevlex_key(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def _grevlex_heap_key(e):
+    return (-sum(e),) + e[::-1]
+
+
+def _elim_key(k, e):
+    a, b = e[:k], e[k:]
+    return (sum(a), tuple(-x for x in reversed(a)),
+            sum(b), tuple(-x for x in reversed(b)))
+
+
+def _elim_heap_key(k, e):
+    a, b = e[:k], e[k:]
+    return (-sum(a),) + a[::-1] + (-sum(b),) + b[::-1]
 
 
 def _check_exp(e: int) -> int:
@@ -181,15 +204,20 @@ def _check_exp(e: int) -> int:
 
 
 class Polynomial:
-    """Sparse polynomial: dict from exponent tuple to nonzero coefficient."""
+    """Sparse polynomial: dict from exponent tuple to nonzero coefficient.
 
-    __slots__ = ("ring", "terms", "_h", "_maxabs")
+    ``terms`` is never mutated after construction: the hash, the largest
+    exponent and the leading term are cached on first use.
+    """
+
+    __slots__ = ("ring", "terms", "_h", "_maxabs", "_lead")
 
     def __init__(self, ring: RingCtx, terms: dict):
         self.ring = ring
         self.terms = terms
         self._h = None
         self._maxabs = None
+        self._lead = None
 
     def max_abs_exponent(self) -> int:
         if self._maxabs is None:
@@ -223,11 +251,12 @@ class Polynomial:
 
     def lead(self):
         """(exponent tuple, coefficient) of the leading term under the ring order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = order_key(self.ring)
-        m = max(self.terms, key=key)
-        return m, self.terms[m]
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            m = max(self.terms, key=order_key(self.ring))
+            self._lead = (m, self.terms[m])
+        return self._lead
 
     def coeff(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)

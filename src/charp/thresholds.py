@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartier import CartierAlgebraSpec, MixedPair, scale_test_ideal, tau_mixed
-from .ideals import Ideal, ideal_eq
+from .ideals import Ideal, VerificationError, ideal_eq
 
 
 class ThresholdError(RuntimeError):
@@ -158,9 +158,9 @@ def jump_scaling_probe(free: Ideal, t, T, depth: int):
     tau_pt = probe.tau(p * t)
     tau_pt_eps = probe.tau(p * t - p * eps)
     if not ideal_eq(scale_test_ideal(tau_pt, C), tau_t):
-        raise ArithmeticError("scaling law failed at p*t")
+        raise VerificationError("scaling law failed at p*t")
     if not ideal_eq(scale_test_ideal(tau_pt_eps, C), tau_t_eps):
-        raise ArithmeticError("scaling law failed below p*t")
+        raise VerificationError("scaling law failed below p*t")
     jump_at_t = tau_t.content_hash() != tau_t_eps.content_hash()
     jump_at_pt = tau_pt.content_hash() != tau_pt_eps.content_hash()
     if jump_at_t and not jump_at_pt:

@@ -233,12 +233,11 @@ def test_principal_pairs_never_reach_the_chain(monkeypatch):
         assert ch.ideal_eq(*ch.theorem_b_sides(C, base, chart))
 
 
-def wrap_in_charp(monkeypatch, name, before):
-    """Replace frobenius.<name> in every charp module that imported it with a
-    wrapper that calls ``before`` on the arguments first."""
+def wrap_in_charp(monkeypatch, name, before, module="frobenius"):
+    """Replace charp.<module>.<name> in every charp module that holds it with
+    a wrapper that calls ``before`` on the arguments first."""
     import sys
-    from charp import frobenius
-    original = getattr(frobenius, name)
+    original = getattr(getattr(ch, module), name)
 
     def wrapper(*args, **kwargs):
         before(*args)

@@ -258,7 +258,7 @@ class TestDigitRecursion:
         C = CartierAlgebraSpec.from_twists(R, [(1, R.var("x"))]) \
             if twisted else None
         monkeypatch.setattr(Ideal, "content_hash", lambda self: "0" * 16)
-        with pytest.raises(ArithmeticError, match="two tau classes"):
+        with pytest.raises(ch.VerificationError, match="two tau classes"):
             ch.constancy_raster(three_lines_family, 1, 1, C)
 
 
