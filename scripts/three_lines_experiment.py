@@ -56,8 +56,7 @@ def main():
     print("== thresholds along the staircase ==")
     for t1 in (F(0), F(1, 9), F(1, 3), F(2, 3), F(7, 9)):
         res = ch.fpt_search([(f1, t1)], f2, depth=6)
-        windows = ch.thresholds.avoidance_windows(res.candidate, 3) \
-            if res.candidate else []
+        windows = ch.thresholds.avoidance_windows(res.candidate, 3)
         print(f"  t1 = {t1!s:>5}: threshold = {res.candidate} "
               f"(bracket [{res.lo}, {res.hi}], "
               f"{len(res.transcript)} tau evaluations, "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iproduct
 from math import lcm
 
 from .frobenius import bracket_root, relative_trace, trace
@@ -49,11 +50,6 @@ class CartierAlgebraSpec:
     @classmethod
     def from_twists(cls, ring, pairs):
         return cls(ring, tuple(TraceTwist(e, g) for e, g in pairs))
-
-    @property
-    def full(self) -> bool:
-        """Whether this is the full Cartier algebra, the one twist kappa o 1."""
-        return self.generators == (TraceTwist(1, self.ring.one()),)
 
     def degree(self) -> int:
         """Single generation degree e0; mixed degrees are rejected outright."""
@@ -167,10 +163,13 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
     With lo = 1 if s = 0 and lo = 0 otherwise, S = I'_lo + ... + I'_(lo+r-1)
     and T_0 = S, the sum of the I'_e over e >= lo is the limit T of
     T_(k+1) = S + Psi(T_k).  That sequence only grows, so its first repeat is
-    T, and tau = I_1 + ... + I_(s-1) + C_s(T).  When C_+(R) = R every chain
-    here only grows: then S = I'_0, T_(k+1) = Psi(T_k), tau = C_s(T), and for
-    b = 1 tau = C_s(prod f_i^u_i).  ``budget`` bounds the Psi steps.  Every
-    root here is taken by ``_digit_walk``.
+    T, and tau = I_1 + ... + I_(s-1) + C_s(T).  For n_i = floor(u_i) each
+    I'_e is prod f_i^n_i times I'_e at u - n, so T is taken at u - n, where
+    I'_0 divides prod f_i, and C_s(T) is one walk over prod f_i^n_i T.  When
+    C_+(R) = R every chain here only grows: then S = I'_0, T_(k+1) =
+    Psi(T_k), tau = C_s(T), and for b = 1 tau = C_s(prod f_i^u_i).
+    ``budget`` bounds the Psi steps.  Every root here is taken by
+    ``_digit_walk``.
 
     Other ideals go through ``_tau_chain``, whose stop is a heuristic.
     """
@@ -204,6 +203,8 @@ def _tau_principal(pair: MixedPair, C: CartierAlgebraSpec,
 
     if b == 1 and grows:
         return Ideal(ring, list(term(pair.exponents, s).groebner()))
+    whole = [int(x) for x in u]
+    u = [x - n for x, n in zip(u, whole)]
     r = 1
     while (q ** r - 1) % b:
         r += 1
@@ -222,7 +223,7 @@ def _tau_principal(pair: MixedPair, C: CartierAlgebraSpec,
         T = nxt
     else:
         raise BudgetExceeded(f"tau chain did not repeat within {budget} steps")
-    tau = _digit_walk(fs, [0] * len(fs), s, T, C)
+    tau = _digit_walk(fs, whole, s, T, C)
     for e in range(1, 1 if grows else s):
         tau = sum_ideal(tau, term(pair.exponents, e))
     return Ideal(ring, list(tau.groebner()))
@@ -263,6 +264,44 @@ def _digit_walk(fs, m, k: int, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
         J = Ideal(ring, list(step([x % q for x in m], J).groebner()))
         m = [x // q for x in m]
     return step(m, J)
+
+
+class _ClassAutomaton:
+    """The digit step (d, J) -> ``_digit_walk(fs, d, 1, J, C)`` on ideal
+    classes, memoised.  Classes are interned by their reduced Groebner basis,
+    so the memo key (d, class index) is canonical.  Under the full algebra
+    the tau classes are finitely many on [0, 1)^n (Blickle-Mustata-Smith
+    2008; Perez 2013 for mixed ideals), so ``closure`` stops."""
+
+    def __init__(self, fs, C: CartierAlgebraSpec):
+        self.fs, self.C = fs, C
+        self.classes = []  # class index -> Ideal of its reduced basis
+        self._index = {}   # reduced basis -> class index
+        self._steps = {}   # (digit vector, class index) -> class index
+
+    def intern(self, I: Ideal) -> int:
+        gb = I.groebner()
+        cid = self._index.get(gb)
+        if cid is None:
+            cid = self._index[gb] = len(self.classes)
+            self.classes.append(Ideal(I.ring, list(gb)))
+        return cid
+
+    def step(self, d, cid: int) -> int:
+        out = self._steps.get((d, cid))
+        if out is None:
+            out = self._steps[d, cid] = self.intern(
+                _digit_walk(self.fs, d, 1, self.classes[cid], self.C))
+        return out
+
+    def closure(self, cids) -> frozenset:
+        """The classes reached from ``cids`` by digits in [0, p)^n."""
+        digits = list(iproduct(range(self.C.ring.p), repeat=len(self.fs)))
+        seen = frontier = set(cids)
+        while frontier:
+            frontier = {self.step(d, c) for c in frontier for d in digits} - seen
+            seen = seen | frontier
+        return frozenset(seen)
 
 
 def _tau_chain(pair: MixedPair, C: CartierAlgebraSpec, conf: int,

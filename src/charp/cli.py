@@ -125,12 +125,11 @@ def _cmd_fpt(args):
     fixed = _parse_pairs(ring, args.fixed or [])
     free = Ideal(ring, [ring.poly(args.free)])
     res = fpt_search(fixed, free, args.depth)
-    cand = str(res.candidate) if res.candidate is not None else "none"
     _emit(args, "fpt",
-          {"lo": str(res.lo), "hi": str(res.hi), "candidate": cand,
-           "evaluations": len(res.transcript)},
+          {"lo": str(res.lo), "hi": str(res.hi),
+           "candidate": str(res.candidate), "evaluations": len(res.transcript)},
           [f"interval = [{res.lo}, {res.hi}]",
-           f"candidate = {cand}",
+           f"candidate = {res.candidate}",
            f"evaluations = {len(res.transcript)}"])
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
+from operator import add, le, lt, sub
 
 from .rings import (Polynomial, RingCtx, frob, heap_key, order_key, poly_str,
                     pow_poly)
@@ -97,7 +97,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
+    """Quotient f/g when g divides f exactly; raises otherwise.  x-adic
+    valuations add, so the quotient's exponents are bounded below, and the
+    term order well-orders the quotient terms division can visit."""
     ring = f.ring
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -105,10 +107,13 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     inv = ring.modulus.inv(g.lead()[1])
     p = ring.p
     quot = {}
+    floor = [min(a) - min(b) for a, b in zip(zip(*f.terms), zip(*g.terms))]
+    if not ring.laurent:
+        floor = [max(0, x) for x in floor]
 
     def step(m, c):
         shift = tuple(map(sub, m, gm))
-        if not ring.laurent and any(x < 0 for x in shift):
+        if any(map(lt, shift, floor)):
             raise ValueError("not an exact multiple")
         quot[shift] = c * inv % p
         return shift, tail

@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
 
-from .cartier import CartierAlgebraSpec, MixedPair, _digit_walk, tau_mixed
+from .cartier import (CartierAlgebraSpec, MixedPair, _ClassAutomaton,
+                      _digit_walk, tau_mixed)
 from .ideals import Ideal, VerificationError, colon, frob_power
 from .rings import pow_poly
 
@@ -111,16 +112,18 @@ def constancy_raster(ideals, T, k, C=None) -> RasterGrid:
     """Evaluate tau at every lattice point of [0, T]^n at mesh p^-k.
 
     ``ideals`` lists the mixed family a_1..a_n; cell coordinates are the
-    exponent vectors.  Principal a_i = (f_i) under the full algebra take the
-    digit recursion of ``_digit_recursion``; twisted algebras and
-    non-principal ideals evaluate ``tau_mixed`` cell by cell.
+    exponent vectors.  Principal a_i = (f_i) under an algebra of degree 1
+    with C_+(R) = R, the full algebra among them, take the digit recursion
+    of ``_digit_recursion``; other algebras and non-principal ideals
+    evaluate ``tau_mixed`` cell by cell.
     """
     ideals = tuple(ideals)
     ring = ideals[0].ring
     if C is None:
         C = CartierAlgebraSpec.full_algebra(ring)
     grid = RasterGrid(ring.p, T, k, len(ideals), {}, {})
-    if C.full and all(len(a.gens) == 1 for a in ideals):
+    if all(len(a.gens) == 1 for a in ideals) and C.degree() == 1 \
+            and C.fixes_unit():
         classes, table = _digit_recursion([a.gens[0] for a in ideals], grid, C)
         hashes = {cid: _class_hash(grid, classes[cid])
                   for cid in sorted(set(table.values()))}
@@ -144,11 +147,12 @@ def _class_hash(grid: RasterGrid, tau: Ideal) -> str:
 
 
 def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec):
-    """tau at every cell of ``grid`` for a_i = (f_i) under the full algebra.
+    """tau at every cell of ``grid`` for a_i = (f_i) under an algebra C of
+    degree 1 with C_+(R) = R.
 
     Returns the classes (Ideals generated by their reduced bases) and the
     table cell -> class index.  The cell m has tau_k(m), where
-    tau_j(m) = (prod f_i^m_i)^[1/p^j] (Blickle-Mustata-Smith 2008).  Write
+    tau_j(m) = C_j(prod f_i^m_i) (see ``tau_mixed``).  Write
     m = d p^(j-1) + r with r in [0, p^(j-1))^n: ``_digit_walk`` takes the
     digits of r first and d whole in its last step, so
 
@@ -159,43 +163,24 @@ def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec):
     whole grid with no root taken.  Level j < k covers [0, p^j)^n capped at
     the grid side, which is all that level j + 1 looks up, so its top digits
     d lie in [0, p)^n; level k covers the grid, where d_i runs up to
-    side // p^(k-1).  The step (d, class of
-    tau_(j-1)(r)) -> class of tau_j(m) does not depend on j, so one memo
-    serves every level.  Classes are interned by their reduced Groebner basis,
-    so the memo key is canonical.
+    side // p^(k-1).  The step (d, class of tau_(j-1)(r)) -> class of
+    tau_j(m) does not depend on j, so one ``_ClassAutomaton`` serves every
+    level.
     """
     ring = fs[0].ring
     p, k, n, side = grid.p, grid.k, grid.n, grid.side
-    classes = []
-    index = {}  # reduced Groebner basis -> class index
-
-    def intern(I):
-        gb = I.groebner()
-        cid = index.get(gb)
-        if cid is None:
-            cid = index[gb] = len(classes)
-            classes.append(Ideal(ring, list(gb)))
-        return cid
-
-    steps = {}
-
-    def step(d, cid):
-        out = steps.get((d, cid))
-        if out is None:
-            out = steps[d, cid] = intern(_digit_walk(fs, d, 1, classes[cid], C))
-        return out
-
+    auto = _ClassAutomaton(fs, C)
     unit = Ideal(ring, [ring.one()])
     top = side if k == 0 else 0
-    table = {m: intern(_digit_walk(fs, m, 0, unit, C))
+    table = {m: auto.intern(_digit_walk(fs, m, 0, unit, C))
              for m in iproduct(range(top + 1), repeat=n)}
     for j in range(1, k + 1):
         q = p ** (j - 1)
         top = side if j == k else min(side, p ** j - 1)
-        table = {m: step(tuple(x // q for x in m),
-                         table[tuple(x % q for x in m)])
+        table = {m: auto.step(tuple(x // q for x in m),
+                              table[tuple(x % q for x in m)])
                  for m in iproduct(range(top + 1), repeat=n)}
-    return classes, table
+    return auto.classes, table
 
 
 def chi_function(raster: RasterGrid, N: Ideal) -> RegionFunction:

@@ -1,9 +1,14 @@
-"""F-jumping numbers and mixed F-pure thresholds by exact p-adic bisection.
+"""F-pure thresholds and F-jumping numbers of principal ideals under the
+full Cartier algebra.
 
-The search lattice refines denominators by exactly one power of p per level,
-matching the self-similarity lattice of the T_{q|b} operators.  Thresholds
-are certified intervals first; an exact p-power-denominator candidate is
-reported only after a confirming evaluation just below it.
+With D_j the j-th base-p digit vector of an exponent vector s (the integer
+part joins D_1) and r_j = s p^j - floor(s p^j), tau(f^s) = C_+(tau(f^(p s)))
+and Skoda give, for step(d, J) = (prod f_i^d_i J)^[1/p],
+
+    tau(f^s) = step(D_1, step(D_2, ... step(D_j, tau(f^(r_j))))).
+
+``fpt_search`` reads exact thresholds off this identity on the finite
+automaton of tau classes; ``jumping_numbers`` evaluates tau on a grid.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartier import CartierAlgebraSpec, MixedPair, scale_test_ideal, tau_mixed
+from .cartier import (CartierAlgebraSpec, MixedPair, _ClassAutomaton,
+                      scale_test_ideal, tau_mixed)
 from .ideals import Ideal, VerificationError, ideal_eq
 
 
@@ -21,12 +27,13 @@ class ThresholdError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Certified bracket [lo, hi] with tau = (1) at lo and tau != (1) at hi,
-    plus the exact candidate when confirmed, and the evaluation transcript."""
+    """The exact threshold ``candidate``, the bracket [lo, hi] of width
+    p^-depth with tau = (1) at lo and tau != (1) at hi, and the transcript of
+    (free exponent, tau class hash) pairs the search tested."""
 
     lo: Fraction
     hi: Fraction
-    candidate: Fraction | None
+    candidate: Fraction
     transcript: tuple
 
     def width(self) -> Fraction:
@@ -34,70 +41,84 @@ class ThresholdResult:
 
 
 class _TauProbe:
-    def __init__(self, fixed, free, C):
+    def __init__(self, fixed, free):
         self.ideals = tuple(I for I, _ in fixed) + (free,)
         self.ts = tuple(Fraction(t) for _, t in fixed)
-        self.C = C if C is not None else CartierAlgebraSpec.full_algebra(free.ring)
-        self.transcript = []
+        self.C = CartierAlgebraSpec.full_algebra(free.ring)
 
     def tau(self, t: Fraction) -> Ideal:
-        pair = MixedPair(self.ideals, self.ts + (Fraction(t),))
-        tau = tau_mixed(pair, self.C)
-        self.transcript.append((Fraction(t), tau.content_hash()))
-        return tau
-
-    def is_unit_at(self, t) -> bool:
-        return self.tau(t).is_unit()
+        return tau_mixed(MixedPair(self.ideals, self.ts + (Fraction(t),)),
+                         self.C)
 
 
-def fpt_search(fixed, free: Ideal, depth: int, C=None, confirm_depth: int = 2,
-               hi_cap: int = 64) -> ThresholdResult:
-    """Mixed F-pure threshold in the free exponent: bisection on p-adic
-    rationals, refining the denominator by a factor of p per level.
+def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
+    """The mixed F-pure threshold c of the free exponent, for principal
+    ideals, with ``fixed`` a list of (Ideal, exponent) pairs held constant.
+    The slice must be F-regular at free exponent 0.
 
-    ``fixed`` is a list of (Ideal, exponent) pairs held constant; the slice
-    must be F-regular at free exponent 0.
+    Free digits d_1..d_j keep tau = (1) iff the tail class T_j (``tau_mixed``
+    at the fixed remainders r_j and free exponent 0) lies in
+    U_j = {c in S : step(D_j, c) in U_(j-1)}, U_0 = {(1)}, for the closure S
+    of the tails under digits in [0, p)^n.  The largest such digit at each
+    position spells c, as those prefixes are the largest a/p^j below c.  The
+    digit depends only on (U_j, r_j), so once that pair repeats the digits
+    are periodic and c is exact.  c <= 1, as tau(... free^1) lies in free.
     """
-    probe = _TauProbe(fixed, free, C)
+    ideals = tuple(I for I, _ in fixed) + (free,)
+    if any(len(a.gens) != 1 for a in ideals):
+        raise ValueError("fpt_search needs principal ideals")
+    if free.is_unit():
+        raise ThresholdError("the free ideal is the unit ideal")
     p = free.ring.p
-    if not probe.is_unit_at(Fraction(0)):
+    C = CartierAlgebraSpec.full_algebra(free.ring)
+    auto = _ClassAutomaton([a.gens[0] for a in ideals], C)
+    unit = auto.intern(Ideal(free.ring, [free.ring.one()]))
+    r = tuple(Fraction(t) for _, t in fixed)
+    tails, x = {}, r  # r_0, r_1, ... is eventually periodic
+    while x not in tails:
+        pair = MixedPair(ideals, x + (Fraction(0),))
+        tails[x] = auto.intern(tau_mixed(pair, C))
+        x = tuple(y * p - int(y * p) for y in x)
+    transcript = [(Fraction(0), auto.classes[tails[r]].content_hash())]
+    if tails[r] != unit:
         raise ThresholdError("slice is not F-regular at free exponent 0")
-    hi = None
-    for h in range(1, hi_cap + 1):
-        if not probe.is_unit_at(Fraction(h)):
-            hi = Fraction(h)
-            break
-    if hi is None:
-        raise ThresholdError(f"no bracket found with free exponent up to {hi_cap}")
-    lo = hi - 1
-    for _ in range(depth):
-        step = (hi - lo) / p
-        found = None
-        for m in range(1, p):
-            t = lo + m * step
-            if not probe.is_unit_at(t):
-                found = t
+    S = auto.closure(tails.values())
+    U, chosen, values, seen = frozenset([unit]), [], [Fraction(0)], {}
+    while len(chosen) < depth or (U, r) not in seen:
+        seen.setdefault((U, r), len(chosen))
+        j = len(chosen) + 1
+        fixed_digits = tuple(int(x * p) for x in r)
+        r = tuple(x * p - d for x, d in zip(r, fixed_digits))
+        best = 0
+        for d in range(1, p):
+            cid = auto.step(fixed_digits + (d,), tails[r])
+            ok = cid in U
+            if j <= depth:  # record tau = step(D_1, ... step(D_j, T_j))
+                for D in reversed(chosen):
+                    cid = auto.step(D, cid)
+                transcript.append((values[-1] + Fraction(d, p ** j),
+                                   auto.classes[cid].content_hash()))
+            if not ok:
                 break
-        if found is None:
-            lo = hi - step
-        else:
-            hi = found
-            lo = found - step
-    candidate = None
-    # hi has a p-power denominator; confirm confirm_depth levels finer
-    below = hi - Fraction(1, hi.denominator * p ** confirm_depth)
-    if below <= lo or probe.is_unit_at(below):
-        candidate = hi
-    return ThresholdResult(lo, hi, candidate, tuple(probe.transcript))
+            best = d
+        chosen.append(fixed_digits + (best,))
+        U = frozenset(c for c in S if auto.step(chosen[-1], c) in U)
+        values.append(values[-1] + Fraction(best, p ** j))
+    i = seen[U, r]
+    q = p ** (len(chosen) - i)  # the digits after position i repeat
+    candidate = values[i] + (values[-1] - values[i]) * q / (q - 1)
+    lo = values[depth]
+    return ThresholdResult(lo, lo + Fraction(1, p ** depth), candidate,
+                           tuple(transcript))
 
 
-def jumping_numbers(fixed, free: Ideal, T, depth: int, C=None):
+def jumping_numbers(fixed, free: Ideal, T, depth: int):
     """Partition [0, T] into maximal constancy runs at resolution p^-depth.
 
     Returns a list of (start, end, class_hash) covering the grid; breakpoints
     are the boundaries between consecutive runs.
     """
-    probe = _TauProbe(fixed, free, C)
+    probe = _TauProbe(fixed, free)
     p = free.ring.p
     T = Fraction(T)
     M = T * p ** depth
@@ -151,7 +172,7 @@ def jump_scaling_probe(free: Ideal, t, T, depth: int):
     if p * t > Fraction(T):
         return "vacuous"
     C = CartierAlgebraSpec.full_algebra(ring)
-    probe = _TauProbe([], free, C)
+    probe = _TauProbe([], free)
     eps = Fraction(1, p ** depth)
     tau_t = probe.tau(t)
     tau_t_eps = probe.tau(t - eps)

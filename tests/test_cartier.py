@@ -200,9 +200,11 @@ class TestCertifiedTwistedAgainstChain:
             assert ch.ideal_eq(ch.tau_mixed(pr, C), want), pr.exponents
 
     def test_unit_twist_is_the_full_algebra(self, R, full):
-        assert CartierAlgebraSpec.from_twists(R, [(1, R.one())]).full
+        one = CartierAlgebraSpec.from_twists(R, [(1, R.one())])
+        assert one.cache_key() == full.cache_key()
         C = CartierAlgebraSpec.from_twists(R, [(1, R.poly("2"))])
-        assert not C.full and C.fixes_unit()
+        assert C.cache_key() != full.cache_key()
+        assert C.degree() == 1 and C.fixes_unit()
         for t in (F(1, 2), F(4, 13), F(7, 9), F(17, 13)):
             pr = pair(R, ("x^2+y^3", t))
             assert ch.ideal_eq(ch.tau_mixed(pr, C), ch.tau_mixed(pr, full)), t
@@ -314,6 +316,10 @@ class TestDigitWalk:
         for b in (5, 7, 11, 13):
             for a in range(1, 2 * b):
                 ch.tau_mixed(pair(R, ("x^2+y^3", F(a, b))), full)
+        # p-adic depth s > 0 with b = 2: the chain starts from f^ceil(u - n)
+        # for n = floor(u), u = t 3^s, not from f^121 at s = 5
+        for s in range(1, 6):
+            ch.tau_mixed(pair(R, ("x^2+y^3", F(1, 2) - F(1, 3 ** s))), full)
         assert 0 < most[0] <= 20  # the one-shot p^r-th root takes 144
 
     def test_full_algebra_root_count(self, monkeypatch, R, full):

@@ -110,6 +110,15 @@ class TestFpt:
         assert code == 0
         assert "candidate = 2/3" in out
 
+    def test_threshold_below_the_bracket_top(self, capsys):
+        # tau is (1) at 29/64 and (x, y) at 15/32, so the threshold sits
+        # strictly inside the depth-4 bracket
+        code, out, _ = run(capsys, "fpt", "--p", "2", "--vars", "x,y",
+                           "--free", "x^3+y^7", "--depth", "4")
+        assert code == 0
+        assert "interval = [7/16, 1/2]" in out
+        assert "candidate = 15/32" in out
+
 
 class TestDecompose:
     def test_absolute(self, capsys):

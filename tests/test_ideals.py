@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import permutations, product
 from random import Random
 
@@ -208,6 +211,23 @@ class TestExactDiv:
         L = ring(laurent=True)
         assert ch.exact_div(L.poly("x^2+x*y"), L.poly("x^3")) == \
             L.poly("x^-1 + x^-2*y")
+        f = L.poly("(x+1)*(x^-2*y+y^-3)")
+        assert ch.exact_div(f, L.poly("x+1")) == L.poly("x^-2*y+y^-3")
+
+    def test_laurent_non_multiple_terminates(self):
+        # x-adic valuations bound the quotient's exponents below; without
+        # that bound long division of 1 by x+1 runs through x^-1, x^-2, ...
+        code = ("import charp as ch\n"
+                "L = ch.RingCtx(('x', 'y'), ch.PrimeModulus(3), laurent=True)\n"
+                "try:\n"
+                "    ch.exact_div(L.one(), L.poly('x+1'))\n"
+                "except ValueError:\n"
+                "    print('refused')\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.stdout.strip() == "refused", proc.stderr
 
 
 # --- Buchberger against a textbook oracle -----------------------------------------

@@ -238,11 +238,47 @@ class TestDigitRecursion:
         assert ras.class_count() == len(set(ras.classes.values()))
         assert all(I.content_hash() == h for h, I in ras.ideals.items())
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("twists", [
+        ["x"], ["x", "y"], ["x+y"], ["x^{p1}"], ["x^{p1}*y"], ["2"],
+        ["x^{p}"], ["y^{p2}"]])
+    def test_dispatch_matches_per_cell_tau(self, monkeypatch, p, twists):
+        # twists with C_+(R) = R take the digit recursion, since then
+        # tau(f^(m/p^k)) = C_k(f^m); x^p and y^(2p-1) give C_+(R) != R, and
+        # the twist 2 is 0 at p = 2
+        from charp import cartier
+        from charp.regions import _tau_at_cell
+        Rp = ring(p)
+        C = CartierAlgebraSpec.from_twists(Rp, [
+            (1, Rp.poly(g.format(p=p, p1=p - 1, p2=2 * p - 1)))
+            for g in twists])
+        recursion = C.fixes_unit()
+        assert recursion == (twists[0] not in ("x^{p}", "y^{p2}")
+                             and (p, twists) != (2, ["2"]))
+        walks = []
+        real_walk = cartier._digit_walk
+        monkeypatch.setattr(
+            "charp.regions._digit_walk",
+            lambda *a: walks.append(a) or real_walk(*a))
+        family_sizes = [(("x+y", "x*y"), {2: 3, 3: 2, 5: 1}[p]),
+                        (("x^2+y^3",), 3)]
+        for polys, top in family_sizes:
+            fam = [Ideal(Rp, [Rp.poly(s)]) for s in polys]
+            for k in (0, top) if recursion else (1,):
+                ras = ch.constancy_raster(fam, 1, k, C)
+                monkeypatch.setattr(cartier, "_tau_cache", {})
+                for idx, h in ras.classes.items():
+                    assert _tau_at_cell(fam, ras.coord(idx), C) \
+                        .content_hash() == h, (polys, k, idx)
+        assert bool(walks) == recursion
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_twisted_algebra_stays_per_cell(self, monkeypatch, R,
                                             three_lines_family, k):
+        # the twist x^3 gives C_+(R) = (x), so the digit recursion does not
+        # hold and every cell takes tau_mixed
         from charp import cartier
-        C = CartierAlgebraSpec.from_twists(R, [(1, R.var("x"))])
+        C = CartierAlgebraSpec.from_twists(R, [(1, R.poly("x^3"))])
         ras = ch.constancy_raster(three_lines_family, 1, k, C)
         full = ch.constancy_raster(three_lines_family, 1, k)
         monkeypatch.setattr(cartier, "_tau_cache", {})

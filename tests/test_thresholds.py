@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import charp as ch
 from charp import CartierAlgebraSpec, Ideal, MixedPair
@@ -92,6 +93,72 @@ class TestFptSearch:
                         avoidance_windows(res.candidate, 3)))
         print("avoidance probe:", log)
         assert len(log) == len(self.CASES)
+
+
+def cusp_fpt(p):
+    """fpt(x^2+y^3) at p >= 5 (Mustata-Takagi-Watanabe 2005)."""
+    return F(5, 6) if p % 6 == 1 else F(5 * p - 1, 6 * p)
+
+
+def lines_fpt(p):
+    """fpt(xy(x+y)) at p >= 5: three lines through the origin."""
+    return F(2, 3) if p % 3 == 1 else F(2 * p - 1, 3 * p)
+
+
+def unit_at(fixed, free, t):
+    pair = MixedPair.of(list(fixed) + [(free, t)])
+    return ch.tau_mixed(pair, CartierAlgebraSpec.full_algebra(free.ring)) \
+        .is_unit()
+
+
+class TestExactThresholds:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
+    @pytest.mark.parametrize("expr,closed_form", [("x^2+y^3", cusp_fpt),
+                                                  ("x*y*(x+y)", lines_fpt)])
+    def test_closed_forms(self, p, expr, closed_form):
+        # half of these denominators are prime to p, which no finite
+        # p-adic search can name
+        Rp = ring(p)
+        res = ch.fpt_search([], Ideal(Rp, [Rp.poly(expr)]), depth=2)
+        assert res.candidate == closed_form(p)
+        assert res.lo < res.candidate <= res.hi
+
+    def test_mixed_slice(self):
+        R5 = ring(5)
+        f1 = Ideal(R5, [R5.poly("x+y")])
+        f2 = Ideal(R5, [R5.poly("x*y")])
+        res = ch.fpt_search([(f1, F(1, 2))], f2, depth=3)
+        assert res.candidate == F(3, 4)
+        assert not unit_at([(f1, F(1, 2))], f2, F(3, 4))
+        assert unit_at([(f1, F(1, 2))], f2, F(3, 4) - F(1, 5 ** 6))
+
+    def test_non_principal_rejected(self, R):
+        with pytest.raises(ValueError, match="principal"):
+            ch.fpt_search([], Ideal(R, [R.var("x"), R.var("y")]), depth=2)
+
+    def test_unit_free_ideal_has_no_threshold(self, R):
+        with pytest.raises(ch.ThresholdError):
+            ch.fpt_search([], Ideal(R, [R.poly("2")]), depth=2)
+
+    @given(p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+           mons=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                         min_size=2, max_size=2, unique=True),
+           c=st.integers(1, 12), depth=st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_random_binomials(self, p, mons, c, depth):
+        Rp = ring(p)
+        (a, b), (d, e) = mons
+        c = c % (p - 1) + 1
+        free = Ideal(Rp, [Rp.poly(f"x^{a}*y^{b} + {c}*x^{d}*y^{e}")])
+        res = ch.fpt_search([], free, depth)
+        t = res.candidate
+        assert 0 < t <= 1
+        assert not unit_at([], free, t)
+        assert unit_at([], free, max(res.lo, t - F(1, p ** (depth + 2))))
+        # the bracket is the pair of neighbours on the grid p^-depth that
+        # tau_mixed separates
+        assert res.hi - res.lo == F(1, p ** depth)
+        assert unit_at([], free, res.lo) and not unit_at([], free, res.hi)
 
 
 class TestJumpingNumbers:
