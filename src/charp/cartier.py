@@ -33,14 +33,16 @@ class CartierAlgebraSpec:
     """The Cartier algebra generated by finitely many trace twists
     kappa^e o g; the full algebra is the single twist kappa o 1."""
 
-    __slots__ = ("ring", "generators", "_fixes_unit")
+    __slots__ = ("ring", "generators", "_e0", "_fixes_unit")
 
     def __init__(self, ring: RingCtx, generators):
         self.ring = ring
         self.generators = tuple(generators)
-        for g in self.generators:
-            if g.e < 1:
-                raise ValueError("generator degrees must be >= 1")
+        degrees = {g.e for g in self.generators}
+        if len(degrees) != 1 or min(degrees) < 1:
+            raise ValueError("Cartier algebra must be generated in a single "
+                             f"degree >= 1, got degrees {sorted(degrees)}")
+        self._e0 = degrees.pop()
         self._fixes_unit = None
 
     @classmethod
@@ -52,12 +54,8 @@ class CartierAlgebraSpec:
         return cls(ring, tuple(TraceTwist(e, g) for e, g in pairs))
 
     def degree(self) -> int:
-        """Single generation degree e0; mixed degrees are rejected outright."""
-        degrees = {g.e for g in self.generators}
-        if len(degrees) != 1:
-            raise ValueError("Cartier algebra must be generated in a single "
-                             f"degree, got degrees {sorted(degrees)}")
-        return degrees.pop()
+        """The single generation degree e0."""
+        return self._e0
 
     def fixes_unit(self) -> bool:
         """Whether C_+(R) = R, decided once.  A nonzero constant twist c
@@ -73,12 +71,9 @@ class CartierAlgebraSpec:
 
 
 def cplus(I: Ideal, C: CartierAlgebraSpec) -> Ideal:
-    """The degree-positive action: sum over generators of kappa^e(g * I)."""
-    total = Ideal(I.ring, [])
-    for gen in C.generators:
-        twisted = Ideal(I.ring, [gen.twist * u for u in I.gens])
-        total = sum_ideal(total, bracket_root(twisted, gen.e))
-    return total
+    """The degree-positive action C_+(I) = (G I)^[1/q] for the twist ideal
+    G: one step of ``_digit_walk``, one root of the twisted ideal."""
+    return _digit_walk((), (), 1, I, C)
 
 
 def sigma(C: CartierAlgebraSpec, start: Ideal, budget: int = SIGMA_BUDGET) -> Ideal:

@@ -192,22 +192,31 @@ def _raster_svg(ras, overlay=False, size=600):
     maps to the full viewport with t2 pointing up."""
     side = ras.side
     step = size / (side + 1)
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-           f'height="{size}" viewBox="0 0 {size} {size}">']
+    body = []
     for (i, j), h in sorted(ras.classes.items()):
         x = i * step
         y = size - (j + 1) * step
-        out.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{step:.2f}" '
-                   f'height="{step:.2f}" fill="#{h[:6]}"/>')
+        body.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{step:.2f}" '
+                    f'height="{step:.2f}" fill="#{h[:6]}"/>')
     if overlay:
-        pts = []
-        scale = size / float(ras.T)
-        for (a, b) in three_lines_staircase(ras.p, ras.k):
-            pts.append(f"{float(a) * scale:.2f},{size - float(b) * scale:.2f}")
-        out.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                   f'stroke="black" stroke-width="2"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        body.append(_polyline(three_lines_staircase(ras.p, ras.k),
+                              size / float(ras.T), size))
+    return _svg(body, size)
+
+
+def _svg(body, size=600):
+    """A size x size SVG document around the element lines ``body``."""
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+            f'height="{size}" viewBox="0 0 {size} {size}">')
+    return "\n".join([head, *body, "</svg>"]) + "\n"
+
+
+def _polyline(verts, scale, size=600):
+    """The black polyline through ``verts``, y up, scaled by ``scale``."""
+    pts = " ".join(f"{float(a) * scale:.2f},{size - float(b) * scale:.2f}"
+                   for a, b in verts)
+    return (f'<polyline points="{pts}" fill="none" stroke="black" '
+            f'stroke-width="2"/>')
 
 
 def _cmd_decompose(args):
@@ -344,13 +353,7 @@ def _cmd_staircase(args):
                  f"= {float(partial):.6f}")
     artifacts = {}
     if args.svg:
-        size = 600
-        pts = " ".join(f"{float(a) * size:.2f},{size - float(b) * size:.2f}"
-                       for a, b in verts)
-        svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-               f'height="{size}" viewBox="0 0 {size} {size}">\n'
-               f'<polyline points="{pts}" fill="none" stroke="black" '
-               f'stroke-width="2"/>\n</svg>\n')
+        svg = _svg([_polyline(verts, 600)])
         with open(args.svg, "w") as fh:
             fh.write(svg)
         artifacts[args.svg] = _hash_text(svg)

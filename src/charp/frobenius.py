@@ -21,14 +21,13 @@ class FrobDecomposition:
     always attached to the base factor r.
     """
 
-    __slots__ = ("ring", "e", "mode", "components", "source")
+    __slots__ = ("ring", "e", "mode", "components")
 
-    def __init__(self, ring, e, mode, components, source):
+    def __init__(self, ring, e, mode, components):
         self.ring = ring
         self.e = e
         self.mode = mode
         self.components = components
-        self.source = source
 
     def component(self, idx):
         idx = tuple(idx)
@@ -85,7 +84,7 @@ def decompose(g: Polynomial, e: int, mode: str = "absolute") -> FrobDecompositio
                 del bucket[quot]
         components = {idx: Polynomial(ring, terms)
                       for idx, terms in comps.items() if terms}
-        return FrobDecomposition(ring, e, mode, components, g)
+        return FrobDecomposition(ring, e, mode, components)
     if mode != "relative":
         raise ValueError(f"unknown mode {mode!r}")
     comps = {}
@@ -114,7 +113,7 @@ def decompose(g: Polynomial, e: int, mode: str = "absolute") -> FrobDecompositio
             pairs.append((s, r))
         if pairs:
             components[idx] = tuple(pairs)
-    return FrobDecomposition(ring, e, "relative", components, g)
+    return FrobDecomposition(ring, e, "relative", components)
 
 
 def trace(g: Polynomial, e: int) -> Polynomial:

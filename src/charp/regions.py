@@ -65,9 +65,9 @@ class RasterGrid:
     @property
     def side(self) -> int:
         """Lattice points per axis minus one (the top index)."""
-        M = self.T * self.p ** self.k
-        if M.denominator != 1:
-            raise ValueError("T*p^k must be an integer")
+        M = self.T * Fraction(self.p) ** self.k
+        if M.denominator != 1 or M < 0 or self.k < 0:
+            raise ValueError("T*p^k must be a nonnegative integer, k >= 0")
         return int(M)
 
     def coord(self, idx):
@@ -124,10 +124,7 @@ def constancy_raster(ideals, T, k, C=None) -> RasterGrid:
     grid = RasterGrid(ring.p, T, k, len(ideals), {}, {})
     if all(len(a.gens) == 1 for a in ideals) and C.degree() == 1 \
             and C.fixes_unit():
-        classes, table = _digit_recursion([a.gens[0] for a in ideals], grid, C)
-        hashes = {cid: _class_hash(grid, classes[cid])
-                  for cid in sorted(set(table.values()))}
-        grid.classes = {idx: hashes[cid] for idx, cid in table.items()}
+        _digit_recursion([a.gens[0] for a in ideals], grid, C)
     else:
         for idx in iproduct(range(grid.side + 1), repeat=grid.n):
             tau = _tau_at_cell(ideals, grid.coord(idx), C)
@@ -146,41 +143,46 @@ def _class_hash(grid: RasterGrid, tau: Ideal) -> str:
     return h
 
 
-def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec):
-    """tau at every cell of ``grid`` for a_i = (f_i) under an algebra C of
-    degree 1 with C_+(R) = R.
+def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec, fixed=()):
+    """Fill ``grid`` with tau for a_i = (f_i) under an algebra C of degree 1
+    with C_+(R) = R: the first len(``fixed``) f_i at the exponents r =
+    ``fixed``, the others at m/p^k in the cell m.
 
-    Returns the classes (Ideals generated by their reduced bases) and the
-    table cell -> class index.  The cell m has tau_k(m), where
-    tau_j(m) = C_j(prod f_i^m_i) (see ``tau_mixed``).  Write
-    m = d p^(j-1) + r with r in [0, p^(j-1))^n: ``_digit_walk`` takes the
-    digits of r first and d whole in its last step, so
-
-        tau_j(m) = _digit_walk(fs, d, 1, tau_(j-1)(r), C).
-
-    The table is built level by level from tau_0(m) = (prod f_i^m_i): for
-    k >= 1 level 0 is the single cell tau_0(0) = (1), and for k = 0 it is the
-    whole grid with no root taken.  Level j < k covers [0, p^j)^n capped at
-    the grid side, which is all that level j + 1 looks up, so its top digits
-    d lie in [0, p)^n; level k covers the grid, where d_i runs up to
-    side // p^(k-1).  The step (d, class of tau_(j-1)(r)) -> class of
-    tau_j(m) does not depend on j, so one ``_ClassAutomaton`` serves every
-    level.
+    With D_j the j-th base-p digit vector of (r, m/p^k) (the integer part
+    joins D_1) and step(d, J) = ``_digit_walk(fs, d, 1, J, C)`` =
+    C_+(prod f_i^d_i J), tau = step(D_1, ... step(D_k, T_k)) for the tail
+    T_k = tau(r_k, 0), r_0 = r and r_j = frac(r p^j) (see ``fpt_search``);
+    T_k = (1) without fixed exponents.  So level j of the table holds
+    tau(r_(k-j), m/p^j): level 0 is T_k, or for k = 0 the whole grid
+    T_0 prod f_i^m_i (Skoda).  For m = d p^(j-1) + m', m' in [0, p^(j-1))^n,
+    level j steps the class at m' by the digits (floor(p r_(k-j)), d).
+    Level j < k covers [0, p^j)^n capped at the grid side, all that level
+    j + 1 looks up; level k covers the grid.  The step does not depend on
+    j, so one ``_ClassAutomaton`` serves every level.
     """
     ring = fs[0].ring
     p, k, n, side = grid.p, grid.k, grid.n, grid.side
     auto = _ClassAutomaton(fs, C)
-    unit = Ideal(ring, [ring.one()])
+    rs = [tuple(fixed)]
+    for _ in range(k):
+        rs.append(tuple(x * p - int(x * p) for x in rs[-1]))
+    tail = tau_mixed(MixedPair(tuple(Ideal(ring, [f]) for f in fs),
+                               rs[k] + (Fraction(0),) * n), C) \
+        if fixed else Ideal(ring, [ring.one()])
     top = side if k == 0 else 0
-    table = {m: auto.intern(_digit_walk(fs, m, 0, unit, C))
+    zeros = (0,) * len(fixed)
+    table = {m: auto.intern(_digit_walk(fs, zeros + m, 0, tail, C))
              for m in iproduct(range(top + 1), repeat=n)}
     for j in range(1, k + 1):
         q = p ** (j - 1)
         top = side if j == k else min(side, p ** j - 1)
-        table = {m: auto.step(tuple(x // q for x in m),
+        lead = tuple(int(x * p) for x in rs[k - j])
+        table = {m: auto.step(lead + tuple(x // q for x in m),
                               table[tuple(x % q for x in m)])
                  for m in iproduct(range(top + 1), repeat=n)}
-    return auto.classes, table
+    hashes = {cid: _class_hash(grid, auto.classes[cid])
+              for cid in sorted(set(table.values()))}
+    grid.classes = {m: hashes[cid] for m, cid in table.items()}
 
 
 def chi_function(raster: RasterGrid, N: Ideal) -> RegionFunction:
@@ -429,17 +431,14 @@ def pfractal_span_rank(phi: RegionFunction, c_max: int,
     cols = list(iproduct(range(side_t + 1), repeat=phi.n))
     rows = set()
     for c in range(c_max + 1):
-        q = p ** c
+        q, s = p ** c, p ** (phi.k - k_t - c)
+        # phi restricted to the mesh k_t + c, which T_{q|b} takes to k_t
+        coarse = RegionFunction(p, phi.T, k_t + c, phi.n, {
+            tuple(x // s for x in idx): v for idx, v in phi.values.items()
+            if not any(x % s for x in idx)})
         for offset in iproduct(range(q + 1), repeat=phi.n):
-            row = []
-            for idx in cols:
-                j = tuple((m + b * p ** k_t) * p ** (phi.k - k_t - c)
-                          for m, b in zip(idx, offset))
-                if all(0 <= x <= phi.side for x in j):
-                    row.append(phi.values.get(j, Fraction(0)))
-                else:
-                    row.append(Fraction(0))
-            rows.add(tuple(row))
+            moved = apply_T(coarse, TOperator(q, offset)).values
+            rows.add(tuple(moved[idx] for idx in cols))
     return _rank_over_q([list(r) for r in rows])
 
 

@@ -8,7 +8,8 @@ and Skoda give, for step(d, J) = (prod f_i^d_i J)^[1/p],
     tau(f^s) = step(D_1, step(D_2, ... step(D_j, tau(f^(r_j))))).
 
 ``fpt_search`` reads exact thresholds off this identity on the finite
-automaton of tau classes; ``jumping_numbers`` evaluates tau on a grid.
+automaton of tau classes; ``jumping_numbers`` reads a grid off the digit
+table of the same identity.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from .cartier import (CartierAlgebraSpec, MixedPair, _ClassAutomaton,
                       scale_test_ideal, tau_mixed)
 from .ideals import Ideal, VerificationError, ideal_eq
+from .regions import RasterGrid, _digit_recursion
 
 
 class ThresholdError(RuntimeError):
@@ -41,14 +43,12 @@ class ThresholdResult:
 
 
 class _TauProbe:
-    def __init__(self, fixed, free):
-        self.ideals = tuple(I for I, _ in fixed) + (free,)
-        self.ts = tuple(Fraction(t) for _, t in fixed)
+    def __init__(self, free):
+        self.free = free
         self.C = CartierAlgebraSpec.full_algebra(free.ring)
 
     def tau(self, t: Fraction) -> Ideal:
-        return tau_mixed(MixedPair(self.ideals, self.ts + (Fraction(t),)),
-                         self.C)
+        return tau_mixed(MixedPair((self.free,), (Fraction(t),)), self.C)
 
 
 def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
@@ -113,21 +113,23 @@ def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
 
 
 def jumping_numbers(fixed, free: Ideal, T, depth: int):
-    """Partition [0, T] into maximal constancy runs at resolution p^-depth.
+    """Partition [0, T] into maximal constancy runs at resolution p^-depth
+    for principal ideals, ``fixed`` as in ``fpt_search``.
 
-    Returns a list of (start, end, class_hash) covering the grid; breakpoints
-    are the boundaries between consecutive runs.
+    Returns a list of (start, end, class_hash) covering the grid, a
+    one-dimensional raster read off ``regions._digit_recursion``;
+    breakpoints are the boundaries between consecutive runs.
     """
-    probe = _TauProbe(fixed, free)
-    p = free.ring.p
-    T = Fraction(T)
-    M = T * p ** depth
-    if M.denominator != 1:
-        raise ValueError("T*p^depth must be an integer")
+    pair = MixedPair.of(list(fixed) + [(free, 0)])  # checks the exponents
+    if any(len(a.gens) != 1 for a in pair.ideals):
+        raise ValueError("jumping_numbers needs principal ideals")
+    grid = RasterGrid(free.ring.p, T, depth, 1, {}, {})
+    _digit_recursion([a.gens[0] for a in pair.ideals], grid,
+                     CartierAlgebraSpec.full_algebra(free.ring),
+                     pair.exponents[:-1])
     runs = []
-    for m in range(int(M) + 1):
-        t = Fraction(m, p ** depth)
-        h = probe.tau(t).content_hash()
+    for idx, h in sorted(grid.classes.items()):
+        t = grid.coord(idx)[0]
         if runs and runs[-1][2] == h:
             runs[-1] = (runs[-1][0], t, h)
         else:
@@ -172,7 +174,7 @@ def jump_scaling_probe(free: Ideal, t, T, depth: int):
     if p * t > Fraction(T):
         return "vacuous"
     C = CartierAlgebraSpec.full_algebra(ring)
-    probe = _TauProbe([], free)
+    probe = _TauProbe(free)
     eps = Fraction(1, p ** depth)
     tau_t = probe.tau(t)
     tau_t_eps = probe.tau(t - eps)

@@ -261,3 +261,11 @@ class TestVerificationCommands:
         rows = open(path).read().strip().splitlines()
         assert rows[0] == "t_start,t_end,class_hash"
         assert len(rows) == 3  # two runs
+
+    def test_jumps_hash_collision_is_verification_failure(self, capsys,
+                                                           monkeypatch):
+        from charp import Ideal
+        monkeypatch.setattr(Ideal, "content_hash", lambda self: "0" * 16)
+        code, _, err = run(capsys, "jumps", "--p", "3", "--vars", "x,y",
+                           "--free", "x*y", "--T", "1", "--depth", "2")
+        assert code == 2 and "verification failure" in err

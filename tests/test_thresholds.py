@@ -105,10 +105,13 @@ def lines_fpt(p):
     return F(2, 3) if p % 3 == 1 else F(2 * p - 1, 3 * p)
 
 
-def unit_at(fixed, free, t):
+def tau_at(fixed, free, t):
     pair = MixedPair.of(list(fixed) + [(free, t)])
-    return ch.tau_mixed(pair, CartierAlgebraSpec.full_algebra(free.ring)) \
-        .is_unit()
+    return ch.tau_mixed(pair, CartierAlgebraSpec.full_algebra(free.ring))
+
+
+def unit_at(fixed, free, t):
+    return tau_at(fixed, free, t).is_unit()
 
 
 class TestExactThresholds:
@@ -195,6 +198,64 @@ class TestJumpingNumbers:
         coarse = ch.jumping_numbers([], f, 1, 2)
         fine = ch.jumping_numbers([], f, 1, 3)
         assert len({h for _, _, h in fine}) >= len({h for _, _, h in coarse})
+
+    def test_bracket_roots_per_class_not_per_point(self, monkeypatch, R):
+        # one tau_mixed per grid point took 1,094 bracket roots here
+        from charp import cartier
+        real, calls = cartier.bracket_root, []
+        monkeypatch.setattr(cartier, "bracket_root",
+                            lambda I, e: calls.append(e) or real(I, e))
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        runs = ch.jumping_numbers([], Ideal(R, [R.poly("x^2+y^3")]), 1, 5)
+        assert ch.breakpoints(runs) == [F(2, 3), F(1)]
+        assert 0 < len(calls) <= 20
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("t1", [None, F(5, 7), F(4, 3), "1/p"])
+    def test_matches_per_point_tau(self, monkeypatch, p, t1):
+        from charp import cartier
+        Rp = ring(p)
+        free = Ideal(Rp, [Rp.poly("x^2+y^3")])
+        if t1 == "1/p":
+            t1 = F(1, p)
+        fixed = [] if t1 is None else [(Ideal(Rp, [Rp.poly("x+y")]), t1)]
+        for T in (F(1), F(2), F(1, p)):
+            for k in range(1 if T.denominator > 1 else 0, 3):
+                monkeypatch.setattr(cartier, "_tau_cache", {})
+                runs = ch.jumping_numbers(fixed, free, T, k)
+                monkeypatch.setattr(cartier, "_tau_cache", {})
+                want = []
+                for m in range(int(T * p ** k) + 1):
+                    t = F(m, p ** k)
+                    h = tau_at(fixed, free, t).content_hash()
+                    if want and want[-1][2] == h:
+                        want[-1] = (want[-1][0], t, h)
+                    else:
+                        want.append((t, t, h))
+                assert runs == want, (T, k)
+
+    def test_hash_collision_is_refused(self, monkeypatch, R):
+        monkeypatch.setattr(Ideal, "content_hash", lambda self: "0" * 16)
+        with pytest.raises(ch.VerificationError, match="two tau classes"):
+            ch.jumping_numbers([], Ideal(R, [R.poly("x*y")]), 1, 2)
+
+    def test_non_principal_rejected(self, R):
+        xy = Ideal(R, [R.var("x"), R.var("y")])
+        f = Ideal(R, [R.poly("x*y")])
+        with pytest.raises(ValueError, match="principal"):
+            ch.jumping_numbers([], xy, 1, 2)
+        with pytest.raises(ValueError, match="principal"):
+            ch.jumping_numbers([(xy, F(1, 3))], f, 1, 2)
+
+    @pytest.mark.parametrize("T,depth", [(F(1), -1), (F(-1), 1), (F(1, 9), 1)])
+    def test_bad_grid_rejected(self, R, T, depth):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ch.jumping_numbers([], Ideal(R, [R.poly("x*y")]), T, depth)
+
+    def test_negative_fixed_exponent_rejected(self, R):
+        f = Ideal(R, [R.poly("x*y")])
+        with pytest.raises(ValueError, match="nonnegative"):
+            ch.jumping_numbers([(f, F(-1, 3))], f, 1, 2)
 
 
 class TestJumpScaling:
