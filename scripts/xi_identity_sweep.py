@@ -35,8 +35,8 @@ def main():
         t0 = time.time()
         rep = ch.verify_det_identity(p, n, "random", count=count,
                                      seed=args.seed)
-        print(f"  GL_{n}(F_{p}) x{count}: ok = {rep.ok} "
-              f"({time.time() - t0:.2f}s)")
+        print(f"  GL_{n}(F_{p}) x{count}: ok = {rep.ok}, xi evaluated on "
+              f"{rep.distinct} distinct matrices ({time.time() - t0:.2f}s)")
 
     print("== polynomial-entry identity (symbolic matrices) ==")
     for p, n in [(3, 2), (5, 2), (3, 3)]:

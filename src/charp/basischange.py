@@ -8,11 +8,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import permutations, product as iproduct
+from operator import mul
 from random import Random
 
 from .frobenius import decompose
 from .ideals import BudgetExceeded, VerificationError, exact_div
-from .rings import Polynomial, RingCtx, frob, partial_derivative, poly_str, pow_poly
+from .rings import (Polynomial, RingCtx, _is_prime, frob, partial_derivative,
+                    poly_str, pow_poly)
 
 FROBJAC_SIZE_BUDGET = 81
 
@@ -218,9 +220,18 @@ def dual_ratio_direct(new_basis, ring: RingCtx, e: int) -> Polynomial:
 # --- the xi operator on scalar matrices -------------------------------------------
 
 
+def _check_group(p: int, n: int):
+    """GL_n(F_p) needs a prime p and n >= 1; anything else is a usage error."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if n < 1:
+        raise ValueError(f"matrix size n = {n} must be at least 1")
+
+
 def admissible_matrices(p: int, n: int):
     """All n x n matrices with entries in [0, p-1] whose rows and columns each
     sum to p-1."""
+    _check_group(p, n)
     target = p - 1
 
     def rows(remaining_cols, depth):
@@ -233,7 +244,7 @@ def admissible_matrices(p: int, n: int):
             for tail in rows(rest, depth - 1):
                 yield (row,) + tail
 
-    yield from rows((target,) * n, n)
+    return rows((target,) * n, n)
 
 
 def _compositions(total, parts, caps):
@@ -247,7 +258,8 @@ def _compositions(total, parts, caps):
 
 
 def _xi_terms(p: int, n: int):
-    """Precomputed (matrix, multinomial coefficient mod p) pairs."""
+    """One (multinomial coefficient mod p, ((l, k, a_lk), ...)) pair per
+    admissible matrix a, listing only its nonzero entries."""
     key = (p, n)
     cached = _XI_TERMS_CACHE.get(key)
     if cached is None:
@@ -260,8 +272,9 @@ def _xi_terms(p: int, n: int):
                 for l in range(n):
                     col //= fact(a[l][k])
                 coeff = coeff * col % p
-            terms.append((a, coeff))
-        cached = _XI_TERMS_CACHE[key] = terms
+            terms.append((coeff, tuple((l, k, e) for l, row in enumerate(a)
+                                       for k, e in enumerate(row) if e)))
+        cached = _XI_TERMS_CACHE[key] = tuple(terms)
     return cached
 
 
@@ -271,35 +284,23 @@ _XI_TERMS_CACHE: dict = {}
 def xi_operator(mu, p: int) -> int:
     """Exact evaluation mod p of the sum over arithmetic doubly stochastic
     matrices a of (p-1)!^n / prod a_lk! * prod mu_lk^a_lk."""
-    n = len(mu)
     total = 0
-    for a, coeff in _xi_terms(p, n):
+    for coeff, factors in _xi_terms(p, len(mu)):
         prod = coeff
-        for l in range(n):
-            for k in range(n):
-                e = a[l][k]
-                if e:
-                    prod = prod * pow(mu[l][k], e, p) % p
-                    if not prod:
-                        break
-            if not prod:
-                break
-        total = (total + prod) % p
-    return total
+        for l, k, e in factors:
+            prod = prod * pow(mu[l][k], e, p) % p
+        total += prod
+    return total % p
 
 
 def xi_operator_poly(mu_rows, p: int) -> Polynomial:
     """Same sum with polynomial entries; the ring-level identity oracle."""
     ring = mu_rows[0][0].ring
-    n = len(mu_rows)
     total = ring.zero()
-    for a, coeff in _xi_terms(p, n):
+    for coeff, factors in _xi_terms(p, len(mu_rows)):
         prod = ring.const(coeff)
-        for l in range(n):
-            for k in range(n):
-                e = a[l][k]
-                if e:
-                    prod = prod * pow_poly(mu_rows[l][k], e)
+        for l, k, e in factors:
+            prod = prod * pow_poly(mu_rows[l][k], e)
         total = total + prod
     return total
 
@@ -333,6 +334,7 @@ class IdentityReport:
     checked: int = 0
     pairs_checked: int = 0
     counterexamples: list = field(default_factory=list)
+    distinct: int = 0  # matrices whose xi was evaluated
 
     @property
     def ok(self) -> bool:
@@ -342,42 +344,62 @@ class IdentityReport:
 def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
                         count: int = 1000, seed: int = 0) -> IdentityReport:
     """Check xi(mu) = det(mu)^(p-1) and multiplicativity xi(mu nu) =
-    xi(mu) xi(nu) over GL_n(F_p), exhaustively or on seeded random samples."""
+    xi(mu) xi(nu) over GL_n(F_p), exhaustively or on seeded random samples.
+
+    Every sample and every pair is checked, but xi and det are evaluated once
+    per distinct matrix.  The memos live for this call only; they hold at most
+    min(|GL_n(F_p)|, 2 count) values of xi and one det per distinct matrix
+    drawn or enumerated."""
+    _check_group(p, n)
+    if mode == "random" and count < 1:
+        raise ValueError(f"random sample count {count} must be at least 1")
     report = IdentityReport(p, n, mode)
+    dets, xis = {}, {}
+
+    def det(mu):
+        d = dets.get(mu)
+        if d is None:
+            d = dets[mu] = det_mod_p(mu, p)
+        return d
+
+    def xi(mu):
+        x = xis.get(mu)
+        if x is None:
+            x = xis[mu] = xi_operator(mu, p)
+        return x
 
     def check_one(mu):
         report.checked += 1
-        lhs = xi_operator(mu, p)
-        rhs = pow(det_mod_p(mu, p), p - 1, p)
+        lhs = xi(mu)
+        rhs = pow(det(mu), p - 1, p)
         if lhs != rhs:
             report.counterexamples.append(("identity", mu, lhs, rhs))
 
-    def check_pair(mu, nu):
-        report.pairs_checked += 1
-        prod = _mat_mul(mu, nu, p)
-        lhs = xi_operator(prod, p)
-        rhs = xi_operator(mu, p) * xi_operator(nu, p) % p
-        if lhs != rhs:
-            report.counterexamples.append(("multiplicativity", (mu, nu), lhs, rhs))
+    def check_pairs(pairs):
+        for mu, nu in pairs:
+            report.pairs_checked += 1
+            lhs = xi(_mat_mul(mu, nu, p))
+            rhs = xi(mu) * xi(nu) % p
+            if lhs != rhs:
+                report.counterexamples.append(
+                    ("multiplicativity", (mu, nu), lhs, rhs))
 
     if mode == "exhaustive":
         if p ** (n * n) > 1_000_000:
             raise BudgetExceeded("exhaustive sweep too large")
-        group = [mu for mu in _all_matrices(p, n) if det_mod_p(mu, p)]
+        group = [mu for mu in _all_matrices(p, n) if det(mu)]
         for mu in group:
             check_one(mu)
-        for mu in group:
-            for nu in group:
-                check_pair(mu, nu)
+        check_pairs((mu, nu) for mu in group for nu in group)
     elif mode == "random":
         rng = Random(seed)
-        sample = [_random_invertible(rng, p, n) for _ in range(count)]
+        sample = [_random_invertible(rng, p, n, det) for _ in range(count)]
         for mu in sample:
             check_one(mu)
-        for mu, nu in zip(sample, sample[1:]):
-            check_pair(mu, nu)
+        check_pairs(zip(sample, sample[1:]))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    report.distinct = len(xis)
     return report
 
 
@@ -386,17 +408,17 @@ def _all_matrices(p, n):
         yield tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
-def _random_invertible(rng, p, n):
+def _random_invertible(rng, p, n, det):
     while True:
         mu = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-        if det_mod_p(mu, p):
+        if det(mu):
             return mu
 
 
 def _mat_mul(a, b, p):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p
-                       for j in range(n)) for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, row, col)) % p for col in cols])
+                 for row in a)
 
 
 # --- the combinatorial identity ----------------------------------------------------
@@ -412,7 +434,10 @@ def combinatorial_identity_check(p: int, n: int, a):
     """For an admissible matrix a, compare the multinomial side with the
     signed sum over b: S_n -> [0, p-1] with sum b = p-1 and
     sum_sigma b_sigma P_sigma = a.  Returns (lhs, rhs, equal) mod p."""
+    _check_group(p, n)
     a = tuple(tuple(row) for row in a)
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError(f"a must be an {n} x {n} matrix")
     if any(not 0 <= x <= p - 1 for row in a for x in row):
         raise ValueError("entries must lie in [0, p-1]")
     if any(sum(row) != p - 1 for row in a) or \

@@ -289,10 +289,13 @@ def _cmd_xi(args):
     rep = verify_det_identity(args.p, args.n, mode, count=args.random or 0,
                               seed=args.seed)
     msg = (f"{rep.checked}/{rep.checked} pass, "
-           f"{rep.pairs_checked} pairs multiplicative")
+           f"{rep.pairs_checked} pairs multiplicative, "
+           f"xi evaluated on {rep.distinct} distinct matrices")
     _emit(args, "xi",
-          {"checked": rep.checked, "pairs": rep.pairs_checked, "ok": rep.ok},
-          [msg if rep.ok else f"FAILED: {rep.counterexamples[:3]}"])
+          {"checked": rep.checked, "pairs": rep.pairs_checked,
+           "distinct": rep.distinct, "ok": rep.ok},
+          [msg if rep.ok else f"FAILED: {len(rep.counterexamples)} "
+           f"counterexamples, first {rep.counterexamples[:3]}"])
     return 0 if rep.ok else 2
 
 

@@ -1,6 +1,12 @@
+import math
+import random
+from itertools import product as iproduct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import charp as ch
+from charp import basischange as bc
 from charp import poly_str
 
 
@@ -225,6 +231,176 @@ class TestVerifyDetIdentity:
             ch.verify_det_identity(101, 3, "exhaustive")
 
 
+def oracle_verify(p, n, mode, count=1000, seed=0):
+    """The loop that ``verify_det_identity`` replaced: no memo, xi_operator
+    four times and det_mod_p twice per sample.  It looks both functions up on
+    the module, so a monkeypatched fault reaches it as it reaches the fast
+    path."""
+    rep = ch.IdentityReport(p, n, mode)
+
+    def check_one(mu):
+        rep.checked += 1
+        lhs = bc.xi_operator(mu, p)
+        rhs = pow(bc.det_mod_p(mu, p), p - 1, p)
+        if lhs != rhs:
+            rep.counterexamples.append(("identity", mu, lhs, rhs))
+
+    def check_pair(mu, nu):
+        rep.pairs_checked += 1
+        prod = tuple(tuple(sum(mu[i][k] * nu[k][j] for k in range(n)) % p
+                           for j in range(n)) for i in range(n))
+        lhs = bc.xi_operator(prod, p)
+        rhs = bc.xi_operator(mu, p) * bc.xi_operator(nu, p) % p
+        if lhs != rhs:
+            rep.counterexamples.append(("multiplicativity", (mu, nu), lhs, rhs))
+
+    if mode == "exhaustive":
+        flats = iproduct(range(p), repeat=n * n)
+        group = [mu for mu in (tuple(f[i * n:(i + 1) * n] for i in range(n))
+                               for f in flats) if bc.det_mod_p(mu, p)]
+        for mu in group:
+            check_one(mu)
+        for mu in group:
+            for nu in group:
+                check_pair(mu, nu)
+    else:
+        rng = random.Random(seed)
+        sample = []
+        for _ in range(count):
+            while True:
+                mu = tuple(tuple(rng.randrange(p) for _ in range(n))
+                           for _ in range(n))
+                if bc.det_mod_p(mu, p):
+                    break
+            sample.append(mu)
+        for mu in sample:
+            check_one(mu)
+        for mu, nu in zip(sample, sample[1:]):
+            check_pair(mu, nu)
+    return rep
+
+
+def same_report(a, b):
+    return (a.checked, a.pairs_checked, a.counterexamples) == \
+        (b.checked, b.pairs_checked, b.counterexamples)
+
+
+def written_out_xi(mu, p):
+    """xi(mu) as the sum over admissible a of prod_k (p-1)!/prod_l a_lk!
+    times prod mu_lk^a_lk, enumerating a row by row."""
+    n = len(mu)
+    rows = [r for r in iproduct(range(p), repeat=n) if sum(r) == p - 1]
+    total = 0
+    for a in iproduct(rows, repeat=n):
+        if any(sum(a[l][k] for l in range(n)) != p - 1 for k in range(n)):
+            continue
+        term = 1
+        for k in range(n):
+            term *= math.factorial(p - 1) // math.prod(
+                math.factorial(a[l][k]) for l in range(n))
+            for l in range(n):
+                term *= mu[l][k] ** a[l][k]
+        total += term
+    return total % p
+
+
+@st.composite
+def scalar_matrices(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2 * p, 2 * p)
+    return p, tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(bc, name)
+
+    def counted(mu, p):
+        calls.append(mu)
+        return real(mu, p)
+
+    monkeypatch.setattr(bc, name, counted)
+    return calls
+
+
+class TestMemoisedVerifier:
+    GROUPS = [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (7, 2)]
+
+    @pytest.mark.parametrize("p,n", GROUPS)
+    def test_random_reports_match_oracle(self, p, n):
+        for seed in range(3):
+            fast = ch.verify_det_identity(p, n, "random", count=300, seed=seed)
+            assert same_report(fast, oracle_verify(p, n, "random", 300, seed))
+
+    # exhaustive pairs grow like |GL_n(F_p)|^2: the unmemoised oracle takes
+    # seconds at GL2(F5) and is out of reach at GL3(F3) and GL2(F7)
+    @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3)])
+    def test_exhaustive_reports_match_oracle(self, p, n):
+        fast = ch.verify_det_identity(p, n, "exhaustive")
+        assert same_report(fast, oracle_verify(p, n, "exhaustive"))
+
+    @pytest.mark.parametrize("p,n,mode,count,bad", [
+        (2, 2, "exhaustive", 0, ((1, 1), (0, 1))),
+        (3, 2, "exhaustive", 0, ((1, 1), (0, 1))),
+        (2, 2, "random", 200, ((1, 1), (0, 1))),
+        (3, 2, "random", 400, ((1, 1), (0, 1))),
+        (5, 2, "random", 3000, ((1, 1), (0, 1))),
+        (2, 3, "random", 500, ((1, 1, 0), (0, 1, 0), (0, 0, 1))),
+    ])
+    def test_planted_fault_lists_oracle_counterexamples(
+            self, monkeypatch, p, n, mode, count, bad):
+        real = bc.xi_operator
+        monkeypatch.setattr(
+            bc, "xi_operator",
+            lambda mu, q: (real(mu, q) + 1) % q if mu == bad else real(mu, q))
+        expected = oracle_verify(p, n, mode, count, seed=5)
+        kinds = [c[0] for c in expected.counterexamples]
+        assert "identity" in kinds and "multiplicativity" in kinds
+        if mode == "random":  # the faulty matrix is drawn more than once
+            assert kinds.count("identity") > 1
+        fast = ch.verify_det_identity(p, n, mode, count=count, seed=5)
+        assert same_report(fast, expected)
+        assert not fast.ok
+
+    @given(scalar_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_xi_matches_written_out_sum(self, case):
+        p, mu = case
+        assert ch.xi_operator(mu, p) == written_out_xi(mu, p)
+
+    def test_sparse_terms_skip_zero_entries(self):
+        for coeff, factors in bc._xi_terms(5, 2):
+            assert coeff % 5
+            assert all(e > 0 for _, _, e in factors)
+            assert sum(e for _, _, e in factors) == 2 * 4
+
+    def test_random_work_count(self, monkeypatch):
+        calls = count_calls(monkeypatch, "xi_operator")
+        dets = count_calls(monkeypatch, "det_mod_p")
+        rep = ch.verify_det_identity(5, 2, "random", count=10_000, seed=0)
+        assert rep.ok and rep.checked == 10_000
+        assert len(calls) <= 480  # |GL2(F5)|; the unmemoised loop made 39,997
+        assert len(set(calls)) == len(calls) == rep.distinct
+        assert len(set(dets)) == len(dets) <= 5 ** 4  # one per drawn matrix
+
+    def test_exhaustive_work_count(self, monkeypatch):
+        calls = count_calls(monkeypatch, "xi_operator")
+        dets = count_calls(monkeypatch, "det_mod_p")
+        rep = ch.verify_det_identity(3, 2, "exhaustive")
+        assert rep.ok and rep.pairs_checked == 48 * 48
+        assert len(calls) == rep.distinct == 48  # the unmemoised loop made 6,960
+        assert len(dets) == 3 ** 4  # one per matrix; the loop made 81 + 48
+
+    @pytest.mark.parametrize("p,n,mode,count", [
+        (4, 2, "exhaustive", 0), (1, 2, "exhaustive", 0),
+        (3, -1, "exhaustive", 0), (5, 0, "random", 5), (5, 2, "random", -3),
+        (5, 2, "random", 0)])
+    def test_bad_group_or_count_rejected(self, p, n, mode, count):
+        with pytest.raises(ValueError):
+            ch.verify_det_identity(p, n, mode, count=count)
+
+
 class TestCombinatorialIdentity:
     def test_worked_examples(self):
         assert ch.combinatorial_identity_check(3, 2, ((2, 0), (0, 2))) == \
@@ -245,6 +421,17 @@ class TestCombinatorialIdentity:
         for a in mats:
             lhs, rhs, equal = ch.combinatorial_identity_check(p, n, a)
             assert equal, (a, lhs, rhs)
+
+    @pytest.mark.parametrize("p,n", [(4, 2), (1, 2), (5, 0), (3, -1)])
+    def test_bad_group_rejected(self, p, n):
+        with pytest.raises(ValueError):
+            ch.admissible_matrices(p, n)
+        with pytest.raises(ValueError):
+            ch.combinatorial_identity_check(p, n, ((p - 1, 0), (0, p - 1)))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            ch.combinatorial_identity_check(3, 3, ((2, 0), (0, 2)))
 
     def test_admissible_count_small(self):
         assert len(list(ch.admissible_matrices(3, 2))) == 3

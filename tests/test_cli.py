@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from charp.cli import main
 
 
@@ -14,6 +16,33 @@ class TestExitCodes:
         code, out, _ = run(capsys, "xi", "--p", "3", "--n", "2", "--exhaustive")
         assert code == 0
         assert "48/48 pass" in out
+        assert "xi evaluated on 48 distinct matrices" in out
+
+    def test_xi_json_reports_distinct(self, capsys):
+        code, out, _ = run(capsys, "xi", "--p", "5", "--n", "2", "--random",
+                           "2000", "--seed", "0", "--json")
+        result = json.loads(out)["result"]
+        assert code == 0 and result["ok"]
+        assert (result["checked"], result["pairs"]) == (2000, 1999)
+        assert 0 < result["distinct"] <= 480
+
+    @pytest.mark.parametrize("argv", [
+        ["xi", "--p", "4", "--n", "2", "--exhaustive"],
+        ["xi-comb", "--p", "4", "--n", "2"],
+        ["xi-comb", "--p", "4", "--n", "2", "--matrix", "3,0,0,3"],
+        ["xi", "--p", "1", "--n", "2", "--exhaustive"],
+        ["xi", "--p", "3", "--n", "-1", "--exhaustive"],
+        ["xi", "--p", "5", "--n", "0", "--random", "5"],
+        ["xi", "--p", "5", "--n", "2", "--random", "-3"],
+        ["xi", "--p", "5", "--n", "2", "--random", "0"],
+        ["xi-comb", "--p", "5", "--n", "0"],
+    ])
+    def test_xi_bad_group_is_usage(self, capsys, argv):
+        # a non-prime p, n < 1 or an empty sample is a usage error, not a
+        # failed verification and not a vacuous pass
+        code, out, err = run(capsys, *argv)
+        assert code == 1, (out, err)
+        assert "verification" not in err and "pass" not in out
 
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "tau", "--p", "3", "--vars", "x,y",

@@ -15,3 +15,17 @@ def test_three_lines_experiment_runs(tmp_path):
     assert "t1 =   1/9: threshold = 8/9 (" in proc.stdout
     assert "d_H(A_3, LCT region) = 1/9 " in proc.stdout
     assert (tmp_path / "regions_k3.csv").exists()
+
+
+def test_xi_identity_sweep_runs():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "xi_identity_sweep.py"),
+         "--seed", "0"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert not [line for line in lines if "False" in line]
+    assert "  GL_2(F_5): 480 elements, 230400 pairs, ok = True" in proc.stdout
+    assert "GL_2(F_5) x10000: ok = True, xi evaluated on 480 distinct" \
+        in proc.stdout
+    assert "verified for all odd primes up to 101 (25 primes)" in proc.stdout
