@@ -114,12 +114,7 @@ def main():
 
     csv_path = os.path.join(args.out, f"regions_k{args.mesh}.csv")
     with open(csv_path, "w") as fh:
-        fh.write("t1_num,t1_den,t2_num,t2_den,class_hash\n")
-        for idx in sorted(ras.classes):
-            c = ras.coord(idx)
-            fh.write(f"{c[0].numerator},{c[0].denominator},"
-                     f"{c[1].numerator},{c[1].denominator},"
-                     f"{ras.classes[idx]}\n")
+        fh.write(ch.raster_csv(ras))
     print(f"wrote {csv_path}")
 
 

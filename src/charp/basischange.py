@@ -281,11 +281,20 @@ def _xi_terms(p: int, n: int):
 _XI_TERMS_CACHE: dict = {}
 
 
+def _square_size(mu) -> int:
+    """n for an n x n matrix ``mu`` with n >= 1, else ValueError."""
+    n = len(mu)
+    if not n or {*map(len, mu)} != {n}:
+        raise ValueError(f"expected an n x n matrix with n >= 1, got row "
+                         f"lengths {[len(row) for row in mu]}")
+    return n
+
+
 def xi_operator(mu, p: int) -> int:
     """Exact evaluation mod p of the sum over arithmetic doubly stochastic
     matrices a of (p-1)!^n / prod a_lk! * prod mu_lk^a_lk."""
     total = 0
-    for coeff, factors in _xi_terms(p, len(mu)):
+    for coeff, factors in _xi_terms(p, _square_size(mu)):
         prod = coeff
         for l, k, e in factors:
             prod = prod * pow(mu[l][k], e, p) % p
@@ -306,24 +315,29 @@ def xi_operator_poly(mu_rows, p: int) -> Polynomial:
 
 
 def det_mod_p(mu, p: int) -> int:
-    """Determinant of an integer matrix mod p by Gaussian elimination."""
-    n = len(mu)
+    """Determinant of a square integer matrix mod a prime p by Gaussian
+    elimination."""
+    n = _square_size(mu)
+    _check_group(p, n)
     m = [[x % p for x in row] for row in mu]
     det = 1
     for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
+        for i in range(k, n):
+            if m[i][k]:
+                break
+        else:
             return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det % p
-        det = det * m[k][k] % p
-        inv = pow(m[k][k], p - 2, p)
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            det = -det
+        row = m[k]
+        det = det * row[k] % p
+        inv = pow(row[k], p - 2, p)
         for i in range(k + 1, n):
             f = m[i][k] * inv % p
             if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[k])]
-    return det % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+    return det
 
 
 @dataclass

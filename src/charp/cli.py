@@ -20,8 +20,8 @@ from .cartier import (CartierAlgebraSpec, MixedPair, RelativeChart, sigma,
                       tau_mixed, theorem_b_sides)
 from .frobenius import bracket_root, decompose
 from .ideals import Ideal, ideal_eq
-from .regions import boundary_length, constancy_raster, three_lines_staircase, \
-    staircase_partial_sum
+from .regions import boundary_length, constancy_raster, raster_csv, \
+    three_lines_staircase, staircase_partial_sum
 from .rings import PrimeModulus, RingCtx
 from .thresholds import fpt_search, jumping_numbers
 
@@ -159,20 +159,13 @@ def _cmd_raster(args):
     ideals = [I for I, _ in pairs]
     ras = constancy_raster(ideals, _fraction(args.T), args.depth,
                            C=_parse_algebra(ring, args.alg))
-    n = ras.n
-    header = ",".join(f"t{i+1}_num,t{i+1}_den" for i in range(n)) + ",class_hash"
-    lines = [header]
-    for idx in sorted(ras.classes):
-        coords = ras.coord(idx)
-        row = ",".join(f"{c.numerator},{c.denominator}" for c in coords)
-        lines.append(f"{row},{ras.classes[idx]}")
-    text = "\n".join(lines) + "\n"
+    text = raster_csv(ras)
     artifacts = {}
     with open(args.out, "w") as fh:
         fh.write(text)
     artifacts[args.out] = _hash_text(text)
     if args.svg:
-        if n != 2:
+        if ras.n != 2:
             raise UsageError("--svg requires a two-parameter raster")
         svg = _raster_svg(ras, overlay=args.staircase)
         with open(args.svg, "w") as fh:
@@ -192,12 +185,11 @@ def _raster_svg(ras, overlay=False, size=600):
     maps to the full viewport with t2 pointing up."""
     side = ras.side
     step = size / (side + 1)
-    body = []
-    for (i, j), h in sorted(ras.classes.items()):
-        x = i * step
-        y = size - (j + 1) * step
-        body.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{step:.2f}" '
-                    f'height="{step:.2f}" fill="#{h[:6]}"/>')
+    xs = [f'<rect x="{i * step:.2f}" y="' for i in range(side + 1)]
+    ys = [f'{size - (j + 1) * step:.2f}" width="{step:.2f}" '
+          f'height="{step:.2f}" fill="#' for j in range(side + 1)]
+    body = [f'{xs[i]}{ys[j]}{h[:6]}"/>'
+            for (i, j), h in sorted(ras.classes.items())]
     if overlay:
         body.append(_polyline(three_lines_staircase(ras.p, ras.k),
                               size / float(ras.T), size))

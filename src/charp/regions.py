@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 
 from .cartier import (CartierAlgebraSpec, MixedPair, _ClassAutomaton,
                       _digit_walk, tau_mixed)
@@ -80,6 +80,20 @@ class RasterGrid:
         return len(self.ideals)
 
 
+def raster_csv(ras: RasterGrid) -> str:
+    """The raster as CSV text: a header, then one row per cell of
+    [0, side]^n in index order, each coordinate i/p^k written reduced as
+    NUM,DEN and the class hash last.  The side + 1 labels are built once."""
+    P = ras.p ** ras.k
+    labels = [f"{i // g},{P // g}"
+              for i in range(ras.side + 1) for g in (gcd(i, P),)]
+    header = ",".join(f"t{i+1}_num,t{i+1}_den" for i in range(ras.n))
+    cells = iproduct(range(ras.side + 1), repeat=ras.n)
+    coords = map(",".join, iproduct(labels, repeat=ras.n))
+    rows = [f"{c},{ras.classes[m]}" for c, m in zip(coords, cells)]
+    return "\n".join([header + ",class_hash", *rows]) + "\n"
+
+
 class RegionFunction:
     """Rational-valued function on a raster grid, with an optional ideal label
     marking it as the characteristic function chi_a^N."""
@@ -101,7 +115,7 @@ class RegionFunction:
         return int(self.T * self.p ** self.k)
 
     def at(self, idx):
-        return self.values.get(tuple(idx), Fraction(0))
+        return self.values.get(tuple(idx), 0)
 
 
 def _tau_at_cell(ideals, exponents, C):
@@ -159,6 +173,12 @@ def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec, fixed=()):
     Level j < k covers [0, p^j)^n capped at the grid side, all that level
     j + 1 looks up; level k covers the grid.  The step does not depend on
     j, so one ``_ClassAutomaton`` serves every level.
+
+    Each level is a flat list in ``iproduct`` order, filled by blocks.  The
+    cells d p^(j-1) + [0, p^(j-1))^n share the digit vector d, so the class
+    map c -> step((floor(p r_(k-j)), d), c) is built once per d over the
+    classes of level j - 1.  Each row of level j is then the matching rows
+    of level j - 1 sent through the maps of its blocks, clipped at the top.
     """
     ring = fs[0].ring
     p, k, n, side = grid.p, grid.k, grid.n, grid.side
@@ -171,18 +191,30 @@ def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec, fixed=()):
         if fixed else Ideal(ring, [ring.one()])
     top = side if k == 0 else 0
     zeros = (0,) * len(fixed)
-    table = {m: auto.intern(_digit_walk(fs, zeros + m, 0, tail, C))
-             for m in iproduct(range(top + 1), repeat=n)}
+    table = [auto.intern(_digit_walk(fs, zeros + m, 0, tail, C))
+             for m in iproduct(range(top + 1), repeat=n)]
     for j in range(1, k + 1):
-        q = p ** (j - 1)
+        q, width = p ** (j - 1), top + 1  # width: level j - 1 per axis
         top = side if j == k else min(side, p ** j - 1)
         lead = tuple(int(x * p) for x in rs[k - j])
-        table = {m: auto.step(lead + tuple(x // q for x in m),
-                              table[tuple(x % q for x in m)])
-                 for m in iproduct(range(top + 1), repeat=n)}
+        present = set(table)
+        step = {d: {c: auto.step(lead + d, c) for c in present}.__getitem__
+                for d in iproduct(range(top // q + 1), repeat=n)}
+        blocks = [(d, min(q, top + 1 - d * q)) for d in range(top // q + 1)]
+        out = []
+        for head in iproduct(range(top + 1), repeat=n - 1):
+            row = 0  # where the row of level j - 1 under ``head`` starts
+            for x in head:
+                row = row * width + x % q
+            row *= width
+            dh = tuple(x // q for x in head)
+            for d, w in blocks:
+                out += map(step[dh + (d,)], table[row:row + w])
+        table = out
     hashes = {cid: _class_hash(grid, auto.classes[cid])
-              for cid in sorted(set(table.values()))}
-    grid.classes = {m: hashes[cid] for m, cid in table.items()}
+              for cid in sorted(set(table))}
+    grid.classes = dict(zip(iproduct(range(side + 1), repeat=n),
+                            map(hashes.__getitem__, table)))
 
 
 def chi_function(raster: RasterGrid, N: Ideal) -> RegionFunction:
@@ -190,14 +222,14 @@ def chi_function(raster: RasterGrid, N: Ideal) -> RegionFunction:
     escapes = {}
     for h, tau in raster.ideals.items():
         escapes[h] = 0 if N.contains_ideal(tau) else 1
-    values = {idx: Fraction(escapes[h]) for idx, h in raster.classes.items()}
+    values = {idx: escapes[h] for idx, h in raster.classes.items()}
     return RegionFunction(raster.p, raster.T, raster.k, raster.n, values, label=N)
 
 
 def rho_function(raster: RasterGrid, at_idx) -> RegionFunction:
     """rho_c: the indicator of the constancy region of the cell ``at_idx``."""
     target = raster.class_at(at_idx)
-    values = {idx: Fraction(1 if h == target else 0)
+    values = {idx: 1 if h == target else 0
               for idx, h in raster.classes.items()}
     return RegionFunction(raster.p, raster.T, raster.k, raster.n, values)
 
@@ -219,9 +251,9 @@ def apply_T(phi: RegionFunction, op: TOperator) -> RegionFunction:
         # (m/p^k_t + b)/q = (m + b p^k_t)/p^(k_t + c) on the source lattice
         j = tuple(m + b * p ** k_t for m, b in zip(idx, op.offset))
         if all(0 <= x <= side_s for x in j):
-            values[idx] = phi.values.get(j, Fraction(0))
+            values[idx] = phi.values.get(j, 0)
         else:
-            values[idx] = Fraction(0)
+            values[idx] = 0
     return RegionFunction(p, phi.T, k_t, phi.n, values, label=phi.label)
 
 
@@ -453,5 +485,5 @@ def _rank_over_q(rows) -> int:
         lead = next((i for i, v in enumerate(row) if v), None)
         if lead is not None:
             lv = row[lead]
-            pivots.append((lead, [v / lv for v in row]))
+            pivots.append((lead, [Fraction(v) / lv for v in row]))
     return len(pivots)

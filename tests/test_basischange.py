@@ -173,6 +173,37 @@ class TestXiOperator:
                 if ch.det_mod_p(mu, p) == 0:
                     assert ch.xi_operator(mu, p) == 0
 
+    @pytest.mark.parametrize("mu", [((1, 2),), ((1,), (2,)), (),
+                                    ((1, 0), (0,))])
+    def test_non_square_rejected(self, mu):
+        with pytest.raises(ValueError, match="n x n"):
+            ch.xi_operator(mu, 3)
+        with pytest.raises(ValueError, match="n x n"):
+            ch.det_mod_p(mu, 3)
+
+    def test_det_matches_leibniz(self):
+        from itertools import permutations
+        rng = random.Random(7)
+        for p in (2, 3, 5, 7):
+            for n in (1, 2, 3, 4):
+                for _ in range(40):
+                    mu = tuple(tuple(rng.randrange(-9, 10) for _ in range(n))
+                               for _ in range(n))
+                    want = 0
+                    for perm in permutations(range(n)):
+                        inversions = sum(a > b for i, a in enumerate(perm)
+                                         for b in perm[i + 1:])
+                        want += (-1) ** inversions * math.prod(
+                            mu[i][perm[i]] for i in range(n))
+                    assert ch.det_mod_p(mu, p) == want % p, (mu, p)
+
+    @pytest.mark.parametrize("p", [4, 9, 1, 0])
+    def test_det_needs_a_prime_modulus(self, p):
+        # det ((2, 1), (1, 1)) = 1, but elimination mod 4 gave 2
+        with pytest.raises(ValueError, match="not prime"):
+            ch.det_mod_p(((2, 1), (1, 1)), p)
+        assert ch.det_mod_p(((2, 1), (1, 1)), 5) == 1
+
     def test_transpose_symmetry(self):
         import random
         rng = random.Random(1)

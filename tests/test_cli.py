@@ -212,6 +212,68 @@ class TestRaster:
         assert code == 1 and "usage error" in err
 
 
+BENCH_RASTER = ["raster", "--p", "3", "--vars", "x,y", "--pair", "x+y:0",
+                "--pair", "x*y:0", "--T", "1", "--depth", "4", "--out",
+                "regions.csv", "--svg", "regions.svg", "--staircase", "--json"]
+
+
+def sha256(path):
+    import hashlib
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestRasterBytes:
+    """The three-lines raster's bytes, pinned from the Fraction-based writer
+    and the per-cell digit table they replaced."""
+
+    def test_mesh_3_4(self, capsys, tmp_path, monkeypatch):
+        # the benchmark's command line, so the manifest records the same
+        # command
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.argv", ["charp", *BENCH_RASTER])
+        code, out, _ = run(capsys, *BENCH_RASTER)
+        assert code == 0
+        assert json.loads(out)["result"]["cells"] == 82 ** 2
+        assert sha256(tmp_path / "regions.csv") == \
+            "52cec39bd9d70fca993dc68b13e44baf8efd403809997fa961bb758c3d426e43"
+        assert sha256(tmp_path / "regions.svg") == \
+            "bf20bfb92166f66ac5b4c53339b134b7c5db14380841a94dfb909191f939d6f1"
+        manifest = json.loads((tmp_path / "regions.csv.manifest.json")
+                              .read_text())
+        assert manifest["manifest_hash"] == "a9f590870e49f65d"
+
+    def test_mesh_3_5(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = list(BENCH_RASTER)
+        argv[argv.index("--depth") + 1] = "5"
+        assert run(capsys, *argv)[0] == 0
+        assert sha256(tmp_path / "regions.csv") == \
+            "762067b25530a1b6ea6a8a5b7a89a334ec0dfb417ed142799cbf6c0ecde69a11"
+        assert sha256(tmp_path / "regions.svg") == \
+            "392b788be786de14a0c8b677aa663e08206dbb1ae5781f883f48d3612173a45d"
+
+    def test_work_counts(self, capsys, tmp_path, monkeypatch):
+        # one automaton step per (digit vector, class) and level, not one
+        # per cell, and no Fraction coordinates
+        from charp import cartier, regions
+        calls = {"step": 0, "coord": 0}
+
+        def counted(name, real):
+            def wrapper(*a):
+                calls[name] += 1
+                return real(*a)
+            return wrapper
+
+        monkeypatch.setattr(cartier._ClassAutomaton, "step",
+                            counted("step", cartier._ClassAutomaton.step))
+        monkeypatch.setattr(regions.RasterGrid, "coord",
+                            counted("coord", regions.RasterGrid.coord))
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *BENCH_RASTER)[0] == 0
+        assert 0 < calls["step"] <= 100
+        assert calls["coord"] == 0
+
+
 def test_hashes_stable_across_hash_seeds(tmp_path):
     # content hashes and JSON output must not depend on interpreter hash
     # randomization

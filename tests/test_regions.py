@@ -298,6 +298,114 @@ class TestDigitRecursion:
             ch.constancy_raster(three_lines_family, 1, 1, C)
 
 
+def fraction_csv(ras):
+    """The CSV loop that ``raster_csv`` replaced, one Fraction per
+    coordinate, kept as its oracle."""
+    header = ",".join(f"t{i+1}_num,t{i+1}_den" for i in range(ras.n))
+    lines = [header + ",class_hash"]
+    for idx in sorted(ras.classes):
+        row = ",".join(f"{c.numerator},{c.denominator}"
+                       for c in ras.coord(idx))
+        lines.append(f"{row},{ras.classes[idx]}")
+    return "\n".join(lines) + "\n"
+
+
+def dictcomp_digit_recursion(fs, grid, C, fixed=()):
+    """The level loop that the block fill of ``_digit_recursion`` replaced:
+    one dict per level, two index tuples and one step per cell."""
+    from charp.cartier import _ClassAutomaton, _digit_walk
+    from charp.regions import _class_hash
+    from itertools import product as iproduct
+    ring = fs[0].ring
+    p, k, n, side = grid.p, grid.k, grid.n, grid.side
+    auto = _ClassAutomaton(fs, C)
+    rs = [tuple(fixed)]
+    for _ in range(k):
+        rs.append(tuple(x * p - int(x * p) for x in rs[-1]))
+    tail = ch.tau_mixed(MixedPair(tuple(Ideal(ring, [f]) for f in fs),
+                                  rs[k] + (F(0),) * n), C) \
+        if fixed else Ideal(ring, [ring.one()])
+    top = side if k == 0 else 0
+    zeros = (0,) * len(fixed)
+    table = {m: auto.intern(_digit_walk(fs, zeros + m, 0, tail, C))
+             for m in iproduct(range(top + 1), repeat=n)}
+    for j in range(1, k + 1):
+        q = p ** (j - 1)
+        top = side if j == k else min(side, p ** j - 1)
+        lead = tuple(int(x * p) for x in rs[k - j])
+        table = {m: auto.step(lead + tuple(x // q for x in m),
+                              table[tuple(x % q for x in m)])
+                 for m in iproduct(range(top + 1), repeat=n)}
+    hashes = {cid: _class_hash(grid, auto.classes[cid])
+              for cid in sorted(set(table.values()))}
+    grid.classes = {m: hashes[cid] for m, cid in table.items()}
+
+
+FAMILIES = {1: ("x^2+y^3",), 2: ("x+y", "x*y"), 3: ("x", "y", "x+y")}
+
+
+def writer_cases():
+    """p in {2, 3, 5}, T in {1, 2, 1/3} where some T p^k is an integer, and
+    n = 1, 2, 3 pairs, on the digit recursion and on the per-cell path (the
+    twist x^p has C_+(R) = (x) != R).  Per-cell grids stay small."""
+    cases = []
+    for p in (2, 3, 5):
+        for T in (F(1), F(2), F(1, 3)):
+            if T.denominator != 1 and p != 3:
+                continue
+            for n in (1, 2, 3):
+                cases.append((p, T, n, 4 - n, False))
+                cases.append((p, T, n, 1 if n == 1 or T < 1 else 0, True))
+    return [pytest.param(*c, id=f"p{c[0]}-T{c[1]}-n{c[2]}-k{c[3]}"
+                         + ("-cell" if c[4] else "-digits")) for c in cases]
+
+
+class TestRasterWriter:
+    @pytest.mark.parametrize("p,T,n,k,per_cell", writer_cases())
+    def test_csv_matches_fraction_writer(self, p, T, n, k, per_cell):
+        Rp = ring(p)
+        fam = [Ideal(Rp, [Rp.poly(s)]) for s in FAMILIES[n]]
+        C = CartierAlgebraSpec.from_twists(Rp, [(1, Rp.poly(f"x^{p}"))]) \
+            if per_cell else None
+        assert per_cell == (C is not None and not C.fixes_unit())
+        ras = ch.constancy_raster(fam, T, k, C)
+        assert len(ras.classes) == (T * p ** k + 1) ** n
+        assert ch.raster_csv(ras) == fraction_csv(ras)
+
+    @pytest.mark.parametrize("p,T,n,k", [
+        c.values[:4] for c in writer_cases() if not c.values[4]])
+    def test_digit_table_matches_dictcomp(self, p, T, n, k):
+        from charp.regions import RasterGrid, _digit_recursion
+        Rp = ring(p)
+        fs = [Rp.poly(s) for s in FAMILIES[n]]
+        full = CartierAlgebraSpec.full_algebra(Rp)
+        grids = [RasterGrid(p, T, k, n, {}, {}) for _ in range(2)]
+        _digit_recursion(fs, grids[0], full)
+        dictcomp_digit_recursion(fs, grids[1], full)
+        assert list(grids[0].classes.items()) == list(grids[1].classes.items())
+        # class ids are interned in a different order, which only reorders
+        # the ideals registry
+        assert {h: I.groebner() for h, I in grids[0].ideals.items()} == \
+            {h: I.groebner() for h, I in grids[1].ideals.items()}
+
+    @pytest.mark.parametrize("p,fixed,free,T,depth", [
+        (3, [("x+y", F(1, 3))], "x*y", F(1), 4),
+        (3, [("x+y", F(7, 9)), ("x", F(1, 2))], "x*y", F(2), 3),
+        (2, [("x^2+y^3", F(1, 5))], "x+y", F(1), 5),
+        (5, [("x", F(7, 4))], "x^2+y^3", F(2), 2),
+    ])
+    def test_jumps_match_dictcomp(self, monkeypatch, p, fixed, free, T,
+                                  depth):
+        from charp import thresholds
+        Rp = ring(p)
+        pairs = [(Ideal(Rp, [Rp.poly(s)]), t) for s, t in fixed]
+        free = Ideal(Rp, [Rp.poly(free)])
+        runs = ch.jumping_numbers(pairs, free, T, depth)
+        monkeypatch.setattr(thresholds, "_digit_recursion",
+                            dictcomp_digit_recursion)
+        assert runs == ch.jumping_numbers(pairs, free, T, depth)
+
+
 class TestThreeParameterFamilies:
     def test_raster_and_chi_in_three_parameters(self, R):
         fam = [Ideal(R, [R.poly(s)]) for s in ("x", "y", "x+y")]
@@ -402,6 +510,20 @@ class TestSpanRank:
     def test_zero_function(self):
         zero = indicator(3, 1, 2, lambda t: False)
         assert ch.pfractal_span_rank(zero, 1) == 0
+
+    def test_rank_is_exact_on_integer_rows(self):
+        # row 3 = 3 row 1 + row 2; dividing ints by ints would make the
+        # pivots floats and this rank 3
+        from charp.regions import _rank_over_q
+        assert _rank_over_q([[6, 8, -6], [2, 4, 1], [20, 32, -8]]) == 2
+
+    def test_region_values_are_ints(self, R, raster3):
+        chi = ch.chi_function(raster3, Ideal(R, [R.var("x"), R.var("y")]))
+        rho = ch.rho_function(raster3, (0, 0))
+        moved = ch.apply_T(chi, TOperator(3, (2, 1)))
+        for phi in (chi, rho, moved):
+            assert {type(v) for v in phi.values.values()} == {int}
+        assert type(chi.at((99, 99))) is int and chi.at((99, 99)) == 0
 
     def test_nondecreasing_on_matched_mesh(self, R, raster4):
         chi = ch.chi_function(raster4, Ideal(R, [R.var("x"), R.var("y")]))

@@ -14,7 +14,13 @@ def test_three_lines_experiment_runs(tmp_path):
     assert "5 classes" in proc.stdout
     assert "t1 =   1/9: threshold = 8/9 (" in proc.stdout
     assert "d_H(A_3, LCT region) = 1/9 " in proc.stdout
-    assert (tmp_path / "regions_k3.csv").exists()
+    # the script and ``charp raster`` share one CSV writer
+    cli_csv = tmp_path / "cli.csv"
+    from charp.cli import main
+    assert main(["raster", "--p", "3", "--vars", "x,y", "--pair", "x+y:0",
+                 "--pair", "x*y:0", "--T", "1", "--depth", "3",
+                 "--out", str(cli_csv)]) == 0
+    assert (tmp_path / "regions_k3.csv").read_bytes() == cli_csv.read_bytes()
 
 
 def test_xi_identity_sweep_runs():
