@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product as iproduct
+from itertools import pairwise, permutations, product as iproduct
 from operator import mul
 from random import Random
 
@@ -17,6 +17,7 @@ from .rings import (Polynomial, RingCtx, _is_prime, frob, partial_derivative,
                     poly_str, pow_poly)
 
 FROBJAC_SIZE_BUDGET = 81
+EXHAUSTIVE_PAIR_BUDGET = 5_000_000  # |GL_n(F_p)|^2 pairs in one sweep
 
 
 class PolyMatrix:
@@ -266,12 +267,8 @@ def _xi_terms(p: int, n: int):
         terms = []
         fact = math.factorial
         for a in admissible_matrices(p, n):
-            coeff = 1
-            for k in range(n):
-                col = fact(p - 1)
-                for l in range(n):
-                    col //= fact(a[l][k])
-                coeff = coeff * col % p
+            coeff = math.prod(fact(p - 1) // math.prod(map(fact, col))
+                              for col in zip(*a)) % p
             terms.append((coeff, tuple((l, k, e) for l, row in enumerate(a)
                                        for k, e in enumerate(row) if e)))
         cached = _XI_TERMS_CACHE[key] = tuple(terms)
@@ -293,12 +290,15 @@ def _square_size(mu) -> int:
 def xi_operator(mu, p: int) -> int:
     """Exact evaluation mod p of the sum over arithmetic doubly stochastic
     matrices a of (p-1)!^n / prod a_lk! * prod mu_lk^a_lk."""
+    m = [[x % p for x in row] for row in mu]
     total = 0
     for coeff, factors in _xi_terms(p, _square_size(mu)):
-        prod = coeff
-        for l, k, e in factors:
-            prod = prod * pow(mu[l][k], e, p) % p
-        total += prod
+        for l, k, e in factors:  # every e > 0: a zero entry kills the term
+            if not m[l][k]:
+                break
+            coeff *= m[l][k] ** e
+        else:
+            total += coeff
     return total % p
 
 
@@ -360,79 +360,81 @@ def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
     """Check xi(mu) = det(mu)^(p-1) and multiplicativity xi(mu nu) =
     xi(mu) xi(nu) over GL_n(F_p), exhaustively or on seeded random samples.
 
-    Every sample and every pair is checked, but xi and det are evaluated once
-    per distinct matrix.  The memos live for this call only; they hold at most
-    min(|GL_n(F_p)|, 2 count) values of xi and one det per distinct matrix
-    drawn or enumerated."""
+    Every sample and pair is checked, but xi and det are evaluated once per
+    distinct matrix, in memos local to this call; no sample list is kept.  An
+    exhaustive sweep of more than EXHAUSTIVE_PAIR_BUDGET pairs is refused."""
     _check_group(p, n)
-    if mode == "random" and count < 1:
-        raise ValueError(f"random sample count {count} must be at least 1")
-    report = IdentityReport(p, n, mode)
-    dets, xis = {}, {}
+    if mode == "exhaustive":
+        pairs = math.prod(p ** n - p ** k for k in range(n)) ** 2
+        if pairs > EXHAUSTIVE_PAIR_BUDGET:
+            raise BudgetExceeded(f"exhaustive GL{n}(F{p}) has {pairs:,} pairs, "
+                                 f"over the budget of {EXHAUSTIVE_PAIR_BUDGET:,}")
+        dets = {mu: det_mod_p(mu, p)
+                for mu in iproduct(iproduct(range(p), repeat=n), repeat=n)}
+        samples = [mu for mu, d in dets.items() if d]
+        count = len(samples)
+    elif mode == "random":
+        if count < 1:
+            raise ValueError(f"random sample count {count} must be at least 1")
+        dets, pairs = {}, count - 1
+        samples = _random_sample(Random(seed), p, n, count, dets)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    xis, bad, bad_pairs = {}, [], []
+    checked = _identity_checked(samples, p, dets, xis, bad)
+    # product() reads every sample before its first pair; pairwise() keeps one
+    for (mu, x, _), (nu, y, cols) in (pairwise(checked) if mode == "random"
+                                      else iproduct(checked, repeat=2)):
+        prod = tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
+                      for row in mu])
+        lhs = xis.get(prod)
+        if lhs is None:
+            lhs = xis[prod] = xi_operator(prod, p)
+        if lhs != x * y % p:
+            bad_pairs.append(("multiplicativity", (mu, nu), lhs, x * y % p))
+    return IdentityReport(p, n, mode, count, pairs, bad + bad_pairs, len(xis))
 
-    def det(mu):
+
+def _random_sample(rng, p, n, count, dets):
+    """Yield ``count`` invertible n x n matrices mod p.  Entries are drawn
+    row by row as ``rng.randrange(p)`` draws them; a draw that the det memo
+    ``dets`` finds singular is drawn again."""
+    getrandbits, k, cells = rng.getrandbits, p.bit_length(), range(n)
+    while count:
+        mu = []
+        for _ in cells:
+            row = []
+            for _ in cells:
+                r = getrandbits(k)
+                while r >= p:
+                    r = getrandbits(k)
+                row.append(r)
+            mu.append(tuple(row))
+        mu = tuple(mu)
         d = dets.get(mu)
         if d is None:
             d = dets[mu] = det_mod_p(mu, p)
-        return d
-
-    def xi(mu):
-        x = xis.get(mu)
-        if x is None:
-            x = xis[mu] = xi_operator(mu, p)
-        return x
-
-    def check_one(mu):
-        report.checked += 1
-        lhs = xi(mu)
-        rhs = pow(det(mu), p - 1, p)
-        if lhs != rhs:
-            report.counterexamples.append(("identity", mu, lhs, rhs))
-
-    def check_pairs(pairs):
-        for mu, nu in pairs:
-            report.pairs_checked += 1
-            lhs = xi(_mat_mul(mu, nu, p))
-            rhs = xi(mu) * xi(nu) % p
-            if lhs != rhs:
-                report.counterexamples.append(
-                    ("multiplicativity", (mu, nu), lhs, rhs))
-
-    if mode == "exhaustive":
-        if p ** (n * n) > 1_000_000:
-            raise BudgetExceeded("exhaustive sweep too large")
-        group = [mu for mu in _all_matrices(p, n) if det(mu)]
-        for mu in group:
-            check_one(mu)
-        check_pairs((mu, nu) for mu in group for nu in group)
-    elif mode == "random":
-        rng = Random(seed)
-        sample = [_random_invertible(rng, p, n, det) for _ in range(count)]
-        for mu in sample:
-            check_one(mu)
-        check_pairs(zip(sample, sample[1:]))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    report.distinct = len(xis)
-    return report
+        if d:
+            count -= 1
+            yield mu
 
 
-def _all_matrices(p, n):
-    for flat in iproduct(range(p), repeat=n * n):
-        yield tuple(flat[i * n:(i + 1) * n] for i in range(n))
-
-
-def _random_invertible(rng, p, n, det):
-    while True:
-        mu = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-        if det(mu):
-            return mu
-
-
-def _mat_mul(a, b, p):
-    cols = tuple(zip(*b))
-    return tuple(tuple([sum(map(mul, row, col)) % p for col in cols])
-                 for row in a)
+def _identity_checked(samples, p, dets, xis, bad):
+    """Check xi = det^(p-1) once per distinct sample, add a counterexample to
+    ``bad`` per failing occurrence, and yield (mu, xi(mu), columns of mu)."""
+    seen = {}
+    for mu in samples:
+        entry = seen.get(mu)
+        if entry is None:
+            x = xis.get(mu)
+            if x is None:
+                x = xis[mu] = xi_operator(mu, p)
+            rhs = pow(dets[mu], p - 1, p)
+            entry = seen[mu] = ((mu, x, tuple(zip(*mu))),
+                                ("identity", mu, x, rhs) if x != rhs else ())
+        if entry[1]:
+            bad.append(entry[1])
+        yield entry[0]
 
 
 # --- the combinatorial identity ----------------------------------------------------
@@ -458,12 +460,8 @@ def combinatorial_identity_check(p: int, n: int, a):
        any(sum(a[l][k] for l in range(n)) != p - 1 for k in range(n)):
         raise ValueError("rows and columns must each sum to p-1")
     fact = math.factorial
-    lhs = 1
-    for k in range(n):
-        col = fact(p - 1)
-        for l in range(n):
-            col //= fact(a[l][k])
-        lhs = lhs * col % p
+    lhs = math.prod(fact(p - 1) // math.prod(map(fact, col))
+                    for col in zip(*a)) % p
     perms = list(permutations(range(n)))
     signs = [_sgn(s) for s in perms]
     rhs = 0
@@ -482,7 +480,7 @@ def combinatorial_identity_check(p: int, n: int, a):
             if s < 0 and b_s % 2:
                 sign = -sign
         rhs = (rhs + sign * coeff) % p
-    return lhs % p, rhs % p, lhs % p == rhs % p
+    return lhs, rhs, lhs == rhs
 
 
 def falling_factorial_sums(p: int):

@@ -156,6 +156,8 @@ def _cmd_jumps(args):
 def _cmd_raster(args):
     ring = _ring(args)
     pairs = _parse_pairs(ring, args.pair)
+    if args.svg and len(pairs) != 2:
+        raise UsageError("--svg requires a two-parameter raster")
     ideals = [I for I, _ in pairs]
     ras = constancy_raster(ideals, _fraction(args.T), args.depth,
                            C=_parse_algebra(ring, args.alg))
@@ -165,8 +167,6 @@ def _cmd_raster(args):
         fh.write(text)
     artifacts[args.out] = _hash_text(text)
     if args.svg:
-        if ras.n != 2:
-            raise UsageError("--svg requires a two-parameter raster")
         svg = _raster_svg(ras, overlay=args.staircase)
         with open(args.svg, "w") as fh:
             fh.write(svg)

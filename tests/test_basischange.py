@@ -1,5 +1,7 @@
 import math
 import random
+import time
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -261,6 +263,64 @@ class TestVerifyDetIdentity:
         with pytest.raises(ch.BudgetExceeded):
             ch.verify_det_identity(101, 3, "exhaustive")
 
+    @pytest.mark.parametrize("p,n,pairs", [
+        (3, 3, "126,157,824"), (11, 2, "174,240,000"), (101, 3, None)])
+    def test_exhaustive_budget_counts_pairs(self, p, n, pairs):
+        # |GL_n(F_p)|^2 pairs; the enumeration guard p^(n^2) <= 10^6 let
+        # GL3(F3) and GL2(F11) through, to run for minutes
+        start = time.perf_counter()
+        with pytest.raises(ch.BudgetExceeded, match=pairs or "pairs"):
+            ch.verify_det_identity(p, n, "exhaustive")
+        assert time.perf_counter() - start < 0.1
+
+    def test_gl2_f7_is_within_the_budget(self, monkeypatch):
+        # 2016^2 = 4,064,256 pairs: the sweep starts (and is stopped at its
+        # first determinant instead of running for seconds)
+        class Started(Exception):
+            pass
+
+        def stop(mu, p):
+            raise Started
+
+        monkeypatch.setattr(bc, "det_mod_p", stop)
+        with pytest.raises(Started):
+            ch.verify_det_identity(7, 2, "exhaustive")
+
+    @pytest.mark.parametrize("p,n,count,pinned", [
+        (5, 2, 10_000, (10_000, 9_999, 480)),
+        (3, 3, 1_000, (1_000, 999, 1_820)),
+        (7, 2, 2_000, (2_000, 1_999, 1_743))])
+    def test_seeded_reports_pinned(self, p, n, count, pinned):
+        rep = ch.verify_det_identity(p, n, "random", count=count, seed=0)
+        assert rep.ok
+        assert (rep.checked, rep.pairs_checked, rep.distinct) == pinned
+
+    def test_random_mode_keeps_no_sample_list(self):
+        # the memos hold at most the 16 matrices of M2(F2); a list of the
+        # samples peaked at 18.5 MB here
+        tracemalloc.start()
+        try:
+            rep = ch.verify_det_identity(2, 2, "random", count=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok and rep.checked == 100_000
+        assert peak < 1_000_000
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sample_is_the_randrange_stream(self, p, n):
+        for seed in range(5):
+            fast, slow = CountingRandom(seed), CountingRandom(seed)
+            dets = {}
+            got = list(bc._random_sample(fast, p, n, 30, dets))
+            assert got == oracle_sample(slow, p, n, 30)
+            assert fast.calls == slow.calls
+            assert fast.getstate() == slow.getstate()
+            assert all(dets[mu] == bc.det_mod_p(mu, p) for mu in dets)
+
 
 def oracle_verify(p, n, mode, count=1000, seed=0):
     """The loop that ``verify_det_identity`` replaced: no memo, xi_operator
@@ -295,20 +355,37 @@ def oracle_verify(p, n, mode, count=1000, seed=0):
             for nu in group:
                 check_pair(mu, nu)
     else:
-        rng = random.Random(seed)
-        sample = []
-        for _ in range(count):
-            while True:
-                mu = tuple(tuple(rng.randrange(p) for _ in range(n))
-                           for _ in range(n))
-                if bc.det_mod_p(mu, p):
-                    break
-            sample.append(mu)
+        sample = oracle_sample(random.Random(seed), p, n, count)
         for mu in sample:
             check_one(mu)
         for mu, nu in zip(sample, sample[1:]):
             check_pair(mu, nu)
     return rep
+
+
+def oracle_sample(rng, p, n, count):
+    """``count`` invertible matrices drawn with ``randrange``, one entry at a
+    time row by row, redrawing a singular matrix."""
+    sample = []
+    for _ in range(count):
+        while True:
+            mu = tuple(tuple(rng.randrange(p) for _ in range(n))
+                       for _ in range(n))
+            if bc.det_mod_p(mu, p):
+                break
+        sample.append(mu)
+    return sample
+
+
+class CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls; randrange goes through
+    getrandbits, so both samplers are counted alike."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
 
 
 def same_report(a, b):

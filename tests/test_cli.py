@@ -80,6 +80,20 @@ class TestExitCodes:
                            "--svg", str(tmp_path / "r.svg"))
         assert code == 1
 
+    def test_svg_check_comes_before_the_raster(self, capsys, tmp_path):
+        # the check used to run after the raster, leaving r.csv behind
+        code, _, err = run(capsys, "raster", "--p", "3", "--vars", "x,y",
+                           "--pair", "x*y:0", "--T", "1", "--depth", "5",
+                           "--out", str(tmp_path / "r.csv"),
+                           "--svg", str(tmp_path / "r.svg"))
+        assert code == 1 and "two-parameter" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_xi_exhaustive_over_budget_is_usage(self, capsys):
+        code, _, err = run(capsys, "xi", "--p", "3", "--n", "3",
+                           "--exhaustive")
+        assert code == 1 and "126,157,824 pairs" in err
+
     def test_removed_no_op_flags(self, capsys, tmp_path):
         for argv in (["staircase", "--p", "3", "--seed", "1"],
                      ["tau", "--p", "3", "--vars", "x,y", "--pair", "x:1",
