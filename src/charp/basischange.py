@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import pairwise, permutations, product as iproduct
-from operator import mul
+from operator import add, mul
 from random import Random
 
 from .frobenius import decompose
@@ -362,7 +362,8 @@ def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
 
     Every sample and pair is checked, but xi and det are evaluated once per
     distinct matrix, in memos local to this call; no sample list is kept.  An
-    exhaustive sweep of more than EXHAUSTIVE_PAIR_BUDGET pairs is refused."""
+    exhaustive sweep of more than EXHAUSTIVE_PAIR_BUDGET pairs is refused;
+    it looks products up by index (``_exhaustive_pairs``)."""
     _check_group(p, n)
     if mode == "exhaustive":
         pairs = math.prod(p ** n - p ** k for k in range(n)) ** 2
@@ -382,17 +383,60 @@ def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
         raise ValueError(f"unknown mode {mode!r}")
     xis, bad, bad_pairs = {}, [], []
     checked = _identity_checked(samples, p, dets, xis, bad)
-    # product() reads every sample before its first pair; pairwise() keeps one
-    for (mu, x, _), (nu, y, cols) in (pairwise(checked) if mode == "random"
-                                      else iproduct(checked, repeat=2)):
-        prod = tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
-                      for row in mu])
-        lhs = xis.get(prod)
-        if lhs is None:
-            lhs = xis[prod] = xi_operator(prod, p)
-        if lhs != x * y % p:
-            bad_pairs.append(("multiplicativity", (mu, nu), lhs, x * y % p))
+    if mode == "exhaustive":
+        bad_pairs = _exhaustive_pairs(list(checked), p, n)
+    else:  # pairwise() keeps one sample
+        for (mu, x, _), (nu, y, cols) in pairwise(checked):
+            prod = tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
+                          for row in mu])
+            lhs = xis.get(prod)
+            if lhs is None:
+                lhs = xis[prod] = xi_operator(prod, p)
+            if lhs != x * y % p:
+                bad_pairs.append(("multiplicativity", (mu, nu), lhs, x * y % p))
     return IdentityReport(p, n, mode, count, pairs, bad + bad_pairs, len(xis))
+
+
+def _exhaustive_pairs(group, p, n):
+    """The multiplicativity counterexamples over all pairs (mu, nu) of
+    ``group``, mu outer, for ``group`` the (mu, xi(mu), columns of mu) of
+    every element of GL_n(F_p).
+
+    A product lies in the group, so its xi is looked up by index: the code
+    of a matrix e is sum e_ij p^(i n + j), and ``xi_of[code]`` holds xi.
+    With c_j(nu) the index of column j of nu among the vectors of F_p^n,
+    the code of mu nu is sum_j p^j V[c_j(nu)], where
+    V[c] = sum_i (row_i(mu) . c mod p) p^(i n) is built once per mu.  So
+    the codes of mu nu for every nu come from n list lookups per nu, all
+    inside ``map``, and a row of pairs is compared in one go."""
+    index = {v: i for i, v in enumerate(iproduct(range(p), repeat=n))}
+    xi_of = [None] * p ** (n * n)
+    for mu, x, _ in group:
+        xi_of[sum(e * p ** k for k, e in enumerate(sum(mu, ())))] = x
+    cols = [[index[c[j]] for _, _, c in group] for j in range(n)]
+    ys = [y for _, y, _ in group]
+    want, bad = {}, []
+    for mu, x, _ in group:
+        V = [0] * len(index)
+        for i, row in enumerate(mu):
+            dots = [0]  # row . v mod p for v in F_p^n, in ``index`` order
+            for r in row:
+                dots = [(a + r * d) % p for a in dots for d in range(p)]
+            w = p ** (i * n)
+            V = [v + w * c for v, c in zip(V, dots)]
+        codes = map(V.__getitem__, cols[0])
+        for j in range(1, n):
+            w = p ** j
+            codes = map(add, codes, map([w * c for c in V].__getitem__,
+                                        cols[j]))
+        lhs = list(map(xi_of.__getitem__, codes))
+        rhs = want.get(x)
+        if rhs is None:
+            rhs = want[x] = [x * y % p for y in ys]
+        if lhs != rhs:
+            bad += [("multiplicativity", (mu, nu), l, r)
+                    for (nu, _, _), l, r in zip(group, lhs, rhs) if l != r]
+    return bad
 
 
 def _random_sample(rng, p, n, count, dets):

@@ -95,6 +95,8 @@ class MixedPair:
     exponents: tuple
 
     def __post_init__(self):
+        if not self.ideals:
+            raise ValueError("a mixed pair needs at least one ideal")
         if len(self.ideals) != len(self.exponents):
             raise ValueError("ideals and exponents must align")
         for t in self.exponents:
@@ -115,9 +117,6 @@ class MixedPair:
         exps[i] = Fraction(t)
         return MixedPair(self.ideals, tuple(exps))
 
-    def cache_key(self):
-        return (tuple(I.cache_key() for I in self.ideals), self.exponents)
-
 
 def _ceil_mul(t: Fraction, P: int) -> int:
     """ceil(t * P) in exact integer arithmetic."""
@@ -125,7 +124,9 @@ def _ceil_mul(t: Fraction, P: int) -> int:
     return -((-num) // den)
 
 
+# (f tuple, C.cache_key()) -> _ClassAutomaton, oldest first; see _automaton
 _tau_cache: dict = {}
+TAU_CACHE_SIZE = 32  # automata kept; inserting one more drops the oldest
 
 # consecutive unchanged steps after which _tau_chain stops (a heuristic)
 _CHAIN_CONF = 2
@@ -163,21 +164,22 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
     I'_0 divides prod f_i, and C_s(T) is one walk over prod f_i^n_i T.  When
     C_+(R) = R every chain here only grows: then S = I'_0, T_(k+1) =
     Psi(T_k), tau = C_s(T), and for b = 1 tau = C_s(prod f_i^u_i).
-    ``budget`` bounds the Psi steps.  Every root here is taken by
-    ``_digit_walk``.
+    ``budget`` bounds the Psi steps.
 
-    Other ideals go through ``_tau_chain``, whose stop is a heuristic.
+    Every class here is a state of the one ``_ClassAutomaton`` of
+    (f_1..f_n, C), which ``_automaton`` keeps in ``_tau_cache`` for the whole
+    process, so a later call on the same f and C, at any exponents, walks
+    the steps and sums the earlier calls took without taking a root again:
+    the 64 exponents a/b < 2 of x^2+y^3 at p = 3, b in {5, 7, 11, 13}, take
+    9 bracket roots together.  The store keeps TAU_CACHE_SIZE automata and
+    drops the oldest beyond that.  A single call gains nothing from it.
+
+    Other ideals go through ``_tau_chain``, whose stop is a heuristic and
+    whose results are not kept.
     """
-    key = (pair.cache_key(), C.cache_key())
-    hit = _tau_cache.get(key)
-    if hit is not None:
-        return hit
     if all(len(a.gens) == 1 for a in pair.ideals):
-        result = _tau_principal(pair, C, budget)
-    else:
-        result = _tau_chain(pair, C, _CHAIN_CONF, budget)
-    _tau_cache[key] = result
-    return result
+        return _tau_principal(pair, C, budget)
+    return _tau_chain(pair, C, _CHAIN_CONF, budget)
 
 
 def _tau_principal(pair: MixedPair, C: CartierAlgebraSpec,
@@ -185,19 +187,18 @@ def _tau_principal(pair: MixedPair, C: CartierAlgebraSpec,
     """The certified path of ``tau_mixed``; see its docstring."""
     ring, e0 = pair.ring, C.degree()
     q = ring.p ** e0
-    fs = [a.gens[0] for a in pair.ideals]
+    auto = _automaton([a.gens[0] for a in pair.ideals], C)
     s = -(-max(_p_depth(t, ring.p) for t in pair.exponents) // e0)
     u = [t * q ** s for t in pair.exponents]
     b = lcm(*(x.denominator for x in u))
     grows = C.fixes_unit()
-    unit = Ideal(ring, [ring.one()])
 
     def term(ts, e):
-        """C_e(prod f_i^ceil(t_i q^e))."""
-        return _digit_walk(fs, [_ceil_mul(t, q ** e) for t in ts], e, unit, C)
+        """The class of C_e(prod f_i^ceil(t_i q^e))."""
+        return auto.walk([_ceil_mul(t, q ** e) for t in ts], e, auto.unit)
 
     if b == 1 and grows:
-        return Ideal(ring, list(term(pair.exponents, s).groebner()))
+        return auto.classes[term(pair.exponents, s)]
     whole = [int(x) for x in u]
     u = [x - n for x, n in zip(u, whole)]
     r = 1
@@ -205,74 +206,86 @@ def _tau_principal(pair: MixedPair, C: CartierAlgebraSpec,
         r += 1
     c = [int(x * (q ** r - 1)) for x in u]
     lo = 0 if s or grows else 1
-    S = Ideal(ring, [])
-    for e in range(lo, lo + (1 if grows else r)):
-        S = sum_ideal(S, term(u, e))
+    S = term(u, lo)
+    for e in range(lo + 1, lo + (1 if grows else r)):
+        S = auto.plus(S, term(u, e))
     T = S
     for _ in range(budget):
-        nxt = _digit_walk(fs, c, r, T, C)
+        nxt = auto.walk(c, r, T)
         if not grows:
-            nxt = Ideal(ring, list(sum_ideal(S, nxt).groebner()))
-        if ideal_eq(nxt, T):
+            nxt = auto.plus(S, nxt)
+        if nxt == T:  # classes are interned, so equal ids are equal ideals
             break
         T = nxt
     else:
         raise BudgetExceeded(f"tau chain did not repeat within {budget} steps")
-    tau = _digit_walk(fs, whole, s, T, C)
+    tau = auto.walk(whole, s, T)
     for e in range(1, 1 if grows else s):
-        tau = sum_ideal(tau, term(pair.exponents, e))
-    return Ideal(ring, list(tau.groebner()))
+        tau = auto.plus(tau, term(pair.exponents, e))
+    return auto.classes[tau]
 
 
 def _digit_walk(fs, m, k: int, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
-    """C_k(prod f_i^m_i J) for polynomials f_i, one step of C_+ per base-q
-    digit of m (q = p^e0), lowest digit first.
-
-    Write m = d + q m' with d the lowest digit vector, and let
-    g = prod f_i^m'_i and B = prod f_i^d_i J.  Since C_+(J) = (G J)^[1/q]
-    for the twist ideal G and (g^q B)^[1/q] = g B^[1/q]
-    (Blickle-Mustata-Smith 2008),
-
-        C_k(prod f_i^m_i J) = C_k(g^q B) = C_(k-1)(g C_+(B)).
-
-    So each step multiplies in one digit and takes one q-th root; the last
-    step multiplies in what is left of m, m_i // q^(k-1), whole.  Each
-    twist t starts its own digit product, t prod f_i^d_i.  The ideal is
-    reduced between steps.  For k = 0 this is the plain product.
-    """
+    """prod f_i^m_i J for k = 0, and for k = 1 one step of C_+ on it,
+    C_+(prod f_i^m_i J) = (G prod f_i^m_i J)^[1/q] for the twist ideal G and
+    q = p^e0: each twist t starts its own product t prod f_i^m_i.  Longer
+    walks are ``_ClassAutomaton.walk``."""
+    if k not in (0, 1):
+        raise ValueError(f"a digit walk takes 0 or 1 steps, got {k}")
     ring = J.ring
-    e0 = C.degree()
-    q = ring.p ** e0
 
-    def times(g, d, J):
-        for f, e in zip(fs, d):
+    def times(g):
+        for f, e in zip(fs, m):
             g = g * pow_poly(f, e)
         return [g * h for h in J.gens]
 
-    def step(d, J):
-        gens = [u for gen in C.generators for u in times(gen.twist, d, J)]
-        return bracket_root(Ideal(ring, gens), e0)
-
     if k == 0:
-        return Ideal(ring, times(ring.one(), m, J))
-    for _ in range(k - 1):
-        J = Ideal(ring, list(step([x % q for x in m], J).groebner()))
-        m = [x // q for x in m]
-    return step(m, J)
+        return Ideal(ring, times(ring.one()))
+    gens = [u for gen in C.generators for u in times(gen.twist)]
+    return bracket_root(Ideal(ring, gens), C.degree())
+
+
+def _automaton(fs, C: CartierAlgebraSpec) -> "_ClassAutomaton":
+    """The shared ``_ClassAutomaton`` of the polynomials ``fs`` under C.
+
+    ``_tau_cache`` is read here, as a module global, on every call, so that
+    a stand-in dict sees each lookup.  Past TAU_CACHE_SIZE automata the
+    oldest inserted is dropped; an automaton only memoises, so that changes
+    the work of a later call but never its answer."""
+    key = (tuple(fs), C.cache_key())
+    auto = _tau_cache.get(key)
+    if auto is None:
+        if len(_tau_cache) >= TAU_CACHE_SIZE:
+            del _tau_cache[next(iter(_tau_cache))]
+        auto = _tau_cache[key] = _ClassAutomaton(key[0], C)
+    return auto
 
 
 class _ClassAutomaton:
-    """The digit step (d, J) -> ``_digit_walk(fs, d, 1, J, C)`` on ideal
-    classes, memoised.  Classes are interned by their reduced Groebner basis,
-    so the memo key (d, class index) is canonical.  Under the full algebra
-    the tau classes are finitely many on [0, 1)^n (Blickle-Mustata-Smith
-    2008; Perez 2013 for mixed ideals), so ``closure`` stops."""
+    """Ideal classes of the polynomials f_1..f_n under an algebra C, and the
+    digit step (d, J) -> C_+(prod f_i^d_i J) = ``_digit_walk(fs, d, 1, J, C)``
+    between them, memoised, with class sums.  Classes are interned by their
+    reduced Groebner basis, so the memo keys (d, class index) and (class
+    index, class index) are canonical, and two classes are equal ideals iff
+    their indices are equal.
+
+    This is the only place where tau classes are stepped.  ``tau_mixed`` on
+    principal ideals, ``fpt_search``, ``jumping_numbers`` and the digit
+    recursion of ``constancy_raster`` take their automaton from
+    ``_automaton``, one per (f tuple, ``C.cache_key()``) for the process, so
+    every call on the same f and C reuses the roots of the calls before it:
+    many exponents of one f, ``fpt_search`` on slices of one family, or a
+    raster after a threshold search.  Under the full algebra the tau classes
+    are finitely many on [0, 1)^n (Blickle-Mustata-Smith 2008; Perez 2013
+    for mixed ideals), so ``closure`` stops."""
 
     def __init__(self, fs, C: CartierAlgebraSpec):
         self.fs, self.C = fs, C
         self.classes = []  # class index -> Ideal of its reduced basis
         self._index = {}   # reduced basis -> class index
         self._steps = {}   # (digit vector, class index) -> class index
+        self._sums = {}    # (class index, class index) -> class index
+        self.unit = self.intern(Ideal(C.ring, [C.ring.one()]))
 
     def intern(self, I: Ideal) -> int:
         gb = I.groebner()
@@ -287,6 +300,38 @@ class _ClassAutomaton:
         if out is None:
             out = self._steps[d, cid] = self.intern(
                 _digit_walk(self.fs, d, 1, self.classes[cid], self.C))
+        return out
+
+    def walk(self, m, k: int, cid: int) -> int:
+        """The class of C_k(prod f_i^m_i J) for J the class ``cid``, one
+        step per base-q digit of m (q = p^e0), lowest digit first.
+
+        Write m = d + q m' with d the lowest digit vector, and let
+        g = prod f_i^m'_i and B = prod f_i^d_i J.  Since C_+(J) = (G J)^[1/q]
+        for the twist ideal G and (g^q B)^[1/q] = g B^[1/q]
+        (Blickle-Mustata-Smith 2008),
+
+            C_k(prod f_i^m_i J) = C_k(g^q B) = C_(k-1)(g C_+(B)).
+
+        So each step multiplies in one digit and takes one q-th root; the
+        last step multiplies in what is left of m, m_i // q^(k-1), whole.
+        For k = 0 this is the plain product."""
+        if k == 0:
+            return self.intern(
+                _digit_walk(self.fs, m, 0, self.classes[cid], self.C))
+        q = self.C.ring.p ** self.C.degree()
+        for _ in range(k - 1):
+            cid = self.step(tuple(x % q for x in m), cid)
+            m = [x // q for x in m]
+        return self.step(tuple(m), cid)
+
+    def plus(self, a: int, b: int) -> int:
+        """The class of the sum of the classes ``a`` and ``b``."""
+        key = (a, b) if a <= b else (b, a)
+        out = self._sums.get(key)
+        if out is None:
+            out = self._sums[key] = self.intern(
+                sum_ideal(self.classes[a], self.classes[b]))
         return out
 
     def closure(self, cids) -> frozenset:

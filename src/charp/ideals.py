@@ -291,7 +291,7 @@ def _saturate_gens(gens, ring: RingCtx):
 class Ideal:
     """Generator list plus the lazily cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "gens", "_gb", "_key")
+    __slots__ = ("ring", "gens", "_gb")
 
     def __init__(self, ring: RingCtx, gens):
         self.ring = ring
@@ -300,14 +300,6 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self._gb = None
-        self._key = None
-
-    def cache_key(self):
-        if self._key is None:
-            key = order_key(self.ring)
-            self._key = (self.ring,
-                         tuple(sorted(self.gens, key=lambda g: key(g.lead()[0]))))
-        return self._key
 
     def groebner(self):
         """The unique reduced Groebner basis (tuple of Polynomials).

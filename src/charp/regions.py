@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
 
-from .cartier import (CartierAlgebraSpec, MixedPair, _ClassAutomaton,
-                      _digit_walk, tau_mixed)
+from .cartier import (CartierAlgebraSpec, MixedPair, _automaton, _digit_walk,
+                      tau_mixed)
 from .ideals import Ideal, VerificationError, colon, frob_power
 from .rings import pow_poly
 
@@ -172,7 +172,9 @@ def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec, fixed=()):
     level j steps the class at m' by the digits (floor(p r_(k-j)), d).
     Level j < k covers [0, p^j)^n capped at the grid side, all that level
     j + 1 looks up; level k covers the grid.  The step does not depend on
-    j, so one ``_ClassAutomaton`` serves every level.
+    j, so one ``_ClassAutomaton`` serves every level; it is the shared one
+    of (f, C), which ``tau_mixed`` and ``fpt_search`` on the same f and C
+    also walk.
 
     Each level is a flat list in ``iproduct`` order, filled by blocks.  The
     cells d p^(j-1) + [0, p^(j-1))^n share the digit vector d, so the class
@@ -182,7 +184,7 @@ def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec, fixed=()):
     """
     ring = fs[0].ring
     p, k, n, side = grid.p, grid.k, grid.n, grid.side
-    auto = _ClassAutomaton(fs, C)
+    auto = _automaton(fs, C)
     rs = [tuple(fixed)]
     for _ in range(k):
         rs.append(tuple(x * p - int(x * p) for x in rs[-1]))

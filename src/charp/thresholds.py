@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartier import (CartierAlgebraSpec, MixedPair, _ClassAutomaton,
+from .cartier import (CartierAlgebraSpec, MixedPair, _automaton,
                       scale_test_ideal, tau_mixed)
 from .ideals import Ideal, VerificationError, ideal_eq
 from .regions import RasterGrid, _digit_recursion
@@ -71,8 +71,7 @@ def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
         raise ThresholdError("the free ideal is the unit ideal")
     p = free.ring.p
     C = CartierAlgebraSpec.full_algebra(free.ring)
-    auto = _ClassAutomaton([a.gens[0] for a in ideals], C)
-    unit = auto.intern(Ideal(free.ring, [free.ring.one()]))
+    auto = _automaton([a.gens[0] for a in ideals], C)
     r = tuple(Fraction(t) for _, t in fixed)
     tails, x = {}, r  # r_0, r_1, ... is eventually periodic
     while x not in tails:
@@ -80,10 +79,10 @@ def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
         tails[x] = auto.intern(tau_mixed(pair, C))
         x = tuple(y * p - int(y * p) for y in x)
     transcript = [(Fraction(0), auto.classes[tails[r]].content_hash())]
-    if tails[r] != unit:
+    if tails[r] != auto.unit:
         raise ThresholdError("slice is not F-regular at free exponent 0")
     S = auto.closure(tails.values())
-    U, chosen, values, seen = frozenset([unit]), [], [Fraction(0)], {}
+    U, chosen, values, seen = frozenset([auto.unit]), [], [Fraction(0)], {}
     while len(chosen) < depth or (U, r) not in seen:
         seen.setdefault((U, r), len(chosen))
         j = len(chosen) + 1

@@ -363,6 +363,36 @@ def oracle_verify(p, n, mode, count=1000, seed=0):
     return rep
 
 
+def tuple_product_report(p, n):
+    """The exhaustive sweep as it was before products were looked up by
+    index: each product built as a nested tuple and hashed into a memo of xi
+    keyed by matrix, with xi_operator and det_mod_p looked up on the module."""
+    group = [mu for mu in iproduct(iproduct(range(p), repeat=n), repeat=n)
+             if bc.det_mod_p(mu, p)]
+    xis = {}
+
+    def xi(mu):
+        if mu not in xis:
+            xis[mu] = bc.xi_operator(mu, p)
+        return xis[mu]
+
+    rep = ch.IdentityReport(p, n, "exhaustive", len(group), len(group) ** 2)
+    for mu in group:
+        lhs, rhs = xi(mu), pow(bc.det_mod_p(mu, p), p - 1, p)
+        if lhs != rhs:
+            rep.counterexamples.append(("identity", mu, lhs, rhs))
+    for mu in group:
+        for nu in group:
+            prod = tuple(tuple(sum(mu[i][k] * nu[k][j] for k in range(n)) % p
+                               for j in range(n)) for i in range(n))
+            lhs, rhs = xi(prod), xi(mu) * xi(nu) % p
+            if lhs != rhs:
+                rep.counterexamples.append(("multiplicativity", (mu, nu),
+                                            lhs, rhs))
+    rep.distinct = len(xis)
+    return rep
+
+
 def oracle_sample(rng, p, n, count):
     """``count`` invertible matrices drawn with ``randrange``, one entry at a
     time row by row, redrawing a singular matrix."""
@@ -470,6 +500,25 @@ class TestMemoisedVerifier:
         fast = ch.verify_det_identity(p, n, mode, count=count, seed=5)
         assert same_report(fast, expected)
         assert not fast.ok
+
+    @pytest.mark.parametrize("p,n,bad", [
+        (2, 2, ()), (3, 2, ()), (5, 2, ()), (2, 3, ()), (7, 1, ()),
+        (13, 1, ()),
+        (3, 2, (((1, 1), (0, 1)), ((2, 0), (1, 1)))),
+        (5, 2, (((1, 1), (0, 1)), ((0, 4), (1, 0)))),
+        (2, 3, (((1, 1, 0), (0, 1, 0), (0, 0, 1)),)),
+        (7, 1, (((3,),), ((6,),))),
+    ])
+    def test_exhaustive_index_matches_tuple_products(
+            self, monkeypatch, p, n, bad):
+        real = bc.xi_operator
+        monkeypatch.setattr(
+            bc, "xi_operator",
+            lambda mu, q: (real(mu, q) + 1) % q if mu in bad else real(mu, q))
+        want = tuple_product_report(p, n)
+        assert bool(want.counterexamples) == bool(bad)
+        fast = ch.verify_det_identity(p, n, "exhaustive")
+        assert same_report(fast, want) and fast.distinct == want.distinct
 
     @given(scalar_matrices())
     @settings(max_examples=80, deadline=None)

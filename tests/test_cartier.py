@@ -3,10 +3,13 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import charp as ch
 from charp import CartierAlgebraSpec, Ideal, MixedPair, TraceTwist, poly_str
-from charp.cartier import _digit_walk, _pulled_action, _tau_chain
+from charp import cartier
+from charp.cartier import (_ceil_mul, _ClassAutomaton, _p_depth,
+                           _pulled_action, _tau_chain)
 
 
 def ring(p=3, names=("x", "y")):
@@ -107,6 +110,12 @@ class TestTauMixed:
         # Skoda: tau(f^(18/11)) = f tau(f^(7/11)) = (f)
         tau = ch.tau_mixed(pair(R, ("x^2+y^3", F(18, 11))), full)
         assert tau.basis_strings() == ("y^3 + x^2",)
+
+    def test_empty_pair_rejected(self, R, full):
+        with pytest.raises(ValueError, match="at least one ideal"):
+            MixedPair.of([])
+        with pytest.raises(ValueError, match="at least one ideal"):
+            ch.tau_mixed(MixedPair((), ()), full)
 
     def test_twisted_algebra_chain(self, R):
         # principal algebra <kappa o x^3> on (x*y)^(1/3): by hand,
@@ -274,6 +283,13 @@ def count_bracket_roots(monkeypatch):
     return calls
 
 
+def walk(fs, m, k, J, C):
+    """C_k(prod f_i^m_i J) through ``_ClassAutomaton.walk`` on a fresh
+    automaton."""
+    auto = _ClassAutomaton(tuple(fs), C)
+    return auto.classes[auto.walk(m, k, auto.intern(J))]
+
+
 class TestDigitWalk:
     @pytest.mark.parametrize("start", [("1",), ("x", "y^2"), ("x^2+y",)])
     def test_matches_one_shot_root(self, R, full, start):
@@ -285,8 +301,7 @@ class TestDigitWalk:
                 one_shot = Ideal(R, [g * h for h in J.gens])
                 if k:
                     one_shot = ch.bracket_root(one_shot, k)
-                assert ch.ideal_eq(_digit_walk(fs, m, k, J, full), one_shot), \
-                    (m, k)
+                assert ch.ideal_eq(walk(fs, m, k, J, full), one_shot), (m, k)
 
     @pytest.mark.parametrize("twists", [[(1, "x^3")], [(1, "x"), (1, "y")],
                                         [(2, "x+y")]])
@@ -301,7 +316,11 @@ class TestDigitWalk:
                 want = Ideal(R, [g * h for h in J.gens])
                 for _ in range(k):
                     want = ch.cplus(want, C)
-                assert ch.ideal_eq(_digit_walk(fs, m, k, J, C), want), (m, k)
+                assert ch.ideal_eq(walk(fs, m, k, J, C), want), (m, k)
+
+    def test_longer_walks_are_the_automatons(self, R, full):
+        with pytest.raises(ValueError, match="0 or 1 steps"):
+            cartier._digit_walk([R.poly("x+y")], [4], 2, I(R, "1"), full)
 
     def test_fpt_search_stays_small(self, monkeypatch):
         most = max_decompose_terms(monkeypatch)
@@ -322,13 +341,199 @@ class TestDigitWalk:
         assert 0 < most[0] <= 20  # the one-shot p^r-th root takes 144
 
     def test_full_algebra_root_count(self, monkeypatch, R, full):
-        # kappa o 1 is one twist like any other, yet does no extra work
+        # kappa o 1 is one twist like any other, yet does no extra work; the
+        # 64 exponents share one automaton, where per-call walks took 552
         calls = count_bracket_roots(monkeypatch)
-        for b in (5, 7, 11, 13):
-            for a in range(1, 2 * b):
-                if gcd(a, b) == 1:
-                    ch.tau_mixed(pair(R, ("x^2+y^3", F(a, b))), full)
-        assert 0 < len(calls) <= 553  # 552
+        first = cusp_sweep(R, full)
+        assert 0 < len(calls) <= 9
+        roots = len(calls)
+        again = cusp_sweep(R, full)  # every step is memoised now
+        assert len(calls) == roots
+        assert [a.groebner() for a in again] == [a.groebner() for a in first]
+
+
+def cusp_sweep(R, C):
+    """tau((x^2+y^3)^(a/b)) for a/b < 2, b in {5, 7, 11, 13}, gcd(a, b) = 1."""
+    return [ch.tau_mixed(pair(R, ("x^2+y^3", F(a, b))), C)
+            for b in (5, 7, 11, 13) for a in range(1, 2 * b) if gcd(a, b) == 1]
+
+
+# --- the per-call path that the shared automaton replaced, kept as an oracle --
+
+
+def oracle_digit_walk(fs, m, k, J, C):
+    """C_k(prod f_i^m_i J), one C_+ step per base-q digit of m, lowest digit
+    first, with no memo: each step multiplies in one digit and takes one
+    q-th root, and the last step multiplies in what is left of m whole."""
+    ring = J.ring
+    e0 = C.degree()
+    q = ring.p ** e0
+
+    def times(g, d, J):
+        for f, e in zip(fs, d):
+            g = g * ch.pow_poly(f, e)
+        return [g * h for h in J.gens]
+
+    def step(d, J):
+        gens = [u for gen in C.generators for u in times(gen.twist, d, J)]
+        return ch.bracket_root(Ideal(ring, gens), e0)
+
+    if k == 0:
+        return Ideal(ring, times(ring.one(), m, J))
+    for _ in range(k - 1):
+        J = Ideal(ring, list(step([x % q for x in m], J).groebner()))
+        m = [x // q for x in m]
+    return step(m, J)
+
+
+def oracle_tau_principal(pr, C, budget=cartier.TAU_BUDGET):
+    """The certified principal path of ``tau_mixed`` evaluated from scratch:
+    every term, Psi step and final walk is an ``oracle_digit_walk``, sums
+    are ``sum_ideal`` and the repeat test is ``ideal_eq``."""
+    ring, e0 = pr.ring, C.degree()
+    q = ring.p ** e0
+    fs = [a.gens[0] for a in pr.ideals]
+    s = -(-max(_p_depth(t, ring.p) for t in pr.exponents) // e0)
+    u = [t * q ** s for t in pr.exponents]
+    b = lcm(*(x.denominator for x in u))
+    grows = C.fixes_unit()
+    unit = Ideal(ring, [ring.one()])
+
+    def term(ts, e):
+        return oracle_digit_walk(fs, [_ceil_mul(t, q ** e) for t in ts], e,
+                                 unit, C)
+
+    if b == 1 and grows:
+        return term(pr.exponents, s)
+    whole = [int(x) for x in u]
+    u = [x - n for x, n in zip(u, whole)]
+    r = _order(q, b)
+    c = [int(x * (q ** r - 1)) for x in u]
+    lo = 0 if s or grows else 1
+    S = Ideal(ring, [])
+    for e in range(lo, lo + (1 if grows else r)):
+        S = ch.sum_ideal(S, term(u, e))
+    T = S
+    for _ in range(budget):
+        nxt = oracle_digit_walk(fs, c, r, T, C)
+        if not grows:
+            nxt = Ideal(ring, list(ch.sum_ideal(S, nxt).groebner()))
+        if ch.ideal_eq(nxt, T):
+            break
+        T = nxt
+    else:
+        raise ch.BudgetExceeded("oracle chain did not repeat")
+    tau = oracle_digit_walk(fs, whole, s, T, C)
+    for e in range(1, 1 if grows else s):
+        tau = ch.sum_ideal(tau, term(pr.exponents, e))
+    return tau
+
+
+# the full algebra and the twists x, x^3, (x, y) and degree-2 x^5*y
+ALGEBRAS = {"full": [(1, "1")], "x": [(1, "x")], "x^3": [(1, "x^3")],
+            "x,y": [(1, "x"), (1, "y")], "2:x^5*y": [(2, "x^5*y")]}
+
+
+def algebra(R, name):
+    return CartierAlgebraSpec.from_twists(
+        R, [(e, R.poly(g)) for e, g in ALGEBRAS[name]])
+
+
+def shared_store_cases(R, p):
+    """One principal and one mixed pair per exponent a/(b p^j), b in
+    {1, 2, 5, 7, 13} and p-depth j <= 2, for two numerators a < 2 b p^j."""
+    cases = []
+    for b in (1, 2, 5, 7, 13):
+        for j in range(3):
+            den = b * p ** j
+            nums = [a for a in range(1, 2 * den) if gcd(a, den) == 1]
+            for a in _inner(nums, 2):
+                t = F(a, den)
+                cases.append(pair(R, ("x^2+y^3", t)))
+                cases.append(pair(R, ("x+y", t), ("x*y", 2 - t)))
+    return cases
+
+
+class TestSharedStoreAgainstPerCallPath:
+    """``tau_mixed`` on the shared automaton against the per-call path it
+    replaced, with a cold store for every case, one warm store for all
+    cases, and a cold store walked in reversed order: the answer must not
+    depend on what the store already holds."""
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_grid(self, monkeypatch, p, name):
+        R = ring(p)
+        C = algebra(R, name)
+        cases = shared_store_cases(R, p)
+        want = [oracle_tau_principal(pr, C).groebner() for pr in cases]
+        cold = []
+        for pr in cases:
+            monkeypatch.setattr(cartier, "_tau_cache", {})
+            cold.append(ch.tau_mixed(pr, C).groebner())
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        warm = [ch.tau_mixed(pr, C).groebner() for pr in cases]
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        backwards = [ch.tau_mixed(pr, C).groebner() for pr in cases[::-1]]
+        for i, pr in enumerate(cases):
+            assert cold[i] == warm[i] == backwards[-1 - i] == want[i], \
+                pr.exponents
+
+    @given(p=st.sampled_from([2, 3, 5]), name=st.sampled_from(sorted(ALGEBRAS)),
+           f=st.sampled_from(["x^2+y^3", "x*y*(x+y)", "x^2*y+y^4", "x+y"]),
+           b=st.sampled_from([1, 2, 5, 7, 13]), j=st.integers(0, 2),
+           a=st.integers(1, 10 ** 6), mixed=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random(self, p, name, f, b, j, a, mixed):
+        R = ring(p)
+        C = algebra(R, name)
+        den = b * p ** j
+        t = F(a % (2 * den), den)
+        pr = pair(R, (f, t), ("x*y", 1 - t / 2)) if mixed else pair(R, (f, t))
+        want = oracle_tau_principal(pr, C).groebner()
+        # whatever earlier examples left in the store, then a cold store
+        assert ch.tau_mixed(pr, C).groebner() == want, pr.exponents
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cartier, "_tau_cache", {})
+            assert ch.tau_mixed(pr, C).groebner() == want, pr.exponents
+
+
+class TestStoreBound:
+    def test_cap_holds_and_eviction_keeps_answers(self, monkeypatch, R, full):
+        store = {}
+        monkeypatch.setattr(cartier, "_tau_cache", store)
+        cap = cartier.TAU_CACHE_SIZE
+        fs = [f"x^{i}+y^{j}" for i in range(2, 12) for j in range(2, 8)]
+        assert len(fs) > cap
+        first = [ch.tau_mixed(pair(R, (f, F(5, 7))), full) for f in fs]
+        assert len(store) == cap
+        # insertion order: the oldest automata were dropped
+        kept = [key[0][0] for key in store]
+        assert kept == [R.poly(f) for f in fs[-cap:]]
+        again = [ch.tau_mixed(pair(R, (f, F(5, 7))), full) for f in fs]
+        assert len(store) == cap
+        assert [a.groebner() for a in again] == [a.groebner() for a in first]
+        for f, tau in zip(fs, first):
+            want = oracle_tau_principal(pair(R, (f, F(5, 7))), full)
+            assert ch.ideal_eq(tau, want), f
+
+    def test_every_lookup_reads_the_module_store(self, monkeypatch, R, full):
+        # a stand-in dict, as a tracer installs one, sees every lookup
+        class Counting(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        store = Counting()
+        monkeypatch.setattr(cartier, "_tau_cache", store)
+        cusp_sweep(R, full)
+        assert store.lookups == 64 and len(store) == 1
+        f1, f2 = I(R, "x+y"), I(R, "x*y")
+        ch.fpt_search([(f1, F(1, 3))], f2, depth=2)
+        ch.jumping_numbers([(f1, F(1, 3))], f2, 1, 2)
+        assert len(store) == 2 and store.lookups > 66
 
 
 class TestSkodaAndScaling:

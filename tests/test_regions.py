@@ -170,9 +170,11 @@ class TestConstancyRaster:
 
 
 def count_bracket_roots(monkeypatch):
-    """Count bracket_root calls made through any charp module."""
+    """Count bracket_root calls made through any charp module, from an empty
+    automaton store."""
     import sys
-    from charp import frobenius
+    from charp import cartier, frobenius
+    monkeypatch.setattr(cartier, "_tau_cache", {})
     original = frobenius.bracket_root
     calls = []
 
@@ -216,7 +218,8 @@ class TestDigitRecursion:
     @pytest.mark.parametrize("p,polys,T,k", oracle_cases())
     def test_matches_per_cell_tau(self, monkeypatch, p, polys, T, k):
         # the oracle is the one-shot identity tau = (prod f_i^m_i)^[1/p^k],
-        # which shares no code with the digit walk
+        # which shares no code with the digit walk, and tau_mixed on a store
+        # of its own
         from charp import cartier
         monkeypatch.setattr(cartier, "_tau_cache", {})
         Rp = ring(p)
@@ -224,6 +227,7 @@ class TestDigitRecursion:
         fam = [Ideal(Rp, [f]) for f in fs]
         full = CartierAlgebraSpec.full_algebra(Rp)
         ras = ch.constancy_raster(fam, T, k)
+        monkeypatch.setattr(cartier, "_tau_cache", {})
         assert len(ras.classes) == (ras.side + 1) ** len(fam)
         for idx, h in ras.classes.items():
             g = Rp.one()

@@ -33,11 +33,13 @@ class TestFptSearch:
         assert res.candidate == expected
         assert res.lo < expected <= res.hi
 
-    def test_bracket_invariants(self, family):
+    def test_bracket_invariants(self, monkeypatch, family):
+        from charp import cartier
         f1, f2 = family
         res = ch.fpt_search([(f1, F(1, 3))], f2, depth=5)
         assert res.lo < res.hi
         assert res.width() == F(1, 3 ** 5)
+        monkeypatch.setattr(cartier, "_tau_cache", {})
         full = CartierAlgebraSpec.full_algebra(f1.ring)
         lo_tau = ch.tau_mixed(MixedPair.of([(f1, F(1, 3)), (f2, res.lo)]), full)
         hi_tau = ch.tau_mixed(MixedPair.of([(f1, F(1, 3)), (f2, res.hi)]), full)
@@ -80,6 +82,22 @@ class TestFptSearch:
         f = Ideal(R, [R.poly("x*y")])
         with pytest.raises(ch.ThresholdError):
             ch.fpt_search([(f, F(2))], Ideal(R, [R.poly("x+y")]), depth=3)
+
+    def test_staircase_slices_share_one_automaton(self, monkeypatch, family):
+        # the four slices walk the one automaton of (x+y, xy); searched one
+        # by one on automata of their own they took 19, 19, 20 and 20 roots
+        from charp import cartier
+        real, calls = cartier.bracket_root, []
+        monkeypatch.setattr(cartier, "bracket_root",
+                            lambda I, e: calls.append(e) or real(I, e))
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        f1, f2 = family
+        roots = []
+        for t1, expected in self.CASES:
+            assert ch.fpt_search([(f1, t1)], f2, depth=6).candidate == expected
+            roots.append(len(calls))
+        assert 0 < roots[0] <= 18 and roots[-1] == roots[0]
+        assert len(cartier._tau_cache) == 1
 
     def test_threshold_avoidance_probe_logged(self, family):
         # the observed avoidance of (a/q, a/(q-1)) windows is recorded but
@@ -126,12 +144,14 @@ class TestExactThresholds:
         assert res.candidate == closed_form(p)
         assert res.lo < res.candidate <= res.hi
 
-    def test_mixed_slice(self):
+    def test_mixed_slice(self, monkeypatch):
+        from charp import cartier
         R5 = ring(5)
         f1 = Ideal(R5, [R5.poly("x+y")])
         f2 = Ideal(R5, [R5.poly("x*y")])
         res = ch.fpt_search([(f1, F(1, 2))], f2, depth=3)
         assert res.candidate == F(3, 4)
+        monkeypatch.setattr(cartier, "_tau_cache", {})
         assert not unit_at([(f1, F(1, 2))], f2, F(3, 4))
         assert unit_at([(f1, F(1, 2))], f2, F(3, 4) - F(1, 5 ** 6))
 
@@ -156,12 +176,16 @@ class TestExactThresholds:
         res = ch.fpt_search([], free, depth)
         t = res.candidate
         assert 0 < t <= 1
-        assert not unit_at([], free, t)
-        assert unit_at([], free, max(res.lo, t - F(1, p ** (depth + 2))))
-        # the bracket is the pair of neighbours on the grid p^-depth that
-        # tau_mixed separates
         assert res.hi - res.lo == F(1, p ** depth)
-        assert unit_at([], free, res.lo) and not unit_at([], free, res.hi)
+        # the oracle, tau_mixed on a store of its own: the candidate is
+        # where tau leaves (1), and the bracket is the pair of neighbours on
+        # the grid p^-depth that tau separates
+        from charp import cartier
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cartier, "_tau_cache", {})
+            assert not unit_at([], free, t)
+            assert unit_at([], free, max(res.lo, t - F(1, p ** (depth + 2))))
+            assert unit_at([], free, res.lo) and not unit_at([], free, res.hi)
 
 
 class TestJumpingNumbers:
