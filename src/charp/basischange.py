@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import pairwise, permutations, product as iproduct
+from itertools import permutations, product as iproduct, repeat
 from operator import add, mul
 from random import Random
 
@@ -221,10 +221,14 @@ def dual_ratio_direct(new_basis, ring: RingCtx, e: int) -> Polynomial:
 # --- the xi operator on scalar matrices -------------------------------------------
 
 
-def _check_group(p: int, n: int):
-    """GL_n(F_p) needs a prime p and n >= 1; anything else is a usage error."""
+def _check_prime(p: int):
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+
+
+def _check_group(p: int, n: int):
+    """GL_n(F_p) needs a prime p and n >= 1; anything else is a usage error."""
+    _check_prime(p)
     if n < 1:
         raise ValueError(f"matrix size n = {n} must be at least 1")
 
@@ -259,8 +263,9 @@ def _compositions(total, parts, caps):
 
 
 def _xi_terms(p: int, n: int):
-    """One (multinomial coefficient mod p, ((l, k, a_lk), ...)) pair per
-    admissible matrix a, listing only its nonzero entries."""
+    """One (multinomial coefficient mod p, ((l*n + k, a_lk), ...)) pair per
+    admissible matrix a, listing only its nonzero entries by their row-major
+    flat index."""
     key = (p, n)
     cached = _XI_TERMS_CACHE.get(key)
     if cached is None:
@@ -269,8 +274,9 @@ def _xi_terms(p: int, n: int):
         for a in admissible_matrices(p, n):
             coeff = math.prod(fact(p - 1) // math.prod(map(fact, col))
                               for col in zip(*a)) % p
-            terms.append((coeff, tuple((l, k, e) for l, row in enumerate(a)
-                                       for k, e in enumerate(row) if e)))
+            flat = (e for row in a for e in row)
+            terms.append((coeff, tuple((i, e) for i, e in enumerate(flat)
+                                       if e)))
         cached = _XI_TERMS_CACHE[key] = tuple(terms)
     return cached
 
@@ -290,54 +296,61 @@ def _square_size(mu) -> int:
 def xi_operator(mu, p: int) -> int:
     """Exact evaluation mod p of the sum over arithmetic doubly stochastic
     matrices a of (p-1)!^n / prod a_lk! * prod mu_lk^a_lk."""
-    m = [[x % p for x in row] for row in mu]
+    n = _square_size(mu)
+    m = [x % p for row in mu for x in row]
     total = 0
-    for coeff, factors in _xi_terms(p, _square_size(mu)):
-        for l, k, e in factors:  # every e > 0: a zero entry kills the term
-            if not m[l][k]:
+    for coeff, factors in _xi_terms(p, n):
+        for i, e in factors:  # every e > 0: a zero entry kills the term
+            if not m[i]:
                 break
-            coeff *= m[l][k] ** e
+            coeff *= m[i] ** e
         else:
             total += coeff
     return total % p
 
 
 def xi_operator_poly(mu_rows, p: int) -> Polynomial:
-    """Same sum with polynomial entries; the ring-level identity oracle."""
+    """Same sum with polynomial entries; the ring-level identity oracle.  The
+    rows must form an n x n matrix, n >= 1, over a ring of characteristic p."""
+    n = _square_size(mu_rows)
     ring = mu_rows[0][0].ring
+    if p != ring.p:
+        raise ValueError(f"p = {p} but the entries lie in a ring of "
+                         f"characteristic {ring.p}")
+    m = [x for row in mu_rows for x in row]
     total = ring.zero()
-    for coeff, factors in _xi_terms(p, len(mu_rows)):
+    for coeff, factors in _xi_terms(p, n):
         prod = ring.const(coeff)
-        for l, k, e in factors:
-            prod = prod * pow_poly(mu_rows[l][k], e)
+        for i, e in factors:
+            prod = prod * pow_poly(m[i], e)
         total = total + prod
     return total
 
 
 def det_mod_p(mu, p: int) -> int:
-    """Determinant of a square integer matrix mod a prime p by Gaussian
-    elimination."""
+    """Determinant of a square integer matrix mod a prime p, by fraction-free
+    (Bareiss) elimination over the integers, reduced mod p at the end."""
     n = _square_size(mu)
-    _check_group(p, n)
-    m = [[x % p for x in row] for row in mu]
-    det = 1
-    for k in range(n):
-        for i in range(k, n):
-            if m[i][k]:
-                break
-        else:
-            return 0
-        if i != k:
-            m[k], m[i] = m[i], m[k]
-            det = -det
+    _check_prime(p)
+    m = [list(row) for row in mu]
+    sign = prev = 1
+    for k in range(n - 1):
         row = m[k]
-        det = det * row[k] % p
-        inv = pow(row[k], p - 2, p)
+        if not row[k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    break
+            else:
+                return 0
+            m[k], m[i] = m[i], row
+            row = m[k]
+            sign = -sign
+        pivot = row[k]
         for i in range(k + 1, n):
-            f = m[i][k] * inv % p
-            if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
-    return det
+            f = m[i][k]
+            m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], row)]
+        prev = pivot
+    return sign * m[-1][-1] % p
 
 
 @dataclass
@@ -360,50 +373,87 @@ def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
     """Check xi(mu) = det(mu)^(p-1) and multiplicativity xi(mu nu) =
     xi(mu) xi(nu) over GL_n(F_p), exhaustively or on seeded random samples.
 
-    Every sample and pair is checked, but xi and det are evaluated once per
-    distinct matrix, in memos local to this call; no sample list is kept.  An
-    exhaustive sweep of more than EXHAUSTIVE_PAIR_BUDGET pairs is refused;
-    it looks products up by index (``_exhaustive_pairs``)."""
+    Matrices are handled as flat row-major tuples of residues.  Every sample
+    and pair is checked, but each distinct matrix gets one memo entry
+    (``_entry``) and xi is evaluated once per distinct matrix, in memos local
+    to this call; no sample list is kept.  An exhaustive sweep of more than
+    EXHAUSTIVE_PAIR_BUDGET pairs is refused; it looks products up by index
+    (``_exhaustive_pairs``)."""
     _check_group(p, n)
+    xis = {}
     if mode == "exhaustive":
         pairs = math.prod(p ** n - p ** k for k in range(n)) ** 2
         if pairs > EXHAUSTIVE_PAIR_BUDGET:
             raise BudgetExceeded(f"exhaustive GL{n}(F{p}) has {pairs:,} pairs, "
                                  f"over the budget of {EXHAUSTIVE_PAIR_BUDGET:,}")
-        dets = {mu: det_mod_p(mu, p)
-                for mu in iproduct(iproduct(range(p), repeat=n), repeat=n)}
-        samples = [mu for mu, d in dets.items() if d]
-        count = len(samples)
-    elif mode == "random":
-        if count < 1:
-            raise ValueError(f"random sample count {count} must be at least 1")
-        dets, pairs = {}, count - 1
-        samples = _random_sample(Random(seed), p, n, count, dets)
-    else:
+        group = [(mu, entry) for mu in iproduct(range(p), repeat=n * n)
+                 if (entry := _entry(mu, p, n, xis))]
+        bad = [entry[1] for _, entry in group if entry[1]]
+        return IdentityReport(p, n, mode, len(group), pairs,
+                              bad + _exhaustive_pairs(group, p, n), len(xis))
+    if mode != "random":
         raise ValueError(f"unknown mode {mode!r}")
-    xis, bad, bad_pairs = {}, [], []
-    checked = _identity_checked(samples, p, dets, xis, bad)
-    if mode == "exhaustive":
-        bad_pairs = _exhaustive_pairs(list(checked), p, n)
-    else:  # pairwise() keeps one sample
-        for (mu, x, _), (nu, y, cols) in pairwise(checked):
-            prod = tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
-                          for row in mu])
-            lhs = xis.get(prod)
+    if count < 1:
+        raise ValueError(f"random sample count {count} must be at least 1")
+    memo, bad, bad_pairs = {}, [], []
+    get, xi_get = memo.get, xis.get
+    left, prev = count, None  # prev: (xi, rows) of the previous sample
+    for mu in _random_sample(Random(seed), p, n):
+        entry = get(mu, False)
+        if entry is False:
+            entry = memo[mu] = _entry(mu, p, n, xis)
+        if entry is None:  # singular: drawn again
+            continue
+        x, fault, rows, cols = entry
+        if fault:
+            bad.append(fault)
+        if prev:
+            y, prev_rows = prev
+            prod = tuple([sum(map(mul, row, col)) % p
+                          for row in prev_rows for col in cols])
+            lhs = xi_get(prod)
             if lhs is None:
-                lhs = xis[prod] = xi_operator(prod, p)
-            if lhs != x * y % p:
-                bad_pairs.append(("multiplicativity", (mu, nu), lhs, x * y % p))
-    return IdentityReport(p, n, mode, count, pairs, bad + bad_pairs, len(xis))
+                lhs = xis[prod] = xi_operator(_rows(prod, n), p)
+            if lhs != y * x % p:
+                bad_pairs.append(("multiplicativity", (prev_rows, rows), lhs,
+                                  y * x % p))
+        left -= 1
+        if not left:
+            break
+        prev = x, rows
+    return IdentityReport(p, n, mode, count, count - 1, bad + bad_pairs,
+                          len(xis))
+
+
+def _rows(mu, n):
+    """The nested rows of a flat n x n matrix ``mu``."""
+    return tuple([mu[i:i + n] for i in range(0, n * n, n)])
+
+
+def _entry(mu, p, n, xis):
+    """The memo entry of a flat matrix ``mu``: None if it is singular, else
+    (xi(mu), its identity counterexample or None, its rows, its columns).
+    det_mod_p and xi_operator see the nested rows; xi comes from the memo
+    ``xis`` if a product has already put it there."""
+    rows = _rows(mu, n)
+    d = det_mod_p(rows, p)
+    if not d:
+        return None
+    x = xis.get(mu)
+    if x is None:
+        x = xis[mu] = xi_operator(rows, p)
+    rhs = pow(d, p - 1, p)
+    return (x, ("identity", rows, x, rhs) if x != rhs else None, rows,
+            tuple([mu[j::n] for j in range(n)]))
 
 
 def _exhaustive_pairs(group, p, n):
     """The multiplicativity counterexamples over all pairs (mu, nu) of
-    ``group``, mu outer, for ``group`` the (mu, xi(mu), columns of mu) of
+    ``group``, mu outer, for ``group`` the (flat mu, ``_entry`` of mu) of
     every element of GL_n(F_p).
 
     A product lies in the group, so its xi is looked up by index: the code
-    of a matrix e is sum e_ij p^(i n + j), and ``xi_of[code]`` holds xi.
+    of a flat matrix e is sum e_k p^k, and ``xi_of[code]`` holds xi.
     With c_j(nu) the index of column j of nu among the vectors of F_p^n,
     the code of mu nu is sum_j p^j V[c_j(nu)], where
     V[c] = sum_i (row_i(mu) . c mod p) p^(i n) is built once per mu.  So
@@ -411,14 +461,14 @@ def _exhaustive_pairs(group, p, n):
     inside ``map``, and a row of pairs is compared in one go."""
     index = {v: i for i, v in enumerate(iproduct(range(p), repeat=n))}
     xi_of = [None] * p ** (n * n)
-    for mu, x, _ in group:
-        xi_of[sum(e * p ** k for k, e in enumerate(sum(mu, ())))] = x
-    cols = [[index[c[j]] for _, _, c in group] for j in range(n)]
-    ys = [y for _, y, _ in group]
+    for mu, entry in group:
+        xi_of[sum(e * p ** k for k, e in enumerate(mu))] = entry[0]
+    cols = [[index[mu[j::n]] for mu, _ in group] for j in range(n)]
+    ys = [entry[0] for _, entry in group]
     want, bad = {}, []
-    for mu, x, _ in group:
+    for _, (x, _, rows, _) in group:
         V = [0] * len(index)
-        for i, row in enumerate(mu):
+        for i, row in enumerate(rows):
             dots = [0]  # row . v mod p for v in F_p^n, in ``index`` order
             for r in row:
                 dots = [(a + r * d) % p for a in dots for d in range(p)]
@@ -434,51 +484,19 @@ def _exhaustive_pairs(group, p, n):
         if rhs is None:
             rhs = want[x] = [x * y % p for y in ys]
         if lhs != rhs:
-            bad += [("multiplicativity", (mu, nu), l, r)
-                    for (nu, _, _), l, r in zip(group, lhs, rhs) if l != r]
+            bad += [("multiplicativity", (rows, nu), l, r)
+                    for (_, (_, _, nu, _)), l, r in zip(group, lhs, rhs)
+                    if l != r]
     return bad
 
 
-def _random_sample(rng, p, n, count, dets):
-    """Yield ``count`` invertible n x n matrices mod p.  Entries are drawn
-    row by row as ``rng.randrange(p)`` draws them; a draw that the det memo
-    ``dets`` finds singular is drawn again."""
-    getrandbits, k, cells = rng.getrandbits, p.bit_length(), range(n)
-    while count:
-        mu = []
-        for _ in cells:
-            row = []
-            for _ in cells:
-                r = getrandbits(k)
-                while r >= p:
-                    r = getrandbits(k)
-                row.append(r)
-            mu.append(tuple(row))
-        mu = tuple(mu)
-        d = dets.get(mu)
-        if d is None:
-            d = dets[mu] = det_mod_p(mu, p)
-        if d:
-            count -= 1
-            yield mu
-
-
-def _identity_checked(samples, p, dets, xis, bad):
-    """Check xi = det^(p-1) once per distinct sample, add a counterexample to
-    ``bad`` per failing occurrence, and yield (mu, xi(mu), columns of mu)."""
-    seen = {}
-    for mu in samples:
-        entry = seen.get(mu)
-        if entry is None:
-            x = xis.get(mu)
-            if x is None:
-                x = xis[mu] = xi_operator(mu, p)
-            rhs = pow(dets[mu], p - 1, p)
-            entry = seen[mu] = ((mu, x, tuple(zip(*mu))),
-                                ("identity", mu, x, rhs) if x != rhs else ())
-        if entry[1]:
-            bad.append(entry[1])
-        yield entry[0]
+def _random_sample(rng, p, n):
+    """Flat n x n matrices mod p, without end: the entries, row-major, are
+    the values ``rng.randrange(p)`` would draw, each the first of the
+    ``rng.getrandbits(p.bit_length())`` calls to fall below p, and no call is
+    made before its matrix is asked for."""
+    draws = filter(p.__gt__, map(rng.getrandbits, repeat(p.bit_length())))
+    return zip(*[draws] * (n * n))
 
 
 # --- the combinatorial identity ----------------------------------------------------
@@ -529,7 +547,8 @@ def combinatorial_identity_check(p: int, n: int, a):
 
 def falling_factorial_sums(p: int):
     """sum_{j=i}^{p-1} prod_{k<i} (j-k) mod p for i = 1..p-1; the claim is
-    0 for i <= p-2 and -1 for i = p-1."""
+    0 for i <= p-2 and -1 for i = p-1.  A non-prime p raises ValueError."""
+    _check_prime(p)
     sums = [0] * p  # index i
     for j in range(p):
         ff = 1

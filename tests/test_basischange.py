@@ -2,7 +2,7 @@ import math
 import random
 import time
 import tracemalloc
-from itertools import product as iproduct
+from itertools import islice, permutations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,7 +184,6 @@ class TestXiOperator:
             ch.det_mod_p(mu, 3)
 
     def test_det_matches_leibniz(self):
-        from itertools import permutations
         rng = random.Random(7)
         for p in (2, 3, 5, 7):
             for n in (1, 2, 3, 4):
@@ -206,6 +205,20 @@ class TestXiOperator:
             ch.det_mod_p(((2, 1), (1, 1)), p)
         assert ch.det_mod_p(((2, 1), (1, 1)), 5) == 1
 
+    @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_det_matches_leibniz_with_zero_pivots(self, p, n, data):
+        # entries 0 and +-p force row swaps and pivots that vanish mod p
+        entry = st.sampled_from((0, 0, 1, -1, 2, p, -p, 3 * p + 1))
+        mu = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(n))
+        want = 0
+        for perm in permutations(range(n)):
+            inversions = sum(a > b for i, a in enumerate(perm)
+                             for b in perm[i + 1:])
+            want += (-1) ** inversions * math.prod(
+                mu[i][perm[i]] for i in range(n))
+        assert ch.det_mod_p(mu, p) == want % p
+
     def test_transpose_symmetry(self):
         import random
         rng = random.Random(1)
@@ -221,6 +234,24 @@ class TestXiOperator:
         mu = [[S.var("a"), S.var("b")], [S.var("c"), S.var("d")]]
         muT = [[S.var("a"), S.var("c")], [S.var("b"), S.var("d")]]
         assert ch.xi_operator_poly(mu, 3) == ch.xi_operator_poly(muT, 3)
+
+    def test_poly_non_square_rejected(self):
+        S = ring(3, ("a", "b"))
+        a, b = S.var("a"), S.var("b")
+        # [[a, b]] gave a^2, silently dropping b; [[a], [b]] and [] died
+        # with IndexError
+        for mu in ([[a, b]], [[a], [b]], [], [[a, b], [b]]):
+            with pytest.raises(ValueError, match="n x n"):
+                ch.xi_operator_poly(mu, 3)
+
+    def test_poly_characteristic_must_match(self):
+        S = ring(3, ("a", "b"))
+        a, b = S.var("a"), S.var("b")
+        # p = 5 over F_3 gave a mixed-characteristic sum a^8 + a^6*b^2 + ...
+        with pytest.raises(ValueError, match="characteristic 3"):
+            ch.xi_operator_poly([[a, b], [b, a]], 5)
+        assert ch.xi_operator_poly([[a, b], [b, a]], 3) == \
+            ch.pow_poly(a * a - b * b, 2)
 
     def test_polynomial_identity_full_theorem(self):
         # xi and det^(p-1) agree as polynomials in n^2 symbolic entries
@@ -314,12 +345,12 @@ class TestSampleStream:
     def test_sample_is_the_randrange_stream(self, p, n):
         for seed in range(5):
             fast, slow = CountingRandom(seed), CountingRandom(seed)
-            dets = {}
-            got = list(bc._random_sample(fast, p, n, 30, dets))
-            assert got == oracle_sample(slow, p, n, 30)
+            draws = bc._random_sample(fast, p, n)
+            got = list(islice((mu for mu in draws
+                               if bc.det_mod_p(bc._rows(mu, n), p)), 30))
+            assert got == [flat(mu) for mu in oracle_sample(slow, p, n, 30)]
             assert fast.calls == slow.calls
             assert fast.getstate() == slow.getstate()
-            assert all(dets[mu] == bc.det_mod_p(mu, p) for mu in dets)
 
 
 def oracle_verify(p, n, mode, count=1000, seed=0):
@@ -328,10 +359,15 @@ def oracle_verify(p, n, mode, count=1000, seed=0):
     the module, so a monkeypatched fault reaches it as it reaches the fast
     path."""
     rep = ch.IdentityReport(p, n, mode)
+    evaluated = set()
+
+    def xi(mu):
+        evaluated.add(mu)
+        return bc.xi_operator(mu, p)
 
     def check_one(mu):
         rep.checked += 1
-        lhs = bc.xi_operator(mu, p)
+        lhs = xi(mu)
         rhs = pow(bc.det_mod_p(mu, p), p - 1, p)
         if lhs != rhs:
             rep.counterexamples.append(("identity", mu, lhs, rhs))
@@ -340,8 +376,8 @@ def oracle_verify(p, n, mode, count=1000, seed=0):
         rep.pairs_checked += 1
         prod = tuple(tuple(sum(mu[i][k] * nu[k][j] for k in range(n)) % p
                            for j in range(n)) for i in range(n))
-        lhs = bc.xi_operator(prod, p)
-        rhs = bc.xi_operator(mu, p) * bc.xi_operator(nu, p) % p
+        lhs = xi(prod)
+        rhs = xi(mu) * xi(nu) % p
         if lhs != rhs:
             rep.counterexamples.append(("multiplicativity", (mu, nu), lhs, rhs))
 
@@ -360,6 +396,7 @@ def oracle_verify(p, n, mode, count=1000, seed=0):
             check_one(mu)
         for mu, nu in zip(sample, sample[1:]):
             check_pair(mu, nu)
+    rep.distinct = len(evaluated)
     return rep
 
 
@@ -419,8 +456,17 @@ class CountingRandom(random.Random):
 
 
 def same_report(a, b):
-    return (a.checked, a.pairs_checked, a.counterexamples) == \
-        (b.checked, b.pairs_checked, b.counterexamples)
+    return (a.checked, a.pairs_checked, a.counterexamples, a.distinct) == \
+        (b.checked, b.pairs_checked, b.counterexamples, b.distinct)
+
+
+def flat(mu):
+    return tuple(x for row in mu for x in row)
+
+
+def is_nested(mu, n):
+    return type(mu) is tuple and len(mu) == n and \
+        all(type(row) is tuple and len(row) == n for row in mu)
 
 
 def written_out_xi(mu, p):
@@ -448,6 +494,14 @@ def scalar_matrices(draw):
     n = draw(st.integers(1, 3))
     entry = st.integers(-2 * p, 2 * p)
     return p, tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+def plant_fault(monkeypatch, bad):
+    """Make xi_operator wrong by 1 on the nested matrices in ``bad``."""
+    real = bc.xi_operator
+    monkeypatch.setattr(
+        bc, "xi_operator",
+        lambda mu, q: (real(mu, q) + 1) % q if mu in bad else real(mu, q))
 
 
 def count_calls(monkeypatch, name):
@@ -526,20 +580,93 @@ class TestMemoisedVerifier:
         p, mu = case
         assert ch.xi_operator(mu, p) == written_out_xi(mu, p)
 
-    def test_sparse_terms_skip_zero_entries(self):
-        for coeff, factors in bc._xi_terms(5, 2):
-            assert coeff % 5
-            assert all(e > 0 for _, _, e in factors)
-            assert sum(e for _, _, e in factors) == 2 * 4
+    @pytest.mark.parametrize("p,n", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
+    def test_memo_entry_of_every_matrix(self, p, n):
+        # the one memo entry per drawn matrix: None exactly when det = 0,
+        # else xi, the identity verdict, the nested rows and the columns
+        for mu in iproduct(range(p), repeat=n * n):
+            rows = tuple(mu[i * n:(i + 1) * n] for i in range(n))
+            xis = {}
+            entry = bc._entry(mu, p, n, xis)
+            if not bc.det_mod_p(rows, p):
+                assert entry is None and not xis
+                continue
+            x = bc.xi_operator(rows, p)
+            assert entry == (x, None, rows, tuple(zip(*rows)))
+            assert xis == {mu: x}
+            assert bc._entry(mu, p, n, {mu: x + 1})[:2] == \
+                (x + 1, ("identity", rows, x + 1, x))
 
-    def test_random_work_count(self, monkeypatch):
-        calls = count_calls(monkeypatch, "xi_operator")
-        dets = count_calls(monkeypatch, "det_mod_p")
-        rep = ch.verify_det_identity(5, 2, "random", count=10_000, seed=0)
-        assert rep.ok and rep.checked == 10_000
-        assert len(calls) <= 480  # |GL2(F5)|; the unmemoised loop made 39,997
-        assert len(set(calls)) == len(calls) == rep.distinct
-        assert len(set(dets)) == len(dets) <= 5 ** 4  # one per drawn matrix
+    def test_sparse_terms_skip_zero_entries(self):
+        for p, n in [(5, 2), (3, 3), (2, 4)]:
+            terms = bc._xi_terms(p, n)
+            admissible = list(ch.admissible_matrices(p, n))
+            assert len(terms) == len(admissible)
+            for (coeff, factors), a in zip(terms, admissible):
+                assert coeff % p
+                assert all(e > 0 for _, e in factors)
+                assert sum(e for _, e in factors) == n * (p - 1)
+                # (l*n + k, a_lk): the nonzero entries of a, row-major
+                assert factors == tuple((i, e) for i, e in enumerate(flat(a))
+                                        if e)
+
+    # (p, n, count) -> det_mod_p and xi_operator calls at seed 0: every
+    # drawn matrix gets one det, every distinct sample or product one xi
+    WORK = [((5, 2, 10_000), 625, 480), ((3, 3, 1_000), 1_719, 1_820),
+            ((7, 2, 2_000), 1_495, 1_743)]
+
+    def test_random_work_count(self):
+        for (p, n, count), n_det, n_xi in self.WORK:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                calls = count_calls(monkeypatch, "xi_operator")
+                dets = count_calls(monkeypatch, "det_mod_p")
+                rep = ch.verify_det_identity(p, n, "random", count=count,
+                                             seed=0)
+            assert rep.ok and rep.checked == count
+            # the unmemoised loop made 39,997 xi calls for 10,000 of GL2(F5)
+            assert (len(dets), len(calls)) == (n_det, n_xi)
+            assert len(set(calls)) == len(calls) == rep.distinct
+            assert len(set(dets)) == len(dets)  # one per drawn matrix
+            # the flat internal form never reaches the public functions
+            assert all(is_nested(mu, n) for mu in calls + dets)
+
+    @given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 3),
+           st.integers(1, 300), st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_random_reports_match_oracle_anywhere(self, p, n, count, seed):
+        # one xi of GL3(F11) is a 2,211-term sum that the oracle evaluates
+        # four times per sample; fewer samples keep that case near a second
+        count = min(count, 30) if (p, n) == (11, 3) else count
+        fast = ch.verify_det_identity(p, n, "random", count=count, seed=seed)
+        assert same_report(fast, oracle_verify(p, n, "random", count, seed))
+
+    @pytest.mark.parametrize("p,n,count,seed", [
+        (7, 2, 60, 3), (3, 3, 40, 1), (11, 2, 50, 0), (5, 1, 20, 2)])
+    def test_planted_fault_on_a_sampled_matrix(self, monkeypatch, p, n,
+                                               count, seed):
+        sample = oracle_sample(random.Random(seed), p, n, count)
+        bad = sample[count // 2]
+        plant_fault(monkeypatch, {bad})
+        expected = oracle_verify(p, n, "random", count, seed)
+        assert ("identity", bad) in [c[:2] for c in expected.counterexamples]
+        fast = ch.verify_det_identity(p, n, "random", count=count, seed=seed)
+        assert same_report(fast, expected) and not fast.ok
+
+    @pytest.mark.parametrize("p,n,count,seed", [
+        (7, 2, 60, 3), (3, 3, 40, 1), (11, 2, 50, 0), (5, 2, 30, 4)])
+    def test_planted_fault_on_a_product_only(self, monkeypatch, p, n, count,
+                                             seed):
+        sample = oracle_sample(random.Random(seed), p, n, count)
+        products = [tuple(tuple(sum(mu[i][k] * nu[k][j] for k in range(n)) % p
+                                for j in range(n)) for i in range(n))
+                    for mu, nu in zip(sample, sample[1:])]
+        bad = next(prod for prod in products if prod not in sample)
+        plant_fault(monkeypatch, {bad})
+        expected = oracle_verify(p, n, "random", count, seed)
+        kinds = {c[0] for c in expected.counterexamples}
+        assert kinds == {"multiplicativity"}
+        fast = ch.verify_det_identity(p, n, "random", count=count, seed=seed)
+        assert same_report(fast, expected) and not fast.ok
 
     def test_exhaustive_work_count(self, monkeypatch):
         calls = count_calls(monkeypatch, "xi_operator")
@@ -594,6 +721,20 @@ class TestCombinatorialIdentity:
         assert len(list(ch.admissible_matrices(3, 2))) == 3
         assert len(list(ch.admissible_matrices(5, 2))) == 5
         assert len(list(ch.admissible_matrices(3, 3))) == 21
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 15, -3])
+def test_falling_factorial_needs_a_prime(p):
+    # 0 and 1 died with KeyError, and a composite p returned False
+    with pytest.raises(ValueError, match="not prime"):
+        bc.falling_factorial_sums(p)
+    with pytest.raises(ValueError, match="not prime"):
+        ch.falling_factorial_claim_holds(p)
+
+
+def test_falling_factorial_claim_at_two():
+    assert bc.falling_factorial_sums(2) == {1: 1}
+    assert ch.falling_factorial_claim_holds(2)
 
 
 def test_falling_factorial_claim_all_primes_up_to_101():
