@@ -526,8 +526,10 @@ def combinatorial_identity_check(p: int, n: int, a):
                     for col in zip(*a)) % p
     perms = list(permutations(range(n)))
     signs = [_sgn(s) for s in perms]
+    # sum_sigma b_sigma P_sigma = a forces b_sigma <= a[k][sigma(k)] for all k
+    caps = [min(a[k][s[k]] for k in range(n)) for s in perms]
     rhs = 0
-    for b in _compositions(p - 1, len(perms), (p - 1,) * len(perms)):
+    for b in _compositions(p - 1, len(perms), caps):
         built = [[0] * n for _ in range(n)]
         for b_s, sigma in zip(b, perms):
             for k in range(n):

@@ -14,8 +14,8 @@ import hashlib
 from heapq import heapify, heappop, heappush
 from operator import add, le, lt, sub
 
-from .rings import (Polynomial, RingCtx, frob, heap_key, order_key, poly_str,
-                    pow_poly)
+from .rings import (EXP_LIMIT, ExponentOverflow, Polynomial, RingCtx, frob,
+                    heap_key, order_key, poly_str, pow_poly)
 
 S_PAIR_BUDGET = 200_000
 """Default bound on the S-pairs one ``buchberger`` run actually reduces;
@@ -35,14 +35,6 @@ class VerificationError(ArithmeticError):
 
 def _divides(a, b):
     return all(map(le, a, b))
-
-
-def _monic_split(g: Polynomial):
-    """(lead monomial, tail of g / lc(g) as a list of terms)."""
-    gm, gc = g.lead()
-    p = g.ring.p
-    inv = g.ring.modulus.inv(gc)
-    return gm, [(m, c * inv % p) for m, c in g.terms.items() if m != gm]
 
 
 def _divide(f: Polynomial, step) -> dict:
@@ -85,7 +77,7 @@ def _divide(f: Polynomial, step) -> dict:
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Fully reduced remainder of f modulo the list of divisors."""
-    divisors = [_monic_split(g) for g in basis if g]
+    divisors = [g.monic() for g in basis if g]
 
     def step(m, c):
         for gm, tail in divisors:
@@ -103,7 +95,7 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    gm, tail = _monic_split(g)
+    gm, tail = g.monic()
     inv = ring.modulus.inv(g.lead()[1])
     p = ring.p
     quot = {}
@@ -126,14 +118,27 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _spoly(f, g):
-    ring = f.ring
-    fm, fc = f.lead()
-    gm, gc = g.lead()
-    lcm = tuple(max(a, b) for a, b in zip(fm, gm))
-    inv = ring.modulus.inv
-    a = f.mul_monomial(tuple(x - y for x, y in zip(lcm, fm)), inv(fc))
-    b = g.mul_monomial(tuple(x - y for x, y in zip(lcm, gm)), inv(gc))
-    return a - b
+    """x^(l - lm f) tail_f - x^(l - lm g) tail_g for l = lcm(lm f, lm g),
+    from the monic splits: the monic S-polynomial, whose leads cancel and
+    are never built."""
+    fm, ftail = f.monic()
+    gm, gtail = g.monic()
+    lcm = tuple(map(max, fm, gm))
+    fs, gs = tuple(map(sub, lcm, fm)), tuple(map(sub, lcm, gm))
+    # the bound mul_monomial checks, for each half; shifts are nonnegative
+    if (f.max_abs_exponent() + max(fs, default=0) >= EXP_LIMIT
+            or g.max_abs_exponent() + max(gs, default=0) >= EXP_LIMIT):
+        raise ExponentOverflow("S-polynomial exponent exceeds the 64-bit range")
+    p = f.ring.p
+    res = {tuple(map(add, m, fs)): c for m, c in ftail}
+    for m, c in gtail:
+        t = tuple(map(add, m, gs))
+        v = (res.get(t, 0) - c) % p
+        if v:
+            res[t] = v
+        else:
+            del res[t]
+    return Polynomial(f.ring, res)
 
 
 def buchberger(gens, budget=S_PAIR_BUDGET):
@@ -229,15 +234,16 @@ def reduce_basis(G):
     if not G:
         return ()
     ring = G[0].ring
-    key = order_key(ring)
-    minimal = _prune_redundant(sorted(G, key=lambda g: key(g.lead()[0])))
+    hkey = heap_key(ring)
+    minimal = _prune_redundant(sorted(G, key=lambda g: hkey(g.lead()[0]),
+                                      reverse=True))
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         r = normal_form(g, others)
         if r:
             reduced.append(r.scale(ring.modulus.inv(r.lead()[1])))
-    reduced.sort(key=lambda g: key(g.lead()[0]), reverse=True)
+    reduced.sort(key=lambda g: hkey(g.lead()[0]))
     return tuple(reduced)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
+from operator import add
 
 EXP_LIMIT = 2 ** 63
 
@@ -197,20 +199,14 @@ def _elim_heap_key(k, e):
     return (-sum(a),) + a[::-1] + (-sum(b),) + b[::-1]
 
 
-def _check_exp(e: int) -> int:
-    if not -EXP_LIMIT < e < EXP_LIMIT:
-        raise ExponentOverflow(f"exponent {e} exceeds the 64-bit range")
-    return e
-
-
 class Polynomial:
     """Sparse polynomial: dict from exponent tuple to nonzero coefficient.
 
     ``terms`` is never mutated after construction: the hash, the largest
-    exponent and the leading term are cached on first use.
+    exponent, the leading term and the monic split are cached on first use.
     """
 
-    __slots__ = ("ring", "terms", "_h", "_maxabs", "_lead")
+    __slots__ = ("ring", "terms", "_h", "_maxabs", "_lead", "_monic")
 
     def __init__(self, ring: RingCtx, terms: dict):
         self.ring = ring
@@ -218,10 +214,12 @@ class Polynomial:
         self._h = None
         self._maxabs = None
         self._lead = None
+        self._monic = None
 
     def max_abs_exponent(self) -> int:
         if self._maxabs is None:
-            self._maxabs = max((abs(x) for m in self.terms for x in m), default=0)
+            self._maxabs = max(map(abs, chain.from_iterable(self.terms)),
+                               default=0)
         return self._maxabs
 
     # --- basic structure ---------------------------------------------------------
@@ -254,9 +252,20 @@ class Polynomial:
         if self._lead is None:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
-            m = max(self.terms, key=order_key(self.ring))
+            m = min(self.terms, key=heap_key(self.ring))
             self._lead = (m, self.terms[m])
         return self._lead
+
+    def monic(self):
+        """(lead monomial, tail of self / lc(self) as a list of terms); the
+        form every division and S-polynomial reads a divisor in."""
+        if self._monic is None:
+            m, c = self.lead()
+            p = self.ring.p
+            inv = self.ring.modulus.inv(c)
+            self._monic = (m, [(t, v * inv % p)
+                               for t, v in self.terms.items() if t != m])
+        return self._monic
 
     def coeff(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
@@ -344,10 +353,10 @@ class Polynomial:
         c = coeff % p
         if c == 0:
             return self.ring.zero()
-        res = {}
-        for m, v in self.terms.items():
-            res[tuple(_check_exp(a + b) for a, b in zip(m, exps))] = (v * c) % p
-        return Polynomial(self.ring, res)
+        if self.max_abs_exponent() + max(map(abs, exps), default=0) >= EXP_LIMIT:
+            raise ExponentOverflow("product exponent exceeds the 64-bit range")
+        return Polynomial(self.ring, {tuple(map(add, m, exps)): v * c % p
+                                      for m, v in self.terms.items()})
 
     def inverse_unit(self):
         if not self.is_unit():

@@ -706,6 +706,29 @@ class TestCombinatorialIdentity:
             lhs, rhs, equal = ch.combinatorial_identity_check(p, n, a)
             assert equal, (a, lhs, rhs)
 
+    @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 5)])
+    def test_capped_sum_matches_uncapped_enumeration(self, n, p):
+        """The signed sum over b, taken once over every b: S_n -> [0, p-1]
+        with sum p-1 and no cap, grouped by the matrix each b builds."""
+        perms = list(permutations(range(n)))
+        rhs = {}
+        for b in iproduct(range(p), repeat=len(perms)):
+            if sum(b) != p - 1:
+                continue
+            built = [[0] * n for _ in range(n)]
+            for b_s, sigma in zip(b, perms):
+                for k in range(n):
+                    built[k][sigma[k]] += b_s
+            a = tuple(map(tuple, built))
+            term = math.factorial(p - 1) // math.prod(map(math.factorial, b))
+            for b_s, sigma in zip(b, perms):
+                term *= bc._sgn(sigma) ** b_s
+            rhs[a] = (rhs.get(a, 0) + term) % p
+        mats = list(ch.admissible_matrices(p, n))
+        assert set(mats) == set(rhs)
+        for a in mats:
+            assert ch.combinatorial_identity_check(p, n, a)[1] == rhs[a], a
+
     @pytest.mark.parametrize("p,n", [(4, 2), (1, 2), (5, 0), (3, -1)])
     def test_bad_group_rejected(self, p, n):
         with pytest.raises(ValueError):

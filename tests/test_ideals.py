@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import charp as ch
 from charp import Ideal
-from charp.ideals import buchberger, reduce_basis
-from charp.rings import heap_key, order_key
+from charp.ideals import _spoly, buchberger, reduce_basis
+from charp.rings import EXP_LIMIT, heap_key, order_key, poly_str
 from test_cartier import wrap_in_charp
 
 
@@ -337,6 +337,60 @@ def test_heap_key_reverses_order_key(order):
     check()
 
 
+# --- the kernel's fast paths against their textbook forms -------------------------
+
+KERNEL_RINGS = [(("grevlex",), False), (("elim", 1), False), (("grevlex",), True)]
+
+
+@pytest.mark.parametrize("order, laurent", KERNEL_RINGS)
+def test_kernel_fast_paths_match_textbook(order, laurent):
+    R = ch.RingCtx(("x", "y", "z"), ch.PrimeModulus(7), laurent=laurent,
+                   order=order)
+    lo = -3 if laurent else 0
+    polys = st.dictionaries(st.tuples(*[st.integers(lo, 4)] * 3),
+                            st.integers(1, 6), min_size=1, max_size=5)
+
+    @given(polys, polys)
+    @settings(max_examples=80, deadline=None)
+    def check(fd, gd):
+        f, g = ch.Polynomial(R, fd), ch.Polynomial(R, gd)
+        for h in (f, g):
+            m = max(h.terms, key=order_key(R))
+            assert h.lead() == (m, h.terms[m])
+            inv = pow(h.terms[m], -1, 7)
+            tail = {t: c * inv % 7 for t, c in h.terms.items() if t != m}
+            assert h.monic()[0] == m and dict(h.monic()[1]) == tail
+            assert h.monic() is h.monic()
+        (fm, fc), (gm, gc) = f.lead(), g.lead()
+        lcm = tuple(map(max, fm, gm))
+        textbook = (
+            f.mul_monomial(tuple(a - b for a, b in zip(lcm, fm)), pow(fc, -1, 7))
+            - g.mul_monomial(tuple(a - b for a, b in zip(lcm, gm)), pow(gc, -1, 7)))
+        assert _spoly(f, g) == textbook
+    check()
+
+
+def test_mul_monomial_overflow_boundary():
+    R = ring()
+    f = R.poly(f"x^{EXP_LIMIT - 2} + y")
+    assert f.mul_monomial((1, 0)).lead()[0] == (EXP_LIMIT - 1, 0)
+    with pytest.raises(ch.ExponentOverflow):
+        f.mul_monomial((2, 0))
+
+
+def test_spoly_overflow_boundary():
+    # lcm(x^a, y) = x^a*y shifts the tail y^a of x^a + y^a to y^(a+1)
+    R = ring()
+    g = R.poly("y + 1")
+    a = EXP_LIMIT - 2
+    near = R.poly(f"x^{a} + y^{a}")
+    assert poly_str(_spoly(near, g)) == f"y^{a + 1} + {R.p - 1}*x^{a}"
+    over = R.poly(f"x^{a + 1} + y^{a + 1}")
+    for f, h in ((over, g), (g, over)):
+        with pytest.raises(ch.ExponentOverflow):
+            _spoly(f, h)
+
+
 # --- work counts on classical systems mod 32003 -----------------------------------
 
 SYSTEMS = {
@@ -367,18 +421,18 @@ def test_basis_independent_of_generator_order(name):
     assert len(bases) == 1
 
 
-# Measured S-pairs reduced: cyclic4 11, katsura3 10, katsura4 28; the bounds
-# allow twice that.  LIFO Buchberger with only the product criterion reduces
+# The exact S-pairs reduced, so that a kernel change that alters the pair
+# sequence shows.  LIFO Buchberger with only the product criterion reduces
 # 304, 322 and 3,830 of them.
-@pytest.mark.parametrize("name, bound", [("cyclic4", 22), ("katsura3", 20),
-                                         ("katsura4", 56)])
-def test_reduced_spair_bound(monkeypatch, name, bound):
+@pytest.mark.parametrize("name, count", [("cyclic4", 11), ("katsura3", 10),
+                                         ("katsura4", 28)])
+def test_reduced_spair_bound(monkeypatch, name, count):
     R, gens = system(name)
     calls = []
     wrap_in_charp(monkeypatch, "_spoly", lambda f, g: calls.append(1), "ideals")
     basis = Ideal(R, gens).groebner()
     assert basis and not basis[0].is_one()
-    assert len(calls) <= bound
+    assert len(calls) == count
 
 
 def test_buchberger_budget_guard():
