@@ -82,7 +82,7 @@ def sigma(C: CartierAlgebraSpec, start: Ideal, budget: int = SIGMA_BUDGET) -> Id
     for _ in range(budget):
         nxt = cplus(current, C)
         if ideal_eq(nxt, current):
-            return Ideal(current.ring, list(current.groebner()))
+            return Ideal._reduced(current.ring, current.groebner())
         current = nxt
     raise BudgetExceeded(f"sigma did not stabilize within {budget} iterations")
 
@@ -168,11 +168,13 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
 
     Every class here is a state of the one ``_ClassAutomaton`` of
     (f_1..f_n, C), which ``_automaton`` keeps in ``_tau_cache`` for the whole
-    process, so a later call on the same f and C, at any exponents, walks
-    the steps and sums the earlier calls took without taking a root again:
-    the 64 exponents a/b < 2 of x^2+y^3 at p = 3, b in {5, 7, 11, 13}, take
-    9 bracket roots together.  The store keeps TAU_CACHE_SIZE automata and
-    drops the oldest beyond that.  A single call gains nothing from it.
+    process.  Its memos are the steps, the sums and the products (the walks
+    with k = 0: the first term and prod f_i^n_i T), so a later call on the
+    same f and C, at any exponents, looks up what the earlier calls computed
+    without a root or a Groebner run: the 64 exponents a/b < 2 of x^2+y^3 at
+    p = 3, b in {5, 7, 11, 13}, take 9 bracket roots, 4 products and 14
+    Buchberger runs together, and a second pass over them takes none.  The
+    store keeps TAU_CACHE_SIZE automata and drops the oldest beyond that.
 
     Other ideals go through ``_tau_chain``, whose stop is a heuristic and
     whose results are not kept.
@@ -263,11 +265,12 @@ def _automaton(fs, C: CartierAlgebraSpec) -> "_ClassAutomaton":
 
 class _ClassAutomaton:
     """Ideal classes of the polynomials f_1..f_n under an algebra C, and the
-    digit step (d, J) -> C_+(prod f_i^d_i J) = ``_digit_walk(fs, d, 1, J, C)``
-    between them, memoised, with class sums.  Classes are interned by their
-    reduced Groebner basis, so the memo keys (d, class index) and (class
-    index, class index) are canonical, and two classes are equal ideals iff
-    their indices are equal.
+    moves between them, each memoised: the digit step (d, J) ->
+    C_+(prod f_i^d_i J) = ``_digit_walk(fs, d, 1, J, C)``, the class sum,
+    and the product (m, J) -> prod f_i^m_i J.  Classes are interned by their
+    reduced Groebner basis, which each class Ideal keeps, so the memo keys
+    (d, class index), (class index, class index) and (m, class index) are
+    canonical, and two classes are equal ideals iff their indices are equal.
 
     This is the only place where tau classes are stepped.  ``tau_mixed`` on
     principal ideals, ``fpt_search``, ``jumping_numbers`` and the digit
@@ -285,6 +288,7 @@ class _ClassAutomaton:
         self._index = {}   # reduced basis -> class index
         self._steps = {}   # (digit vector, class index) -> class index
         self._sums = {}    # (class index, class index) -> class index
+        self._products = {}  # (exponent vector, class index) -> class index
         self.unit = self.intern(Ideal(C.ring, [C.ring.one()]))
 
     def intern(self, I: Ideal) -> int:
@@ -292,7 +296,7 @@ class _ClassAutomaton:
         cid = self._index.get(gb)
         if cid is None:
             cid = self._index[gb] = len(self.classes)
-            self.classes.append(Ideal(I.ring, list(gb)))
+            self.classes.append(Ideal._reduced(I.ring, gb))
         return cid
 
     def step(self, d, cid: int) -> int:
@@ -315,10 +319,14 @@ class _ClassAutomaton:
 
         So each step multiplies in one digit and takes one q-th root; the
         last step multiplies in what is left of m, m_i // q^(k-1), whole.
-        For k = 0 this is the plain product."""
+        For k = 0 this is the plain product, memoised like the steps."""
         if k == 0:
-            return self.intern(
-                _digit_walk(self.fs, m, 0, self.classes[cid], self.C))
+            key = (tuple(m), cid)
+            out = self._products.get(key)
+            if out is None:
+                out = self._products[key] = self.intern(
+                    _digit_walk(self.fs, m, 0, self.classes[cid], self.C))
+            return out
         q = self.C.ring.p ** self.C.degree()
         for _ in range(k - 1):
             cid = self.step(tuple(x % q for x in m), cid)

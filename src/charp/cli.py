@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from .basischange import (admissible_matrices, combinatorial_identity_check,
                           dual_generator_ratio, frobenius_jacobian, jacobian,
@@ -363,8 +365,15 @@ def _cmd_staircase(args):
 
 
 def build_parser() -> _Parser:
-    top = _Parser(prog="charp", description=__doc__)
+    # argparse builds a HelpFormatter for every add_argument, and each asks
+    # the terminal for its size unless given a width: ask once, as it does
+    fmt = partial(argparse.HelpFormatter,
+                  width=shutil.get_terminal_size().columns - 2)
+    top = _Parser(prog="charp", description=__doc__, formatter_class=fmt)
     sub = top.add_subparsers(dest="command", required=True)
+
+    def command(name):
+        return sub.add_parser(name, formatter_class=fmt)
 
     def common(sp, vars_flag=True, laurent=True, manifest=False):
         sp.add_argument("--p", type=int, required=True)
@@ -376,21 +385,21 @@ def build_parser() -> _Parser:
         if manifest:
             sp.add_argument("--manifest", default=None)
 
-    sp = sub.add_parser("tau")
+    sp = command("tau")
     common(sp)
     sp.add_argument("--pair", action="append", required=True,
                     metavar="EXPR:NUM/DEN")
     sp.add_argument("--alg", default="full")
     sp.set_defaults(func=_cmd_tau)
 
-    sp = sub.add_parser("fpt")
+    sp = command("fpt")
     common(sp)
     sp.add_argument("--fixed", action="append", metavar="EXPR:NUM/DEN")
     sp.add_argument("--free", required=True)
     sp.add_argument("--depth", type=int, default=6)
     sp.set_defaults(func=_cmd_fpt)
 
-    sp = sub.add_parser("jumps")
+    sp = command("jumps")
     common(sp, manifest=True)
     sp.add_argument("--fixed", action="append", metavar="EXPR:NUM/DEN")
     sp.add_argument("--free", required=True)
@@ -399,7 +408,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_jumps)
 
-    sp = sub.add_parser("raster")
+    sp = command("raster")
     common(sp, manifest=True)
     sp.add_argument("--pair", action="append", required=True)
     sp.add_argument("--alg", default="full")
@@ -410,26 +419,26 @@ def build_parser() -> _Parser:
     sp.add_argument("--staircase", action="store_true")
     sp.set_defaults(func=_cmd_raster)
 
-    sp = sub.add_parser("decompose")
+    sp = command("decompose")
     common(sp)
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--base", default=None)
     sp.set_defaults(func=_cmd_decompose)
 
-    sp = sub.add_parser("bracket-root")
+    sp = command("bracket-root")
     common(sp)
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--ideal", required=True, help="semicolon-separated")
     sp.set_defaults(func=_cmd_bracket_root)
 
-    sp = sub.add_parser("sigma")
+    sp = command("sigma")
     common(sp)
     sp.add_argument("--alg", required=True)
     sp.add_argument("--start", default=None)
     sp.set_defaults(func=_cmd_sigma)
 
-    sp = sub.add_parser("pullback-check")
+    sp = command("pullback-check")
     common(sp, vars_flag=False, laurent=False)
     sp.add_argument("--base", required=True)
     sp.add_argument("--fiber", required=True)
@@ -437,7 +446,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--alg", default="full")
     sp.set_defaults(func=_cmd_pullback_check)
 
-    sp = sub.add_parser("xi")
+    sp = command("xi")
     common(sp, vars_flag=False, laurent=False)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int, required=True)
@@ -446,20 +455,20 @@ def build_parser() -> _Parser:
     group.add_argument("--random", type=int, metavar="COUNT")
     sp.set_defaults(func=_cmd_xi)
 
-    sp = sub.add_parser("xi-comb")
+    sp = command("xi-comb")
     common(sp, vars_flag=False, laurent=False)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--matrix", default=None, metavar="a11,a12,...")
     sp.set_defaults(func=_cmd_xi_comb)
 
-    sp = sub.add_parser("basis-change")
+    sp = command("basis-change")
     common(sp, vars_flag=False)
     sp.add_argument("--old", required=True, help="variable names")
     sp.add_argument("--new", required=True, help="expressions")
     sp.add_argument("--e", type=int, default=1)
     sp.set_defaults(func=_cmd_basis_change)
 
-    sp = sub.add_parser("staircase")
+    sp = command("staircase")
     common(sp, vars_flag=False, laurent=False, manifest=True)
     sp.add_argument("--depth", type=int, default=3)
     sp.add_argument("--terms", type=int, default=12)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import add, le, lt, sub
 
 from .rings import (EXP_LIMIT, ExponentOverflow, Polynomial, RingCtx, frob,
@@ -126,8 +127,9 @@ def _spoly(f, g):
     lcm = tuple(map(max, fm, gm))
     fs, gs = tuple(map(sub, lcm, fm)), tuple(map(sub, lcm, gm))
     # the bound mul_monomial checks, for each half; shifts are nonnegative
-    if (f.max_abs_exponent() + max(fs, default=0) >= EXP_LIMIT
-            or g.max_abs_exponent() + max(gs, default=0) >= EXP_LIMIT):
+    if max(chain(map(add, f.max_abs_exponents(), fs),
+                 map(add, g.max_abs_exponents(), gs)),
+           default=0) >= EXP_LIMIT:
         raise ExponentOverflow("S-polynomial exponent exceeds the 64-bit range")
     p = f.ring.p
     res = {tuple(map(add, m, fs)): c for m, c in ftail}
@@ -307,6 +309,14 @@ class Ideal:
                 raise ValueError("generator from a different ring")
         self._gb = None
 
+    @classmethod
+    def _reduced(cls, ring: RingCtx, gb) -> "Ideal":
+        """The ideal of ``gb``, already its reduced Groebner basis (as
+        ``groebner`` returns it), which becomes its cached basis at once."""
+        out = cls(ring, gb)
+        out._gb = tuple(gb)
+        return out
+
     def groebner(self):
         """The unique reduced Groebner basis (tuple of Polynomials).
 
@@ -415,7 +425,7 @@ def power(I: Ideal, m: int) -> Ideal:
         return Ideal(I.ring, [I.ring.monomial(k, c) for k, c in sums.items()])
     acc = Ideal(I.ring, [I.ring.one()])
     for _ in range(m):
-        acc = Ideal(I.ring, list(product(acc, I).groebner()))
+        acc = Ideal._reduced(I.ring, product(acc, I).groebner())
     return acc
 
 
@@ -465,6 +475,6 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
         twin = _twin_poly_ring(ring)
         g = Polynomial(ring, dict(_strip_to_poly(g, twin).terms))
     if g.is_unit():
-        return Ideal(ring, list(I.groebner()))
+        return Ideal._reduced(ring, I.groebner())
     meet = intersect(I, Ideal(ring, [g]))
     return Ideal(ring, [exact_div(f, g) for f in meet.gens])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 from operator import add
 
 EXP_LIMIT = 2 ** 63
@@ -203,7 +202,8 @@ class Polynomial:
     """Sparse polynomial: dict from exponent tuple to nonzero coefficient.
 
     ``terms`` is never mutated after construction: the hash, the largest
-    exponent, the leading term and the monic split are cached on first use.
+    |exponent| of each variable, the leading term and the monic split are
+    cached on first use.
     """
 
     __slots__ = ("ring", "terms", "_h", "_maxabs", "_lead", "_monic")
@@ -216,10 +216,17 @@ class Polynomial:
         self._lead = None
         self._monic = None
 
-    def max_abs_exponent(self) -> int:
+    def max_abs_exponents(self) -> tuple:
+        """The largest |exponent| of each variable over the terms (0 for the
+        zero polynomial).  A product's exponent of x_i is at most the sum of
+        its factors' entries for x_i, so the overflow checks add these
+        tuples; for nonnegative exponents two terms of the factors reach
+        that sum, so the check is exact there."""
         if self._maxabs is None:
-            self._maxabs = max(map(abs, chain.from_iterable(self.terms)),
-                               default=0)
+            cols = zip(*self.terms)
+            if self.ring.laurent:
+                cols = (map(abs, c) for c in cols)
+            self._maxabs = tuple(map(max, cols)) or (0,) * self.ring.nvars
         return self._maxabs
 
     # --- basic structure ---------------------------------------------------------
@@ -319,7 +326,8 @@ class Polynomial:
         if isinstance(other, int):
             return self.scale(other)
         self._same_ring(other)
-        if self.max_abs_exponent() + other.max_abs_exponent() >= EXP_LIMIT:
+        if max(map(add, self.max_abs_exponents(), other.max_abs_exponents()),
+               default=0) >= EXP_LIMIT:
             raise ExponentOverflow("product exponent exceeds the 64-bit range")
         p = self.ring.p
         res = {}
@@ -353,7 +361,8 @@ class Polynomial:
         c = coeff % p
         if c == 0:
             return self.ring.zero()
-        if self.max_abs_exponent() + max(map(abs, exps), default=0) >= EXP_LIMIT:
+        if max(map(add, self.max_abs_exponents(), map(abs, exps)),
+               default=0) >= EXP_LIMIT:
             raise ExponentOverflow("product exponent exceeds the 64-bit range")
         return Polynomial(self.ring, {tuple(map(add, m, exps)): v * c % p
                                       for m, v in self.terms.items()})
@@ -415,7 +424,7 @@ def frob(f: Polynomial, e: int) -> Polynomial:
     if e == 0:
         return f
     q = f.ring.p ** e
-    if f.max_abs_exponent() * q >= EXP_LIMIT:
+    if max(f.max_abs_exponents(), default=0) * q >= EXP_LIMIT:
         raise ExponentOverflow("Frobenius exponent exceeds the 64-bit range")
     return Polynomial(f.ring,
                       {tuple(x * q for x in m): c for m, c in f.terms.items()})

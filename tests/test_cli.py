@@ -374,3 +374,68 @@ class TestVerificationCommands:
         code, _, err = run(capsys, "jumps", "--p", "3", "--vars", "x,y",
                            "--free", "x*y", "--T", "1", "--depth", "2")
         assert code == 2 and "verification failure" in err
+
+
+# the help of the parent parser at COLUMNS=80, which the one-width formatter
+# must reproduce byte for byte
+TOP_HELP = """\
+usage: charp [-h]
+             {tau,fpt,jumps,raster,decompose,bracket-root,sigma,pullback-check,xi,xi-comb,basis-change,staircase}
+             ...
+
+Command-line front end: exact inputs (rationals as NUM/DEN), deterministic
+CSV/SVG/JSON artifacts, and reproducible run manifests. Exit codes: 0 success,
+1 usage error, 2 verification failure.
+
+positional arguments:
+  {tau,fpt,jumps,raster,decompose,bracket-root,sigma,pullback-check,xi,xi-comb,basis-change,staircase}
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+RASTER_HELP = """\
+usage: charp raster [-h] --p P --vars VARS [--laurent] [--json]
+                    [--manifest MANIFEST] --pair PAIR [--alg ALG] --T T
+                    --depth DEPTH --out OUT [--svg SVG] [--staircase]
+
+options:
+  -h, --help           show this help message and exit
+  --p P
+  --vars VARS          comma-separated
+  --laurent
+  --json
+  --manifest MANIFEST
+  --pair PAIR
+  --alg ALG
+  --T T
+  --depth DEPTH
+  --out OUT
+  --svg SVG
+  --staircase
+"""
+
+
+class TestParser:
+    def test_terminal_size_asked_once(self, monkeypatch):
+        import shutil
+        from charp.cli import build_parser
+        calls = []
+        real = shutil.get_terminal_size
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        build_parser()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--help"], TOP_HELP), (["raster", "--help"], RASTER_HELP)])
+    def test_help_bytes(self, monkeypatch, capsys, argv, want):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == want

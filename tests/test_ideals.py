@@ -391,6 +391,14 @@ def test_spoly_overflow_boundary():
             _spoly(f, h)
 
 
+def test_spoly_bound_is_per_variable():
+    # g's lead x^h is shifted by y^h only: every exponent stays below 2^63
+    R = ring()
+    h = 2 ** 62
+    f, g = R.poly(f"x*y^{h} + 1"), R.poly(f"x^{h} + 1")
+    assert poly_str(_spoly(f, g)) == f"{R.p - 1}*y^{h} + x^{h - 1}"
+
+
 # --- work counts on classical systems mod 32003 -----------------------------------
 
 SYSTEMS = {

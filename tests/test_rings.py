@@ -131,6 +131,52 @@ class TestPow:
             ch.pow_poly(R.poly("x"), 2 ** 63)
 
 
+class TestOverflowBound:
+    """Products check the largest |exponent| of each variable, so a product
+    whose exponents all fit goes through however large they are."""
+
+    HALF = 2 ** 62
+
+    def test_different_variables_fit(self):
+        R = ring()
+        x, y = R.monomial((self.HALF, 0)), R.monomial((0, self.HALF))
+        want = {(self.HALF, self.HALF): 1}
+        assert (x * y).terms == want
+        assert x.mul_monomial((0, self.HALF)).terms == want
+        assert x.max_abs_exponents() == (self.HALF, 0)
+
+    def test_same_variable_overflows(self):
+        R = ring()
+        x = R.monomial((self.HALF, 0))
+        with pytest.raises(ch.ExponentOverflow):
+            x * x
+        with pytest.raises(ch.ExponentOverflow):
+            x.mul_monomial((self.HALF, 0))
+        # the largest y entries of the factors meet in y * y^(2^63 - 1)
+        f = R.poly("x + y")
+        with pytest.raises(ch.ExponentOverflow):
+            f * R.monomial((0, 2 ** 63 - 1))
+        assert (f * R.monomial((0, 2 ** 63 - 2))).terms == {
+            (1, 2 ** 63 - 2): 1, (0, 2 ** 63 - 1): 1}
+
+    def test_laurent_negative_exponents(self):
+        L = ring(laurent=True)
+        x, y = L.monomial((-self.HALF, 0)), L.monomial((0, -self.HALF))
+        assert (x * y).terms == {(-self.HALF, -self.HALF): 1}
+        assert x.mul_monomial((0, -self.HALF)).terms == \
+            {(-self.HALF, -self.HALF): 1}
+        assert x.max_abs_exponents() == (self.HALF, 0)
+        with pytest.raises(ch.ExponentOverflow):
+            x * x
+        with pytest.raises(ch.ExponentOverflow):
+            x.mul_monomial((-self.HALF, 0))
+
+    def test_zero_polynomial(self):
+        R = ring()
+        assert R.zero().max_abs_exponents() == (0, 0)
+        assert (R.zero() * R.monomial((2 ** 63 - 1, 0))).is_zero()
+
+
 class TestFrob:
     def test_basic(self):
         R = ring()
