@@ -75,11 +75,11 @@ def main():
     t0 = time.time()
     print(f"== constancy raster at mesh 3^-{args.mesh} ==")
     ras = ch.constancy_raster([f1, f2], 1, args.mesh)
-    print(f"  {len(ras.classes)} cells in {time.time() - t0:.1f}s; "
+    print(f"  {len(ras.cells)} cells in {time.time() - t0:.1f}s; "
           f"{ras.class_count()} classes:")
     for h, ideal in sorted(ras.ideals.items()):
-        cells = sum(1 for v in ras.classes.values() if v == h)
-        print(f"    {h} = {ideal.canonical_str():<16} {cells} cells")
+        print(f"    {h} = {ideal.canonical_str():<16} "
+              f"{ras.cells.count(h)} cells")
 
     print("== T-operator invariance ==")
     N = ch.Ideal(R, [R.var("x"), R.var("y")])
@@ -102,7 +102,7 @@ def main():
           f"(common mesh 3^-{out_mesh})")
 
     print("== Hausdorff figures ==")
-    A = [ras.coord(i) for i, h in ras.classes.items() if h == unit]
+    A = [ras.coord(i) for i, h in ras.items() if h == unit]
     p_k = 3 ** args.mesh
     B = [ras.coord((i, j)) for i in range(p_k + 1) for j in range(p_k + 1)
          if F(i, p_k) + 2 * F(j, p_k) < 2]

@@ -14,6 +14,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import product as iproduct
 
 from .basischange import (admissible_matrices, combinatorial_identity_check,
                           dual_generator_ratio, frobenius_jacobian, jacobian,
@@ -161,6 +162,8 @@ def _cmd_raster(args):
     if args.svg and len(pairs) != 2:
         raise UsageError("--svg requires a two-parameter raster")
     ideals = [I for I, _ in pairs]
+    if args.staircase:
+        _check_staircase(args, ring, ideals)
     ras = constancy_raster(ideals, _fraction(args.T), args.depth,
                            C=_parse_algebra(ring, args.alg))
     text = raster_csv(ras)
@@ -174,12 +177,29 @@ def _cmd_raster(args):
             fh.write(svg)
         artifacts[args.svg] = _hash_text(svg)
     _emit(args, "raster",
-          {"cells": len(ras.classes), "classes": ras.class_count(),
+          {"cells": len(ras.cells), "classes": ras.class_count(),
            "artifacts": artifacts},
-          [f"cells = {len(ras.classes)}", f"classes = {ras.class_count()}",
+          [f"cells = {len(ras.cells)}", f"classes = {ras.class_count()}",
            f"wrote {args.out}" + (f" and {args.svg}" if args.svg else "")])
     _write_manifest(args, artifacts, args._started)
     return 0
+
+
+def _check_staircase(args, ring, ideals):
+    """--staircase overlays the three-lines boundary on the SVG, so it needs
+    --svg, an odd p and the pairs x+y, x*y in a polynomial ring of two
+    variables (in a Laurent ring x*y is a unit)."""
+    if not args.svg:
+        raise UsageError("--staircase requires --svg")
+    if ring.p % 2 == 0:
+        raise UsageError("--staircase requires an odd prime")
+    if ring.nvars == 2 and not ring.laurent:
+        x, y = ring.gens()
+        lines = [Ideal(ring, [x + y]), Ideal(ring, [x * y])]
+        if all(map(ideal_eq, ideals, lines)):
+            return
+    raise UsageError("--staircase requires the pairs x+y and x*y in a "
+                     "polynomial ring of two variables")
 
 
 def _raster_svg(ras, overlay=False, size=600):
@@ -190,8 +210,9 @@ def _raster_svg(ras, overlay=False, size=600):
     xs = [f'<rect x="{i * step:.2f}" y="' for i in range(side + 1)]
     ys = [f'{size - (j + 1) * step:.2f}" width="{step:.2f}" '
           f'height="{step:.2f}" fill="#' for j in range(side + 1)]
-    body = [f'{xs[i]}{ys[j]}{h[:6]}"/>'
-            for (i, j), h in sorted(ras.classes.items())]
+    ends = {h: f'{h[:6]}"/>' for h in ras.ideals}  # one per class
+    body = [f'{x}{y}{ends[h]}'
+            for (x, y), h in zip(iproduct(xs, ys), ras.cells)]
     if overlay:
         body.append(_polyline(three_lines_staircase(ras.p, ras.k),
                               size / float(ras.T), size))
@@ -364,16 +385,26 @@ def _cmd_staircase(args):
     return 0
 
 
-def build_parser() -> _Parser:
+COMMANDS = ("tau", "fpt", "jumps", "raster", "decompose", "bracket-root",
+            "sigma", "pullback-check", "xi", "xi-comb", "basis-change",
+            "staircase")
+
+
+def build_parser(only=None) -> _Parser:
+    """The charp parser.  Every name in COMMANDS is a subcommand; given
+    ``only``, just that one gets its arguments, which leaves the help and the
+    errors of a run of ``only`` as they are and skips building the rest."""
     # argparse builds a HelpFormatter for every add_argument, and each asks
     # the terminal for its size unless given a width: ask once, as it does
     fmt = partial(argparse.HelpFormatter,
                   width=shutil.get_terminal_size().columns - 2)
     top = _Parser(prog="charp", description=__doc__, formatter_class=fmt)
     sub = top.add_subparsers(dest="command", required=True)
+    parsers = {name: sub.add_parser(name, formatter_class=fmt)
+               for name in COMMANDS}
 
     def command(name):
-        return sub.add_parser(name, formatter_class=fmt)
+        return parsers[name] if only in (None, name) else None
 
     def common(sp, vars_flag=True, laurent=True, manifest=False):
         sp.add_argument("--p", type=int, required=True)
@@ -385,95 +416,95 @@ def build_parser() -> _Parser:
         if manifest:
             sp.add_argument("--manifest", default=None)
 
-    sp = command("tau")
-    common(sp)
-    sp.add_argument("--pair", action="append", required=True,
-                    metavar="EXPR:NUM/DEN")
-    sp.add_argument("--alg", default="full")
-    sp.set_defaults(func=_cmd_tau)
+    if sp := command("tau"):
+        common(sp)
+        sp.add_argument("--pair", action="append", required=True,
+                        metavar="EXPR:NUM/DEN")
+        sp.add_argument("--alg", default="full")
+        sp.set_defaults(func=_cmd_tau)
 
-    sp = command("fpt")
-    common(sp)
-    sp.add_argument("--fixed", action="append", metavar="EXPR:NUM/DEN")
-    sp.add_argument("--free", required=True)
-    sp.add_argument("--depth", type=int, default=6)
-    sp.set_defaults(func=_cmd_fpt)
+    if sp := command("fpt"):
+        common(sp)
+        sp.add_argument("--fixed", action="append", metavar="EXPR:NUM/DEN")
+        sp.add_argument("--free", required=True)
+        sp.add_argument("--depth", type=int, default=6)
+        sp.set_defaults(func=_cmd_fpt)
 
-    sp = command("jumps")
-    common(sp, manifest=True)
-    sp.add_argument("--fixed", action="append", metavar="EXPR:NUM/DEN")
-    sp.add_argument("--free", required=True)
-    sp.add_argument("--T", required=True)
-    sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_jumps)
+    if sp := command("jumps"):
+        common(sp, manifest=True)
+        sp.add_argument("--fixed", action="append", metavar="EXPR:NUM/DEN")
+        sp.add_argument("--free", required=True)
+        sp.add_argument("--T", required=True)
+        sp.add_argument("--depth", type=int, default=3)
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(func=_cmd_jumps)
 
-    sp = command("raster")
-    common(sp, manifest=True)
-    sp.add_argument("--pair", action="append", required=True)
-    sp.add_argument("--alg", default="full")
-    sp.add_argument("--T", required=True)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--svg", default=None)
-    sp.add_argument("--staircase", action="store_true")
-    sp.set_defaults(func=_cmd_raster)
+    if sp := command("raster"):
+        common(sp, manifest=True)
+        sp.add_argument("--pair", action="append", required=True)
+        sp.add_argument("--alg", default="full")
+        sp.add_argument("--T", required=True)
+        sp.add_argument("--depth", type=int, required=True)
+        sp.add_argument("--out", required=True)
+        sp.add_argument("--svg", default=None)
+        sp.add_argument("--staircase", action="store_true")
+        sp.set_defaults(func=_cmd_raster)
 
-    sp = command("decompose")
-    common(sp)
-    sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--base", default=None)
-    sp.set_defaults(func=_cmd_decompose)
+    if sp := command("decompose"):
+        common(sp)
+        sp.add_argument("--e", type=int, default=1)
+        sp.add_argument("--poly", required=True)
+        sp.add_argument("--base", default=None)
+        sp.set_defaults(func=_cmd_decompose)
 
-    sp = command("bracket-root")
-    common(sp)
-    sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--ideal", required=True, help="semicolon-separated")
-    sp.set_defaults(func=_cmd_bracket_root)
+    if sp := command("bracket-root"):
+        common(sp)
+        sp.add_argument("--e", type=int, default=1)
+        sp.add_argument("--ideal", required=True, help="semicolon-separated")
+        sp.set_defaults(func=_cmd_bracket_root)
 
-    sp = command("sigma")
-    common(sp)
-    sp.add_argument("--alg", required=True)
-    sp.add_argument("--start", default=None)
-    sp.set_defaults(func=_cmd_sigma)
+    if sp := command("sigma"):
+        common(sp)
+        sp.add_argument("--alg", required=True)
+        sp.add_argument("--start", default=None)
+        sp.set_defaults(func=_cmd_sigma)
 
-    sp = command("pullback-check")
-    common(sp, vars_flag=False, laurent=False)
-    sp.add_argument("--base", required=True)
-    sp.add_argument("--fiber", required=True)
-    sp.add_argument("--pair", action="append", required=True)
-    sp.add_argument("--alg", default="full")
-    sp.set_defaults(func=_cmd_pullback_check)
+    if sp := command("pullback-check"):
+        common(sp, vars_flag=False, laurent=False)
+        sp.add_argument("--base", required=True)
+        sp.add_argument("--fiber", required=True)
+        sp.add_argument("--pair", action="append", required=True)
+        sp.add_argument("--alg", default="full")
+        sp.set_defaults(func=_cmd_pullback_check)
 
-    sp = command("xi")
-    common(sp, vars_flag=False, laurent=False)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--n", type=int, required=True)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--random", type=int, metavar="COUNT")
-    sp.set_defaults(func=_cmd_xi)
+    if sp := command("xi"):
+        common(sp, vars_flag=False, laurent=False)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--n", type=int, required=True)
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--exhaustive", action="store_true")
+        group.add_argument("--random", type=int, metavar="COUNT")
+        sp.set_defaults(func=_cmd_xi)
 
-    sp = command("xi-comb")
-    common(sp, vars_flag=False, laurent=False)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--matrix", default=None, metavar="a11,a12,...")
-    sp.set_defaults(func=_cmd_xi_comb)
+    if sp := command("xi-comb"):
+        common(sp, vars_flag=False, laurent=False)
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--matrix", default=None, metavar="a11,a12,...")
+        sp.set_defaults(func=_cmd_xi_comb)
 
-    sp = command("basis-change")
-    common(sp, vars_flag=False)
-    sp.add_argument("--old", required=True, help="variable names")
-    sp.add_argument("--new", required=True, help="expressions")
-    sp.add_argument("--e", type=int, default=1)
-    sp.set_defaults(func=_cmd_basis_change)
+    if sp := command("basis-change"):
+        common(sp, vars_flag=False)
+        sp.add_argument("--old", required=True, help="variable names")
+        sp.add_argument("--new", required=True, help="expressions")
+        sp.add_argument("--e", type=int, default=1)
+        sp.set_defaults(func=_cmd_basis_change)
 
-    sp = command("staircase")
-    common(sp, vars_flag=False, laurent=False, manifest=True)
-    sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--terms", type=int, default=12)
-    sp.add_argument("--svg", default=None)
-    sp.set_defaults(func=_cmd_staircase)
+    if sp := command("staircase"):
+        common(sp, vars_flag=False, laurent=False, manifest=True)
+        sp.add_argument("--depth", type=int, default=3)
+        sp.add_argument("--terms", type=int, default=12)
+        sp.add_argument("--svg", default=None)
+        sp.set_defaults(func=_cmd_staircase)
 
     return top
 
@@ -482,7 +513,9 @@ def main(argv=None) -> int:
     from .ideals import BudgetExceeded, VerificationError
     from .thresholds import ThresholdError
     started = time.time()
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(next((a for a in argv if a in COMMANDS), None))
     try:
         args = parser.parse_args(argv)
         args._started = started

@@ -7,6 +7,9 @@ max-norm Hausdorff distance, and the p-fractal span rank.
 
 Regions are always compared as finite cell sets at a declared mesh: a cell
 grid at mesh exponent k has lattice points m/p^k, 0 <= m <= T*p^k, per axis.
+A ``RasterGrid`` keeps its classes as one flat list over those points in
+``itertools.product`` order, the order the digit recursion fills and the
+CSV and SVG writers read; no writer builds a per-cell index or Fraction.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from math import gcd, lcm
 
 from .cartier import (CartierAlgebraSpec, MixedPair, _automaton, _digit_walk,
                       tau_mixed)
-from .ideals import Ideal, VerificationError, colon, frob_power
+from .ideals import BudgetExceeded, Ideal, VerificationError, colon, frob_power
 from .rings import pow_poly
+
+RASTER_CELL_BUDGET = 1_000_000  # lattice points (side + 1)^n in one raster
 
 
 @dataclass(frozen=True)
@@ -46,35 +51,54 @@ class TOperator:
 
 
 class RasterGrid:
-    """Per-cell tau-class ids on [0, T]^n at mesh p^-k.
+    """Per-cell tau classes on [0, T]^n at mesh p^-k.
 
-    ``classes`` maps integer lattice tuples to the content hash of the
-    reduced tau basis; ``ideals`` keeps one representative Ideal per class.
+    ``cells`` holds the content hash of the reduced tau basis at every
+    lattice point of [0, side]^n, in ``itertools.product`` order (the last
+    axis fastest); ``ideals`` keeps one representative Ideal per class.
+    A grid of more than RASTER_CELL_BUDGET points is refused on creation.
     """
 
-    __slots__ = ("p", "T", "k", "n", "classes", "ideals")
+    __slots__ = ("p", "T", "k", "n", "side", "cells", "ideals")
 
-    def __init__(self, p, T, k, n, classes, ideals):
+    def __init__(self, p, T, k, n, cells, ideals):
         self.p = p
         self.T = Fraction(T)
         self.k = k
         self.n = n
-        self.classes = classes
-        self.ideals = ideals
-
-    @property
-    def side(self) -> int:
-        """Lattice points per axis minus one (the top index)."""
-        M = self.T * Fraction(self.p) ** self.k
-        if M.denominator != 1 or M < 0 or self.k < 0:
+        if k < 0 or self.T < 0:
             raise ValueError("T*p^k must be a nonnegative integer, k >= 0")
-        return int(M)
+        # T >= 1/den(T) > 0 gives T p^k >= 2^k / den(T): refuse a huge k
+        # before building p^k
+        cap = RASTER_CELL_BUDGET * self.T.denominator
+        if self.T and k > cap.bit_length():
+            raise BudgetExceeded(f"a raster at mesh {p}^-{k} exceeds the "
+                                 f"budget of {RASTER_CELL_BUDGET:,} cells")
+        M = self.T * p ** k
+        if M.denominator != 1:
+            raise ValueError("T*p^k must be a nonnegative integer, k >= 0")
+        self.side = int(M)  # lattice points per axis minus one
+        if (self.side + 1) ** n > RASTER_CELL_BUDGET:
+            raise BudgetExceeded(f"a raster of {self.side + 1}^{n} cells "
+                                 f"exceeds the budget of "
+                                 f"{RASTER_CELL_BUDGET:,}")
+        self.cells = cells
+        self.ideals = ideals
 
     def coord(self, idx):
         return tuple(Fraction(i, self.p ** self.k) for i in idx)
 
     def class_at(self, idx):
-        return self.classes[tuple(idx)]
+        if len(idx) != self.n or not all(0 <= i <= self.side for i in idx):
+            raise KeyError(tuple(idx))
+        offset = 0
+        for i in idx:
+            offset = offset * (self.side + 1) + i
+        return self.cells[offset]
+
+    def items(self):
+        """(lattice index, class hash) pairs, in ``cells`` order."""
+        return zip(iproduct(range(self.side + 1), repeat=self.n), self.cells)
 
     def class_count(self) -> int:
         return len(self.ideals)
@@ -88,9 +112,8 @@ def raster_csv(ras: RasterGrid) -> str:
     labels = [f"{i // g},{P // g}"
               for i in range(ras.side + 1) for g in (gcd(i, P),)]
     header = ",".join(f"t{i+1}_num,t{i+1}_den" for i in range(ras.n))
-    cells = iproduct(range(ras.side + 1), repeat=ras.n)
     coords = map(",".join, iproduct(labels, repeat=ras.n))
-    rows = [f"{c},{ras.classes[m]}" for c, m in zip(coords, cells)]
+    rows = [f"{c},{h}" for c, h in zip(coords, ras.cells)]
     return "\n".join([header + ",class_hash", *rows]) + "\n"
 
 
@@ -129,20 +152,21 @@ def constancy_raster(ideals, T, k, C=None) -> RasterGrid:
     exponent vectors.  Principal a_i = (f_i) under an algebra of degree 1
     with C_+(R) = R, the full algebra among them, take the digit recursion
     of ``_digit_recursion``; other algebras and non-principal ideals
-    evaluate ``tau_mixed`` cell by cell.
+    evaluate ``tau_mixed`` cell by cell.  A grid of more than
+    RASTER_CELL_BUDGET points raises ``BudgetExceeded`` before any tau.
     """
     ideals = tuple(ideals)
     ring = ideals[0].ring
     if C is None:
         C = CartierAlgebraSpec.full_algebra(ring)
-    grid = RasterGrid(ring.p, T, k, len(ideals), {}, {})
+    grid = RasterGrid(ring.p, T, k, len(ideals), [], {})
     if all(len(a.gens) == 1 for a in ideals) and C.degree() == 1 \
             and C.fixes_unit():
         _digit_recursion([a.gens[0] for a in ideals], grid, C)
     else:
-        for idx in iproduct(range(grid.side + 1), repeat=grid.n):
-            tau = _tau_at_cell(ideals, grid.coord(idx), C)
-            grid.classes[idx] = _class_hash(grid, tau)
+        grid.cells = [
+            _class_hash(grid, _tau_at_cell(ideals, grid.coord(idx), C))
+            for idx in iproduct(range(grid.side + 1), repeat=grid.n)]
     return grid
 
 
@@ -158,9 +182,9 @@ def _class_hash(grid: RasterGrid, tau: Ideal) -> str:
 
 
 def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec, fixed=()):
-    """Fill ``grid`` with tau for a_i = (f_i) under an algebra C of degree 1
-    with C_+(R) = R: the first len(``fixed``) f_i at the exponents r =
-    ``fixed``, the others at m/p^k in the cell m.
+    """Fill ``grid.cells`` with tau for a_i = (f_i) under an algebra C of
+    degree 1 with C_+(R) = R: the first len(``fixed``) f_i at the exponents
+    r = ``fixed``, the others at m/p^k in the cell m.
 
     With D_j the j-th base-p digit vector of (r, m/p^k) (the integer part
     joins D_1) and step(d, J) = ``_digit_walk(fs, d, 1, J, C)`` =
@@ -181,6 +205,7 @@ def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec, fixed=()):
     map c -> step((floor(p r_(k-j)), d), c) is built once per d over the
     classes of level j - 1.  Each row of level j is then the matching rows
     of level j - 1 sent through the maps of its blocks, clipped at the top.
+    Level k, each class id replaced by its hash, is ``grid.cells``.
     """
     ring = fs[0].ring
     p, k, n, side = grid.p, grid.k, grid.n, grid.side
@@ -215,8 +240,7 @@ def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec, fixed=()):
         table = out
     hashes = {cid: _class_hash(grid, auto.classes[cid])
               for cid in sorted(set(table))}
-    grid.classes = dict(zip(iproduct(range(side + 1), repeat=n),
-                            map(hashes.__getitem__, table)))
+    grid.cells = list(map(hashes.__getitem__, table))
 
 
 def chi_function(raster: RasterGrid, N: Ideal) -> RegionFunction:
@@ -224,15 +248,14 @@ def chi_function(raster: RasterGrid, N: Ideal) -> RegionFunction:
     escapes = {}
     for h, tau in raster.ideals.items():
         escapes[h] = 0 if N.contains_ideal(tau) else 1
-    values = {idx: escapes[h] for idx, h in raster.classes.items()}
+    values = {idx: escapes[h] for idx, h in raster.items()}
     return RegionFunction(raster.p, raster.T, raster.k, raster.n, values, label=N)
 
 
 def rho_function(raster: RasterGrid, at_idx) -> RegionFunction:
     """rho_c: the indicator of the constancy region of the cell ``at_idx``."""
     target = raster.class_at(at_idx)
-    values = {idx: 1 if h == target else 0
-              for idx, h in raster.classes.items()}
+    values = {idx: 1 if h == target else 0 for idx, h in raster.items()}
     return RegionFunction(raster.p, raster.T, raster.k, raster.n, values)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .cartier import (CartierAlgebraSpec, MixedPair, _automaton,
                       scale_test_ideal, tau_mixed)
@@ -115,24 +116,25 @@ def jumping_numbers(fixed, free: Ideal, T, depth: int):
     """Partition [0, T] into maximal constancy runs at resolution p^-depth
     for principal ideals, ``fixed`` as in ``fpt_search``.
 
-    Returns a list of (start, end, class_hash) covering the grid, a
-    one-dimensional raster read off ``regions._digit_recursion``;
-    breakpoints are the boundaries between consecutive runs.
+    Returns a list of (start, end, class_hash) covering the grid, the runs
+    of equal entries in the one-dimensional raster that
+    ``regions._digit_recursion`` fills; breakpoints are the boundaries
+    between consecutive runs.  A grid over ``regions.RASTER_CELL_BUDGET``
+    points is refused before any tau is computed.
     """
     pair = MixedPair.of(list(fixed) + [(free, 0)])  # checks the exponents
     if any(len(a.gens) != 1 for a in pair.ideals):
         raise ValueError("jumping_numbers needs principal ideals")
-    grid = RasterGrid(free.ring.p, T, depth, 1, {}, {})
+    grid = RasterGrid(free.ring.p, T, depth, 1, [], {})
     _digit_recursion([a.gens[0] for a in pair.ideals], grid,
                      CartierAlgebraSpec.full_algebra(free.ring),
                      pair.exponents[:-1])
-    runs = []
-    for idx, h in sorted(grid.classes.items()):
-        t = grid.coord(idx)[0]
-        if runs and runs[-1][2] == h:
-            runs[-1] = (runs[-1][0], t, h)
-        else:
-            runs.append((t, t, h))
+    P = grid.p ** grid.k
+    runs, start = [], 0
+    for h, run in groupby(grid.cells):
+        end = start + sum(1 for _ in run)  # one past the run's last point
+        runs.append((Fraction(start, P), Fraction(end - 1, P), h))
+        start = end
     return runs
 
 

@@ -208,7 +208,7 @@ def test_criterion_10_hausdorff_distance(R, three_lines):
     t0 = time.time()
     raster5 = get_raster(three_lines, 5)
     uh = Ideal(R, [R.one()]).content_hash()
-    A = [raster5.coord(idx) for idx, h in raster5.classes.items() if h == uh]
+    A = [raster5.coord(idx) for idx, h in raster5.items() if h == uh]
     B = [raster5.coord((i, j)) for i in range(244) for j in range(244)
          if F(i, 243) + 2 * F(j, 243) < 2]
     d = ch.hausdorff_distance(A, B)

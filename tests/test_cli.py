@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from charp.cli import main
+from charp.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -87,6 +87,48 @@ class TestExitCodes:
                            "--out", str(tmp_path / "r.csv"),
                            "--svg", str(tmp_path / "r.svg"))
         assert code == 1 and "two-parameter" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [
+        "--p 3 --vars x,y --pair x+y:0 --pair x*y:0",  # ignored without --svg
+        "--p 2 --vars x,y --pair x+y:0 --pair x*y:0 --svg r.svg",
+        "--p 3 --vars x,y --pair x*y:0 --pair x+y:0 --svg r.svg",
+        "--p 3 --vars x,y --pair x+y:0 --pair x^2*y:0 --svg r.svg",
+        "--p 3 --vars x,y,z --pair x+y:0 --pair x*y:0 --svg r.svg",
+        "--p 3 --vars x,y --laurent --pair x+y:0 --pair x*y:0 --svg r.svg",
+    ])
+    def test_staircase_check_comes_before_the_raster(self, capsys, tmp_path,
+                                                    monkeypatch, flags):
+        # at --p 2 the raster used to write r.csv before the overlay failed
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "raster", "--staircase", "--T", "1",
+                           "--depth", "5", "--out", "r.csv", *flags.split())
+        assert code == 1 and "--staircase requires" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_staircase_accepts_the_three_lines(self, capsys, tmp_path):
+        # any names for the two variables, any order of the terms
+        code, out, _ = run(capsys, "raster", "--p", "5", "--vars", "u,v",
+                           "--pair", "v+u:0", "--pair", "u*v:0", "--T", "1",
+                           "--depth", "1", "--out", str(tmp_path / "r.csv"),
+                           "--svg", str(tmp_path / "r.svg"), "--staircase")
+        assert code == 0 and "<polyline" in (tmp_path / "r.svg").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["jumps", "--p", "3", "--vars", "x,y", "--free", "x*y", "--T", "1",
+         "--depth", "40"],
+        ["jumps", "--p", "3", "--vars", "x,y", "--free", "x*y", "--T", "1",
+         "--depth", "13"],
+        ["jumps", "--p", "3", "--vars", "x,y", "--free", "x*y", "--T", "1",
+         "--depth", "1000000000"],
+        ["raster", "--p", "3", "--vars", "x,y", "--pair", "x+y:0", "--pair",
+         "x*y:0", "--T", "1", "--depth", "7", "--out", "r.csv"],
+    ])
+    def test_raster_over_the_cell_budget_is_refused(self, capsys, tmp_path,
+                                                    monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "exceeds the budget" in err
         assert not list(tmp_path.iterdir())
 
     def test_xi_exhaustive_over_budget_is_usage(self, capsys):
@@ -286,6 +328,10 @@ class TestRasterBytes:
         assert run(capsys, *BENCH_RASTER)[0] == 0
         assert 0 < calls["step"] <= 100
         assert calls["coord"] == 0
+        # the jumps runs are read off the same flat table
+        assert run(capsys, "jumps", "--p", "3", "--vars", "x,y", "--free",
+                   "x*y", "--T", "1", "--depth", "5")[0] == 0
+        assert calls["coord"] == 0
 
 
 def test_hashes_stable_across_hash_seeds(tmp_path):
@@ -439,3 +485,32 @@ class TestParser:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [
+        [name, *tail] for name in COMMANDS
+        for tail in (["--help"], ["--no-such-flag"], ["--p", "x"])])
+    def test_one_command_parser_matches_full(self, monkeypatch, capsys,
+                                             argv):
+        # main builds only the invoked subcommand's arguments; the help
+        # bytes, the exit code and the message must be those of the parser
+        # with every subcommand built
+        from charp import cli
+        monkeypatch.setenv("COLUMNS", "80")
+        real = cli.build_parser
+        built = []
+
+        def outcome():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda only=None: built.append(only) or real(only))
+        one = outcome()
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: real())
+        assert one == outcome()
+        assert one[0] == (0 if "--help" in argv else 1)
+        assert built == [argv[0] if argv[0] in COMMANDS else None]

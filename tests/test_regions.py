@@ -130,9 +130,9 @@ class TestSymbolicTransform:
 class TestConstancyRaster:
     def test_coarse_grid(self, R, three_lines_family):
         ras = ch.constancy_raster(three_lines_family, 1, 1)
-        assert len(ras.classes) == 16
+        assert len(ras.cells) == 16
         uh = unit_hash(R)
-        for (i, j), h in ras.classes.items():
+        for (i, j), h in ras.items():
             t = (F(i, 3), F(j, 3))
             # strictly below the staircase: under the LCT line, left of the
             # right edge, and off the flat corner (1/3, 2/3)
@@ -142,14 +142,14 @@ class TestConstancyRaster:
 
     def test_trivial_grid(self, R, three_lines_family):
         ras = ch.constancy_raster(three_lines_family, 0, 0)
-        assert len(ras.classes) == 1
-        assert set(ras.classes.values()) == {unit_hash(R)}
+        assert len(ras.cells) == 1
+        assert set(ras.cells) == {unit_hash(R)}
 
     def test_three_lines_cut_point_class(self, R, raster3):
         assert raster3.class_at((9, 18)) != unit_hash(R)  # (1/3, 2/3)
 
     def test_refinement_keeps_classes_at_shared_points(self, raster3, raster4):
-        for (i, j), h in raster3.classes.items():
+        for (i, j), h in raster3.items():
             assert raster4.class_at((3 * i, 3 * j)) == h
         assert raster3.class_count() == raster4.class_count()
 
@@ -211,7 +211,7 @@ class TestDigitRecursion:
                                                   three_lines_family, k):
         calls = count_bracket_roots(monkeypatch)
         ras = ch.constancy_raster(three_lines_family, 1, k)
-        assert len(ras.classes) == (3 ** k + 1) ** 2
+        assert len(ras.cells) == (3 ** k + 1) ** 2
         assert ras.class_count() == 5
         assert 0 < len(calls) <= 40
 
@@ -228,8 +228,8 @@ class TestDigitRecursion:
         full = CartierAlgebraSpec.full_algebra(Rp)
         ras = ch.constancy_raster(fam, T, k)
         monkeypatch.setattr(cartier, "_tau_cache", {})
-        assert len(ras.classes) == (ras.side + 1) ** len(fam)
-        for idx, h in ras.classes.items():
+        assert len(ras.cells) == (ras.side + 1) ** len(fam)
+        for idx, h in ras.items():
             g = Rp.one()
             for f, m in zip(fs, idx):
                 g = g * ch.pow_poly(f, m)
@@ -239,7 +239,7 @@ class TestDigitRecursion:
             assert want.content_hash() == h
             pair = MixedPair(tuple(fam), ras.coord(idx))
             assert ch.tau_mixed(pair, full).content_hash() == h
-        assert ras.class_count() == len(set(ras.classes.values()))
+        assert ras.class_count() == len(set(ras.cells))
         assert all(I.content_hash() == h for h, I in ras.ideals.items())
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -271,7 +271,7 @@ class TestDigitRecursion:
             for k in (0, top) if recursion else (1,):
                 ras = ch.constancy_raster(fam, 1, k, C)
                 monkeypatch.setattr(cartier, "_tau_cache", {})
-                for idx, h in ras.classes.items():
+                for idx, h in ras.items():
                     assert _tau_at_cell(fam, ras.coord(idx), C) \
                         .content_hash() == h, (polys, k, idx)
         assert bool(walks) == recursion
@@ -286,11 +286,41 @@ class TestDigitRecursion:
         ras = ch.constancy_raster(three_lines_family, 1, k, C)
         full = ch.constancy_raster(three_lines_family, 1, k)
         monkeypatch.setattr(cartier, "_tau_cache", {})
-        for idx, h in ras.classes.items():
+        for idx, h in ras.items():
             pair = MixedPair(tuple(three_lines_family), ras.coord(idx))
             assert ch.tau_mixed(pair, C).content_hash() == h
         if k:
-            assert ras.classes != full.classes
+            assert ras.cells != full.cells
+
+    @pytest.mark.parametrize("T,k,n", [(1, 40, 1), (1, 13, 1), (1, 7, 2),
+                                       (F(1, 3), 10 ** 9, 1), (2, 4, 3)])
+    def test_over_the_cell_budget_fails_at_once(self, monkeypatch, R, T, k,
+                                                n):
+        # refused before any automaton, walk or tau is built
+        from charp import regions, thresholds
+
+        def forbidden(*args):
+            raise AssertionError("work started")
+
+        for mod, name in [(regions, "_automaton"), (regions, "_digit_walk"),
+                          (regions, "_tau_at_cell"), (regions, "tau_mixed"),
+                          (thresholds, "_digit_recursion")]:
+            monkeypatch.setattr(mod, name, forbidden)
+        fam = [Ideal(R, [R.poly(s)]) for s in FAMILIES[n]]
+        with pytest.raises(ch.BudgetExceeded, match="budget of 1,000,000"):
+            ch.constancy_raster(fam, T, k)
+        if n == 1:
+            with pytest.raises(ch.BudgetExceeded):
+                ch.jumping_numbers([], fam[0], T, k)
+
+    def test_cell_budget_boundary(self, monkeypatch, three_lines_family):
+        # 4^2 = 16 cells at mesh 3^-1
+        from charp import regions
+        monkeypatch.setattr(regions, "RASTER_CELL_BUDGET", 16)
+        assert len(ch.constancy_raster(three_lines_family, 1, 1).cells) == 16
+        monkeypatch.setattr(regions, "RASTER_CELL_BUDGET", 15)
+        with pytest.raises(ch.BudgetExceeded):
+            ch.constancy_raster(three_lines_family, 1, 1)
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_hash_collision_is_refused(self, monkeypatch, R,
@@ -304,19 +334,23 @@ class TestDigitRecursion:
 
 def fraction_csv(ras):
     """The CSV loop that ``raster_csv`` replaced, one Fraction per
-    coordinate, kept as its oracle."""
+    coordinate, kept as its oracle.  It visits the cells in sorted index
+    order and reads each through ``class_at``, not through the flat order
+    of ``cells``."""
+    from itertools import product as iproduct
     header = ",".join(f"t{i+1}_num,t{i+1}_den" for i in range(ras.n))
     lines = [header + ",class_hash"]
-    for idx in sorted(ras.classes):
+    for idx in sorted(iproduct(range(ras.side + 1), repeat=ras.n)):
         row = ",".join(f"{c.numerator},{c.denominator}"
                        for c in ras.coord(idx))
-        lines.append(f"{row},{ras.classes[idx]}")
+        lines.append(f"{row},{ras.class_at(idx)}")
     return "\n".join(lines) + "\n"
 
 
 def dictcomp_digit_recursion(fs, grid, C, fixed=()):
     """The level loop that the block fill of ``_digit_recursion`` replaced:
-    one dict per level, two index tuples and one step per cell."""
+    one dict per level, two index tuples and one step per cell.  The last
+    level is laid out as ``grid.cells`` in sorted index order."""
     from charp.cartier import _ClassAutomaton, _digit_walk
     from charp.regions import _class_hash
     from itertools import product as iproduct
@@ -342,7 +376,7 @@ def dictcomp_digit_recursion(fs, grid, C, fixed=()):
                  for m in iproduct(range(top + 1), repeat=n)}
     hashes = {cid: _class_hash(grid, auto.classes[cid])
               for cid in sorted(set(table.values()))}
-    grid.classes = {m: hashes[cid] for m, cid in table.items()}
+    grid.cells = [hashes[table[m]] for m in sorted(table)]
 
 
 FAMILIES = {1: ("x^2+y^3",), 2: ("x+y", "x*y"), 3: ("x", "y", "x+y")}
@@ -373,7 +407,7 @@ class TestRasterWriter:
             if per_cell else None
         assert per_cell == (C is not None and not C.fixes_unit())
         ras = ch.constancy_raster(fam, T, k, C)
-        assert len(ras.classes) == (T * p ** k + 1) ** n
+        assert len(ras.cells) == (T * p ** k + 1) ** n
         assert ch.raster_csv(ras) == fraction_csv(ras)
 
     @pytest.mark.parametrize("p,T,n,k", [
@@ -383,10 +417,13 @@ class TestRasterWriter:
         Rp = ring(p)
         fs = [Rp.poly(s) for s in FAMILIES[n]]
         full = CartierAlgebraSpec.full_algebra(Rp)
-        grids = [RasterGrid(p, T, k, n, {}, {}) for _ in range(2)]
+        grids = [RasterGrid(p, T, k, n, [], {}) for _ in range(2)]
         _digit_recursion(fs, grids[0], full)
         dictcomp_digit_recursion(fs, grids[1], full)
-        assert list(grids[0].classes.items()) == list(grids[1].classes.items())
+        assert len(grids[1].cells) == (T * p ** k + 1) ** n
+        for idx, h in grids[1].items():
+            assert grids[0].class_at(idx) == h, idx
+        assert grids[0].cells == grids[1].cells
         # class ids are interned in a different order, which only reorders
         # the ideals registry
         assert {h: I.groebner() for h, I in grids[0].ideals.items()} == \
@@ -405,16 +442,31 @@ class TestRasterWriter:
         pairs = [(Ideal(Rp, [Rp.poly(s)]), t) for s, t in fixed]
         free = Ideal(Rp, [Rp.poly(free)])
         runs = ch.jumping_numbers(pairs, free, T, depth)
-        monkeypatch.setattr(thresholds, "_digit_recursion",
-                            dictcomp_digit_recursion)
+        grids = []
+
+        def oracle(fs, grid, C, fixed=()):
+            grids.append(grid)
+            dictcomp_digit_recursion(fs, grid, C, fixed)
+
+        monkeypatch.setattr(thresholds, "_digit_recursion", oracle)
         assert runs == ch.jumping_numbers(pairs, free, T, depth)
+        # the run loop that reading runs off ``cells`` replaced: one
+        # Fraction per grid point
+        want = []
+        for idx, h in grids[0].items():
+            t = grids[0].coord(idx)[0]
+            if want and want[-1][2] == h:
+                want[-1] = (want[-1][0], t, h)
+            else:
+                want.append((t, t, h))
+        assert runs == want
 
 
 class TestThreeParameterFamilies:
     def test_raster_and_chi_in_three_parameters(self, R):
         fam = [Ideal(R, [R.poly(s)]) for s in ("x", "y", "x+y")]
         ras = ch.constancy_raster(fam, 1, 0)
-        assert len(ras.classes) == 8
+        assert len(ras.cells) == 8
         assert ras.class_at((0, 0, 0)) == unit_hash(R)
         assert ras.class_at((1, 1, 1)) != unit_hash(R)
         chi = ch.chi_function(ras, Ideal(R, [R.var("x"), R.var("y")]))
