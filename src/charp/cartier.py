@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
-from math import lcm
+from itertools import islice, product as iproduct
+from math import gcd, lcm
 
 from .frobenius import bracket_root, relative_trace, trace
 from .ideals import BudgetExceeded, Ideal, ideal_eq, power, product, sum_ideal
@@ -128,9 +128,6 @@ def _ceil_mul(t: Fraction, P: int) -> int:
 _tau_cache: dict = {}
 TAU_CACHE_SIZE = 32  # automata kept; inserting one more drops the oldest
 
-# consecutive unchanged steps after which _tau_chain stops (a heuristic)
-_CHAIN_CONF = 2
-
 
 def _p_depth(t: Fraction, p: int) -> int:
     """The p-adic valuation of the denominator of t."""
@@ -144,86 +141,73 @@ def _p_depth(t: Fraction, p: int) -> int:
 
 def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
               budget: int = TAU_BUDGET) -> Ideal:
-    """Mixed test ideal on a regular chart with M = R and test element 1.
+    """Mixed test ideal on a regular chart with M = R and test element 1,
+    exact for every pair and every algebra.
 
     tau is the sum over e >= 1 of I_e = C_e(prod a_i^ceil(t_i q^e)), where
     q = p^e0 for the degree e0 of C, C_e is C_+ applied e times, and
-    C_+(J) = (G J)^[1/q] for the twist ideal G (Blickle 2013).
+    C_+(J) = (G J)^[1/q] for the twist ideal G (Blickle 2013).  Each such
+    C_e is a carry walk (``_ClassAutomaton.carry``) on the automaton of all
+    generators of a_1..a_n, whose states map carry vectors to classes.
 
-    Principal a_i = (f_i) take a certified path under every algebra.  Let
-    s = ceil(d/e0) for the p-depth d of the exponents, u_i = t_i q^s,
-    b = lcm(den(u_i)), r = ord_b(q), c_i = u_i (q^r - 1) and
-    I'_e = C_e(prod f_i^ceil(u_i q^e)), so that I_(e+s) = C_s(I'_e).  As
-    C_+(h^q B) = h C_+(B) (Blickle-Mustata-Smith 2008), I'_(e+r) = Psi(I'_e)
-    for Psi(J) = C_r(prod f_i^c_i J), which preserves sums and inclusions.
-    With lo = 1 if s = 0 and lo = 0 otherwise, S = I'_lo + ... + I'_(lo+r-1)
-    and T_0 = S, the sum of the I'_e over e >= lo is the limit T of
-    T_(k+1) = S + Psi(T_k).  That sequence only grows, so its first repeat is
-    T, and tau = I_1 + ... + I_(s-1) + C_s(T).  For n_i = floor(u_i) each
-    I'_e is prod f_i^n_i times I'_e at u - n, so T is taken at u - n, where
-    I'_0 divides prod f_i, and C_s(T) is one walk over prod f_i^n_i T.  When
-    C_+(R) = R every chain here only grows: then S = I'_0, T_(k+1) =
-    Psi(T_k), tau = C_s(T), and for b = 1 tau = C_s(prod f_i^u_i).
-    ``budget`` bounds the Psi steps.
+    Let s = ceil(d/e0) for the p-depth d of the exponents, u_i = t_i q^s =
+    w_i + v_i with w_i = floor(u_i), b = lcm(den(v_i)), r = ord_b(q) and
+    c_i = v_i (q^r - 1).  Then ceil(u_i q^e) = w_i q^e + F_e,i + 1 for
+    F_e = floor(v q^e), without the 1 where v_i = 0, and that 1 is a start
+    carry of -1.  Let X_e be the state after the e digits of F_e.  As
+    F_(e+r) = c q^e + F_e, X_(e+r) = Phi(X_e) for the walk Phi over the r
+    digits of c, which preserves sums and inclusions of states.  With
+    lo = 1 if s = 0 and lo = 0 otherwise, S = X_lo + ... + X_(lo+r-1) and
+    T_0 = S, the sum of the X_e over e >= lo is the limit T of
+    T_(k+1) = S + Phi(T_k).  That sequence only grows, so its first repeat
+    is T, and tau = I_1 + ... + I_(s-1) + C_s(prod a_i^w_i T): the walk
+    over the s lowest digits of w from T, closed at w // q^s.  When
+    C_+(R) = R the I_e only grow: then S = X_0, the states of a cycle of
+    Phi all close to the limit, and T is the first state Phi repeats.
+    ``budget`` bounds the Phi steps.  Principal a_i have one generator and
+    carries 0 or -1; the zero ideal has none, so only the empty alpha, of
+    sum 0, walks.  As a_i^0 = R, a non-principal a_i at t_i = 0 is left out.
 
-    Every class here is a state of the one ``_ClassAutomaton`` of
-    (f_1..f_n, C), which ``_automaton`` keeps in ``_tau_cache`` for the whole
-    process.  Its memos are the steps, the sums and the products (the walks
-    with k = 0: the first term and prod f_i^n_i T), so a later call on the
-    same f and C, at any exponents, looks up what the earlier calls computed
-    without a root or a Groebner run: the 64 exponents a/b < 2 of x^2+y^3 at
-    p = 3, b in {5, 7, 11, 13}, take 9 bracket roots, 4 products and 14
-    Buchberger runs together, and a second pass over them takes none.  The
-    store keeps TAU_CACHE_SIZE automata and drops the oldest beyond that.
-
-    Other ideals go through ``_tau_chain``, whose stop is a heuristic and
-    whose results are not kept.
+    ``_automaton`` keeps the automaton for the process, so later calls on
+    the same generators and C look up what earlier calls computed.
     """
-    if all(len(a.gens) == 1 for a in pair.ideals):
-        return _tau_principal(pair, C, budget)
-    return _tau_chain(pair, C, _CHAIN_CONF, budget)
-
-
-def _tau_principal(pair: MixedPair, C: CartierAlgebraSpec,
-                   budget: int) -> Ideal:
-    """The certified path of ``tau_mixed``; see its docstring."""
     ring, e0 = pair.ring, C.degree()
     q = ring.p ** e0
-    auto = _automaton([a.gens[0] for a in pair.ideals], C)
-    s = -(-max(_p_depth(t, ring.p) for t in pair.exponents) // e0)
-    u = [t * q ** s for t in pair.exponents]
-    b = lcm(*(x.denominator for x in u))
-    grows = C.fixes_unit()
-
-    def term(ts, e):
-        """The class of C_e(prod f_i^ceil(t_i q^e))."""
-        return auto.walk([_ceil_mul(t, q ** e) for t in ts], e, auto.unit)
-
-    if b == 1 and grows:
-        return auto.classes[term(pair.exponents, s)]
-    whole = [int(x) for x in u]
-    u = [x - n for x, n in zip(u, whole)]
+    kept = [(a, t) for a, t in zip(pair.ideals, pair.exponents)
+            if t or len(a.gens) == 1]
+    sizes, ts = tuple(len(a.gens) for a, _ in kept), [t for _, t in kept]
+    auto = _automaton([g for a, _ in kept for g in a.gens], C)
+    s = -(-max((_p_depth(t, ring.p) for t in ts), default=0) // e0)
+    u = [(t.numerator * q ** s, t.denominator) for t in ts]  # t q^s = n/d
+    b = lcm(*(d // gcd(n, d) for n, d in u))
     r = 1
     while (q ** r - 1) % b:
         r += 1
-    c = [int(x * (q ** r - 1)) for x in u]
+    whole, v = [n // d for n, d in u], [(n % d, d) for n, d in u]
+    c = tuple([n * (q ** r - 1) // d for n, d in v])
+    grows = C.fixes_unit()
+    start = ((tuple([-1 if n else 0 for n, _ in v]), auto.unit),)
     lo = 0 if s or grows else 1
-    S = term(u, lo)
-    for e in range(lo + 1, lo + (1 if grows else r)):
-        S = auto.plus(S, term(u, e))
-    T = S
+    S = ()
+    for e in range(lo, lo + (1 if grows else r)):  # the e digits of F_e
+        F_e = tuple([n * q ** e // d for n, d in v])
+        S = auto.add(S, auto.carry(sizes, F_e, e, start))
+    T, seen = S, set()
     for _ in range(budget):
-        nxt = auto.walk(c, r, T)
+        seen.add(T)
+        T = auto.carry(sizes, c, r, T)
         if not grows:
-            nxt = auto.plus(S, nxt)
-        if nxt == T:  # classes are interned, so equal ids are equal ideals
+            T = auto.add(S, T)
+        if T in seen:  # classes are interned, so equal states are equal
             break
-        T = nxt
     else:
         raise BudgetExceeded(f"tau chain did not repeat within {budget} steps")
-    tau = auto.walk(whole, s, T)
+    Q = q ** s
+    tau = auto.close(sizes, [n // Q for n in whole],
+                     auto.carry(sizes, tuple([n % Q for n in whole]), s, T))
     for e in range(1, 1 if grows else s):
-        tau = auto.plus(tau, term(pair.exponents, e))
+        tau = auto.plus(tau, auto.walk([_ceil_mul(t, q ** e) for t in ts], e,
+                                       auto.unit, sizes))
     return auto.classes[tau]
 
 
@@ -247,6 +231,16 @@ def _digit_walk(fs, m, k: int, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
     return bracket_root(Ideal(ring, gens), C.degree())
 
 
+def _carries(q: int, sizes, n, kappa):
+    """The digit vectors d in [0, q)^(sum of sizes) that take the carry
+    ``kappa`` past the digits ``n``, each with its new carry kappa':
+    |d_i| + kappa_i - n_i = q kappa'_i, |d_i| the sum of d over a_i."""
+    groups = [[(d, (sum(d) + k - x) // q) for d in iproduct(range(q), repeat=z)
+               if (sum(d) + k - x) % q == 0] for z, x, k in zip(sizes, n, kappa)]
+    for choice in iproduct(*groups):
+        yield sum((d for d, _ in choice), ()), tuple(k for _, k in choice)
+
+
 def _automaton(fs, C: CartierAlgebraSpec) -> "_ClassAutomaton":
     """The shared ``_ClassAutomaton`` of the polynomials ``fs`` under C.
 
@@ -267,28 +261,31 @@ class _ClassAutomaton:
     """Ideal classes of the polynomials f_1..f_n under an algebra C, and the
     moves between them, each memoised: the digit step (d, J) ->
     C_+(prod f_i^d_i J) = ``_digit_walk(fs, d, 1, J, C)``, the class sum,
-    and the product (m, J) -> prod f_i^m_i J.  Classes are interned by their
-    reduced Groebner basis, which each class Ideal keeps, so the memo keys
-    (d, class index), (class index, class index) and (m, class index) are
-    canonical, and two classes are equal ideals iff their indices are equal.
+    the product (m, J) -> prod a_i^m_i J and the carry walk of a state.
+    Classes are interned by their reduced Groebner basis, which each class
+    Ideal keeps, so the memo keys are canonical, and two classes are equal
+    ideals iff their indices are equal.  The f's are the generators of
+    a_1..a_n in order, a_i taking the next sizes[i] (by default 1) of them;
+    ``sizes`` is an argument of each move, so pairs with the same
+    generators share one automaton.
 
-    This is the only place where tau classes are stepped.  ``tau_mixed`` on
-    principal ideals, ``fpt_search``, ``jumping_numbers`` and the digit
-    recursion of ``constancy_raster`` take their automaton from
-    ``_automaton``, one per (f tuple, ``C.cache_key()``) for the process, so
-    every call on the same f and C reuses the roots of the calls before it:
-    many exponents of one f, ``fpt_search`` on slices of one family, or a
-    raster after a threshold search.  Under the full algebra the tau classes
-    are finitely many on [0, 1)^n (Blickle-Mustata-Smith 2008; Perez 2013
-    for mixed ideals), so ``closure`` stops."""
+    This is the only place where tau classes are stepped.  ``tau_mixed``,
+    ``fpt_search``, ``jumping_numbers`` and the digit recursion of
+    ``constancy_raster`` take their automaton from ``_automaton``, one per
+    (f tuple, ``C.cache_key()``) for the process, so every call on the same
+    f and C reuses the roots of the calls before it.  Under the full algebra
+    the tau classes are finitely many on [0, 1)^n (Blickle-Mustata-Smith
+    2008; Perez 2013 for mixed ideals), so ``closure`` stops."""
 
     def __init__(self, fs, C: CartierAlgebraSpec):
         self.fs, self.C = fs, C
+        self.q = C.ring.p ** C.degree()
         self.classes = []  # class index -> Ideal of its reduced basis
         self._index = {}   # reduced basis -> class index
         self._steps = {}   # (digit vector, class index) -> class index
         self._sums = {}    # (class index, class index) -> class index
-        self._products = {}  # (exponent vector, class index) -> class index
+        self._products = {}  # (sizes, exponent vector, class index) -> class
+        self._moves = {}   # (sizes, m mod q^k, k, state) -> state
         self.unit = self.intern(Ideal(C.ring, [C.ring.one()]))
 
     def intern(self, I: Ideal) -> int:
@@ -306,32 +303,69 @@ class _ClassAutomaton:
                 _digit_walk(self.fs, d, 1, self.classes[cid], self.C))
         return out
 
-    def walk(self, m, k: int, cid: int) -> int:
-        """The class of C_k(prod f_i^m_i J) for J the class ``cid``, one
-        step per base-q digit of m (q = p^e0), lowest digit first.
+    def walk(self, m, k: int, cid: int, sizes=None) -> int:
+        """The class of C_k(prod a_i^m_i J) for J the class ``cid``: the
+        carry walk over the k lowest base-q digits of m (q = p^e0), closed
+        at m_i // q^k.  For k = 0 this is the plain product."""
+        sizes, Q = sizes or (1,) * len(self.fs), self.q ** k
+        state = self.carry(sizes, tuple([x % Q for x in m]), k,
+                           (((0,) * len(sizes), cid),))
+        return self.close(sizes, [x // Q for x in m], state)
 
-        Write m = d + q m' with d the lowest digit vector, and let
-        g = prod f_i^m'_i and B = prod f_i^d_i J.  Since C_+(J) = (G J)^[1/q]
-        for the twist ideal G and (g^q B)^[1/q] = g B^[1/q]
-        (Blickle-Mustata-Smith 2008),
-
-            C_k(prod f_i^m_i J) = C_k(g^q B) = C_(k-1)(g C_+(B)).
-
-        So each step multiplies in one digit and takes one q-th root; the
-        last step multiplies in what is left of m, m_i // q^(k-1), whole.
-        For k = 0 this is the plain product, memoised like the steps."""
+    def carry(self, sizes, m, k: int, state):
+        """The state after the k base-q digits of m (m_i < q^k), lowest
+        first, from ``state``, a sorted tuple of (carry kappa, class X).
+        After j digits of N, X_kappa = C_j(sum of g^alpha J) over the parts
+        alpha below q^j of the exponents with |alpha_i| = N_i - kappa_i, for
+        g the f's.  As a_i^N is generated by the g^alpha with |alpha_i| = N
+        (Takagi 2006), C_+ is additive and (g^(q a) B)^[1/q] = g^a B^[1/q]
+        (Blickle-Mustata-Smith 2008), each digit vector d of alpha is one
+        step, moving kappa as ``_carries`` says; classes landing on one
+        carry are summed, and ``close`` multiplies in the rest."""
         if k == 0:
-            key = (tuple(m), cid)
-            out = self._products.get(key)
-            if out is None:
-                out = self._products[key] = self.intern(
-                    _digit_walk(self.fs, m, 0, self.classes[cid], self.C))
-            return out
-        q = self.C.ring.p ** self.C.degree()
-        for _ in range(k - 1):
-            cid = self.step(tuple(x % q for x in m), cid)
-            m = [x // q for x in m]
-        return self.step(tuple(m), cid)
+            return state
+        key = (sizes, m, k, state)
+        out = self._moves.get(key)
+        if out is None and k > 1:
+            out = state
+            for j in range(k):
+                out = self.carry(
+                    sizes, tuple([x // self.q ** j % self.q for x in m]), 1, out)
+            self._moves[key] = out
+        elif out is None:
+            acc = {}
+            for kappa, cid in state:
+                for d, to in _carries(self.q, sizes, key[1], kappa):
+                    got = self.step(d, cid)
+                    acc[to] = self.plus(acc[to], got) if to in acc else got
+            out = self._moves[key] = tuple(sorted(acc.items()))
+        return out
+
+    def close(self, sizes, m, state) -> int:
+        """The class of the sum of prod a_i^(m_i - kappa_i) X_kappa over the
+        entries of ``state`` with no negative exponent."""
+        out = None
+        for kappa, cid in state:
+            e = tuple([x - k for x, k in zip(m, kappa)])
+            if min(e, default=0) >= 0:
+                got = self.product(sizes, e, cid)
+                out = got if out is None else self.plus(out, got)
+        return self.intern(Ideal(self.C.ring, [])) if out is None else out
+
+    def product(self, sizes, m, cid: int) -> int:
+        """The class of prod a_i^m_i J for J the class ``cid``."""
+        key = (sizes, m, cid)
+        out = self._products.get(key) if any(m) else cid
+        if out is None:
+            J = self.classes[cid]
+            if all(z == 1 for z in sizes):
+                J = _digit_walk(self.fs, m, 0, J, self.C)
+            else:
+                gens = iter(self.fs)
+                for z, e in zip(sizes, m):
+                    J = product(power(Ideal(J.ring, islice(gens, z)), e), J)
+            out = self._products[key] = self.intern(J)
+        return out
 
     def plus(self, a: int, b: int) -> int:
         """The class of the sum of the classes ``a`` and ``b``."""
@@ -342,6 +376,13 @@ class _ClassAutomaton:
                 sum_ideal(self.classes[a], self.classes[b]))
         return out
 
+    def add(self, x, y):
+        """The state summing the states ``x`` and ``y`` carry by carry."""
+        acc = dict(x)
+        for kappa, cid in y:
+            acc[kappa] = self.plus(acc[kappa], cid) if kappa in acc else cid
+        return tuple(sorted(acc.items()))
+
     def closure(self, cids) -> frozenset:
         """The classes reached from ``cids`` by digits in [0, p)^n."""
         digits = list(iproduct(range(self.C.ring.p), repeat=len(self.fs)))
@@ -350,50 +391,6 @@ class _ClassAutomaton:
             frontier = {self.step(d, c) for c in frontier for d in digits} - seen
             seen = seen | frontier
         return frozenset(seen)
-
-
-def _tau_chain(pair: MixedPair, C: CartierAlgebraSpec, conf: int,
-               budget: int) -> Ideal:
-    """Accumulates I_e = C_e applied to prod_i a_i^ceil(t_i q^e), q = p^e0,
-    for e = 1, 2, ... and returns the accumulated sum once it is unchanged
-    for ``conf`` consecutive steps.  That stop is a heuristic: a chain whose
-    period exceeds ``conf`` can stop early with too small an ideal.  Steps
-    with e*e0 below the p-adic depth of the exponents are warm-up: ceil(t q^e)
-    is not yet exact there and the chain may still jump, so those repetitions
-    do not count.  C_e(J) = (G^[q^(e-1)] ... G^[q] G J)^[1/q^e] for the twist
-    ideal G: one root when G = (1), e steps of ``cplus`` otherwise.
-    """
-    e0 = C.degree()
-    ring = pair.ring
-    one_root = Ideal(ring, [g.twist for g in C.generators]).is_unit()
-    warmup = max((_p_depth(t, ring.p) for t in pair.exponents), default=0)
-    accum = Ideal(ring, [])
-    stable = 0
-    for e in range(1, 1 + budget):
-        total = e * e0
-        P = ring.p ** total
-        J = Ideal(ring, [ring.one()])
-        for a, t in zip(pair.ideals, pair.exponents):
-            if t:
-                J = product(J, power(a, _ceil_mul(t, P)))
-        if one_root:
-            I_e = bracket_root(J, total)
-        else:
-            I_e = J
-            for _ in range(e):
-                I_e = cplus(I_e, C)
-        nxt = sum_ideal(accum, I_e)
-        if total > warmup and ideal_eq(nxt, accum):
-            stable += 1
-            if stable >= conf:
-                return Ideal(ring, list(accum.groebner()))
-        else:
-            stable = 0
-        accum = Ideal(ring, list(nxt.groebner()))
-        if accum.is_unit():
-            # the accumulated chain only grows, so the unit ideal is final
-            return accum
-    raise BudgetExceeded(f"tau chain did not stabilize within {budget} steps")
 
 
 def skoda_reduce(pair: MixedPair, i: int):

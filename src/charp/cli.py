@@ -392,15 +392,16 @@ COMMANDS = ("tau", "fpt", "jumps", "raster", "decompose", "bracket-root",
 
 def build_parser(only=None) -> _Parser:
     """The charp parser.  Every name in COMMANDS is a subcommand; given
-    ``only``, just that one gets its arguments, which leaves the help and the
-    errors of a run of ``only`` as they are and skips building the rest."""
+    ``only``, just that one gets its arguments and -h, which leaves the help
+    and the errors of a run of ``only`` as they are and skips the rest."""
     # argparse builds a HelpFormatter for every add_argument, and each asks
     # the terminal for its size unless given a width: ask once, as it does
     fmt = partial(argparse.HelpFormatter,
                   width=shutil.get_terminal_size().columns - 2)
     top = _Parser(prog="charp", description=__doc__, formatter_class=fmt)
     sub = top.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, formatter_class=fmt)
+    parsers = {name: sub.add_parser(name, formatter_class=fmt,
+                                    add_help=only in (None, name))
                for name in COMMANDS}
 
     def command(name):
