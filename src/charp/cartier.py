@@ -73,7 +73,7 @@ class CartierAlgebraSpec:
 def cplus(I: Ideal, C: CartierAlgebraSpec) -> Ideal:
     """The degree-positive action C_+(I) = (G I)^[1/q] for the twist ideal
     G: one step of ``_digit_walk``, one root of the twisted ideal."""
-    return _digit_walk((), (), 1, I, C)
+    return _digit_walk((), (), I, C)
 
 
 def sigma(C: CartierAlgebraSpec, start: Ideal, budget: int = SIGMA_BUDGET) -> Ideal:
@@ -177,7 +177,21 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
             if t or len(a.gens) == 1]
     sizes, ts = tuple(len(a.gens) for a, _ in kept), [t for _, t in kept]
     auto = _automaton([g for a, _ in kept for g in a.gens], C)
-    s = -(-max((_p_depth(t, ring.p) for t in ts), default=0) // e0)
+    grows = C.fixes_unit()
+    m, state, s = _tau_state(auto, sizes, ts, grows, budget)
+    tau = auto.close(sizes, m, state)
+    for e in range(1, 1 if grows else s):
+        tau = auto.plus(tau, auto.walk([_ceil_mul(t, q ** e) for t in ts], e,
+                                       auto.unit, sizes))
+    return auto.classes[tau]
+
+
+def _tau_state(auto, sizes, ts, grows: bool, budget: int = TAU_BUDGET):
+    """(w // q^s, carry(w mod q^s, s, T), s) of ``tau_mixed``, which closes
+    the state at w // q^s, for the exponents ``ts`` of ideals of ``sizes``
+    generators on ``auto``, with ``grows`` = C.fixes_unit()."""
+    q, p = auto.q, auto.C.ring.p
+    s = -(-max((_p_depth(t, p) for t in ts), default=0) // auto.C.degree())
     u = [(t.numerator * q ** s, t.denominator) for t in ts]  # t q^s = n/d
     b = lcm(*(d // gcd(n, d) for n, d in u))
     r = 1
@@ -185,7 +199,6 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
         r += 1
     whole, v = [n // d for n, d in u], [(n % d, d) for n, d in u]
     c = tuple([n * (q ** r - 1) // d for n, d in v])
-    grows = C.fixes_unit()
     start = ((tuple([-1 if n else 0 for n, _ in v]), auto.unit),)
     lo = 0 if s or grows else 1
     S = ()
@@ -203,32 +216,23 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
     else:
         raise BudgetExceeded(f"tau chain did not repeat within {budget} steps")
     Q = q ** s
-    tau = auto.close(sizes, [n // Q for n in whole],
-                     auto.carry(sizes, tuple([n % Q for n in whole]), s, T))
-    for e in range(1, 1 if grows else s):
-        tau = auto.plus(tau, auto.walk([_ceil_mul(t, q ** e) for t in ts], e,
-                                       auto.unit, sizes))
-    return auto.classes[tau]
+    return [n // Q for n in whole], \
+        auto.carry(sizes, tuple([n % Q for n in whole]), s, T), s
 
 
-def _digit_walk(fs, m, k: int, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
-    """prod f_i^m_i J for k = 0, and for k = 1 one step of C_+ on it,
-    C_+(prod f_i^m_i J) = (G prod f_i^m_i J)^[1/q] for the twist ideal G and
-    q = p^e0: each twist t starts its own product t prod f_i^m_i.  Longer
-    walks are ``_ClassAutomaton.walk``."""
-    if k not in (0, 1):
-        raise ValueError(f"a digit walk takes 0 or 1 steps, got {k}")
-    ring = J.ring
+def _digit_walk(fs, m, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
+    """One step of C_+ on prod f_i^m_i J: C_+(prod f_i^m_i J) =
+    (G prod f_i^m_i J)^[1/q] for the twist ideal G and q = p^e0, each twist
+    t starting its own product t prod f_i^m_i.  Products and longer walks
+    are ``_ClassAutomaton.walk``."""
 
     def times(g):
         for f, e in zip(fs, m):
             g = g * pow_poly(f, e)
         return [g * h for h in J.gens]
 
-    if k == 0:
-        return Ideal(ring, times(ring.one()))
     gens = [u for gen in C.generators for u in times(gen.twist)]
-    return bracket_root(Ideal(ring, gens), C.degree())
+    return bracket_root(Ideal(J.ring, gens), C.degree())
 
 
 def _carries(q: int, sizes, n, kappa):
@@ -260,7 +264,7 @@ def _automaton(fs, C: CartierAlgebraSpec) -> "_ClassAutomaton":
 class _ClassAutomaton:
     """Ideal classes of the polynomials f_1..f_n under an algebra C, and the
     moves between them, each memoised: the digit step (d, J) ->
-    C_+(prod f_i^d_i J) = ``_digit_walk(fs, d, 1, J, C)``, the class sum,
+    C_+(prod f_i^d_i J) = ``_digit_walk(fs, d, J, C)``, the class sum,
     the product (m, J) -> prod a_i^m_i J and the carry walk of a state.
     Classes are interned by their reduced Groebner basis, which each class
     Ideal keeps, so the memo keys are canonical, and two classes are equal
@@ -270,8 +274,8 @@ class _ClassAutomaton:
     generators share one automaton.
 
     This is the only place where tau classes are stepped.  ``tau_mixed``,
-    ``fpt_search``, ``jumping_numbers`` and the digit recursion of
-    ``constancy_raster`` take their automaton from ``_automaton``, one per
+    ``fpt_search`` and the digit table of ``constancy_raster`` and
+    ``jumping_numbers`` take their automaton from ``_automaton``, one per
     (f tuple, ``C.cache_key()``) for the process, so every call on the same
     f and C reuses the roots of the calls before it.  Under the full algebra
     the tau classes are finitely many on [0, 1)^n (Blickle-Mustata-Smith
@@ -300,7 +304,7 @@ class _ClassAutomaton:
         out = self._steps.get((d, cid))
         if out is None:
             out = self._steps[d, cid] = self.intern(
-                _digit_walk(self.fs, d, 1, self.classes[cid], self.C))
+                _digit_walk(self.fs, d, self.classes[cid], self.C))
         return out
 
     def walk(self, m, k: int, cid: int, sizes=None) -> int:
@@ -357,13 +361,9 @@ class _ClassAutomaton:
         key = (sizes, m, cid)
         out = self._products.get(key) if any(m) else cid
         if out is None:
-            J = self.classes[cid]
-            if all(z == 1 for z in sizes):
-                J = _digit_walk(self.fs, m, 0, J, self.C)
-            else:
-                gens = iter(self.fs)
-                for z, e in zip(sizes, m):
-                    J = product(power(Ideal(J.ring, islice(gens, z)), e), J)
+            J, gens = self.classes[cid], iter(self.fs)
+            for z, e in zip(sizes, m):
+                J = product(power(Ideal(J.ring, islice(gens, z)), e), J)
             out = self._products[key] = self.intern(J)
         return out
 

@@ -54,10 +54,11 @@ def _ring(args, names=None) -> RingCtx:
 def _parse_pairs(ring, specs):
     pairs = []
     for item in specs:
-        expr, _, t = item.rpartition(":")
-        if not expr:
-            raise UsageError(f"pair {item!r} must look like EXPR:NUM/DEN")
-        pairs.append((Ideal(ring, [ring.poly(expr)]), _fraction(t)))
+        gens, _, t = item.rpartition(":")
+        if not gens:
+            raise UsageError(f"pair {item!r} must look like EXPR,...:NUM/DEN")
+        pairs.append((Ideal(ring, [ring.poly(g) for g in gens.split(",")]),
+                      _fraction(t)))
     return pairs
 
 
@@ -126,7 +127,7 @@ def _cmd_tau(args):
 def _cmd_fpt(args):
     ring = _ring(args)
     fixed = _parse_pairs(ring, args.fixed or [])
-    free = Ideal(ring, [ring.poly(args.free)])
+    free = Ideal(ring, [ring.poly(g) for g in args.free.split(",")])
     res = fpt_search(fixed, free, args.depth)
     _emit(args, "fpt",
           {"lo": str(res.lo), "hi": str(res.hi),
@@ -139,7 +140,7 @@ def _cmd_fpt(args):
 
 def _cmd_jumps(args):
     ring = _ring(args)
-    free = Ideal(ring, [ring.poly(args.free)])
+    free = Ideal(ring, [ring.poly(g) for g in args.free.split(",")])
     fixed = _parse_pairs(ring, args.fixed or [])
     runs = jumping_numbers(fixed, free, _fraction(args.T), args.depth)
     lines = ["t_start,t_end,class_hash"]
@@ -420,21 +421,21 @@ def build_parser(only=None) -> _Parser:
     if sp := command("tau"):
         common(sp)
         sp.add_argument("--pair", action="append", required=True,
-                        metavar="EXPR:NUM/DEN")
+                        metavar="EXPR,...:NUM/DEN")
         sp.add_argument("--alg", default="full")
         sp.set_defaults(func=_cmd_tau)
 
     if sp := command("fpt"):
         common(sp)
-        sp.add_argument("--fixed", action="append", metavar="EXPR:NUM/DEN")
-        sp.add_argument("--free", required=True)
+        sp.add_argument("--fixed", action="append", metavar="EXPR,...:NUM/DEN")
+        sp.add_argument("--free", required=True, help="comma-separated")
         sp.add_argument("--depth", type=int, default=6)
         sp.set_defaults(func=_cmd_fpt)
 
     if sp := command("jumps"):
         common(sp, manifest=True)
-        sp.add_argument("--fixed", action="append", metavar="EXPR:NUM/DEN")
-        sp.add_argument("--free", required=True)
+        sp.add_argument("--fixed", action="append", metavar="EXPR,...:NUM/DEN")
+        sp.add_argument("--free", required=True, help="comma-separated")
         sp.add_argument("--T", required=True)
         sp.add_argument("--depth", type=int, default=3)
         sp.add_argument("--out", default=None)

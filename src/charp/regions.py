@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
 
-from .cartier import (CartierAlgebraSpec, MixedPair, _automaton, _digit_walk,
+from .cartier import (CartierAlgebraSpec, MixedPair, _automaton, _tau_state,
                       tau_mixed)
 from .ideals import BudgetExceeded, Ideal, VerificationError, colon, frob_power
 from .rings import pow_poly
@@ -149,20 +149,19 @@ def constancy_raster(ideals, T, k, C=None) -> RasterGrid:
     """Evaluate tau at every lattice point of [0, T]^n at mesh p^-k.
 
     ``ideals`` lists the mixed family a_1..a_n; cell coordinates are the
-    exponent vectors.  Principal a_i = (f_i) under an algebra of degree 1
-    with C_+(R) = R, the full algebra among them, take the digit recursion
-    of ``_digit_recursion``; other algebras and non-principal ideals
-    evaluate ``tau_mixed`` cell by cell.  A grid of more than
-    RASTER_CELL_BUDGET points raises ``BudgetExceeded`` before any tau.
+    exponent vectors.  Under an algebra of degree 1 with C_+(R) = R, the
+    full algebra among them, every family takes the digit recursion of
+    ``_digit_recursion``; other algebras evaluate ``tau_mixed`` cell by
+    cell.  A grid of more than RASTER_CELL_BUDGET points raises
+    ``BudgetExceeded`` before any tau.
     """
     ideals = tuple(ideals)
     ring = ideals[0].ring
     if C is None:
         C = CartierAlgebraSpec.full_algebra(ring)
     grid = RasterGrid(ring.p, T, k, len(ideals), [], {})
-    if all(len(a.gens) == 1 for a in ideals) and C.degree() == 1 \
-            and C.fixes_unit():
-        _digit_recursion([a.gens[0] for a in ideals], grid, C)
+    if C.degree() == 1 and C.fixes_unit():
+        _digit_recursion(ideals, grid, C)
     else:
         grid.cells = [
             _class_hash(grid, _tau_at_cell(ideals, grid.coord(idx), C))
@@ -181,51 +180,54 @@ def _class_hash(grid: RasterGrid, tau: Ideal) -> str:
     return h
 
 
-def _digit_recursion(fs, grid: RasterGrid, C: CartierAlgebraSpec, fixed=()):
-    """Fill ``grid.cells`` with tau for a_i = (f_i) under an algebra C of
-    degree 1 with C_+(R) = R: the first len(``fixed``) f_i at the exponents
+def _digit_recursion(ideals, grid: RasterGrid, C: CartierAlgebraSpec,
+                     fixed=()):
+    """Fill ``grid.cells`` with tau for the ideals a_i under an algebra C of
+    degree 1 with C_+(R) = R: the first len(``fixed``) a_i at the exponents
     r = ``fixed``, the others at m/p^k in the cell m.
 
-    With D_j the j-th base-p digit vector of (r, m/p^k) (the integer part
-    joins D_1) and step(d, J) = ``_digit_walk(fs, d, 1, J, C)`` =
-    C_+(prod f_i^d_i J), tau = step(D_1, ... step(D_k, T_k)) for the tail
-    T_k = tau(r_k, 0), r_0 = r and r_j = frac(r p^j) (see ``fpt_search``);
-    T_k = (1) without fixed exponents.  So level j of the table holds
-    tau(r_(k-j), m/p^j): level 0 is T_k, or for k = 0 the whole grid
-    T_0 prod f_i^m_i (Skoda).  For m = d p^(j-1) + m', m' in [0, p^(j-1))^n,
-    level j steps the class at m' by the digits (floor(p r_(k-j)), d).
-    Level j < k covers [0, p^j)^n capped at the grid side, all that level
-    j + 1 looks up; level k covers the grid.  The step does not depend on
-    j, so one ``_ClassAutomaton`` serves every level; it is the shared one
-    of (f, C), which ``tau_mixed`` and ``fpt_search`` on the same f and C
-    also walk.
+    The table walks carry states on the automaton of all generators of the
+    a_i.  With r_0 = r and r_j = frac(r p^j), level 0 is the state that
+    ``tau_mixed`` closes at (r_k, 0) (``_tau_state``), not its class, as r_k
+    may keep p in its denominator; k = 0 closes it at (floor r, m).  Level j
+    holds, for m in [0, p^j)^n capped at the grid side, a state closing at
+    0 to tau at (r_(k-j), m/p^j).  Walks take digits lowest first, so for
+    m = d p^(j-1) + m', m' < p^(j-1), level j walks the state at m' by
+    D = (floor(p r_(k-j)), d).  Only at level k, on the whole grid, can D
+    reach p: it walks D mod p and closes at D // p.
 
-    Each level is a flat list in ``iproduct`` order, filled by blocks.  The
-    cells d p^(j-1) + [0, p^(j-1))^n share the digit vector d, so the class
-    map c -> step((floor(p r_(k-j)), d), c) is built once per d over the
-    classes of level j - 1.  Each row of level j is then the matching rows
-    of level j - 1 sent through the maps of its blocks, clipped at the top.
-    Level k, each class id replaced by its hash, is ``grid.cells``.
+    Each level is a flat list in ``iproduct`` order of states interned to
+    ints, filled by blocks: the cells d p^(j-1) + [0, p^(j-1))^n share d,
+    so the map of the states of level j - 1 under d is built once, and each
+    row of level j is the matching rows of level j - 1 sent through the
+    maps of its blocks, clipped at the top.  So a cell costs one int-keyed
+    lookup.  Level k, each class id replaced by its hash, is ``grid.cells``.
     """
-    ring = fs[0].ring
     p, k, n, side = grid.p, grid.k, grid.n, grid.side
-    auto = _automaton(fs, C)
+    sizes = tuple(len(a.gens) for a in ideals)
+    auto = _automaton([g for a in ideals for g in a.gens], C)
     rs = [tuple(fixed)]
     for _ in range(k):
         rs.append(tuple(x * p - int(x * p) for x in rs[-1]))
-    tail = tau_mixed(MixedPair(tuple(Ideal(ring, [f]) for f in fs),
-                               rs[k] + (Fraction(0),) * n), C) \
-        if fixed else Ideal(ring, [ring.one()])
-    top = side if k == 0 else 0
-    zeros = (0,) * len(fixed)
-    table = [auto.intern(_digit_walk(fs, zeros + m, 0, tail, C))
-             for m in iproduct(range(top + 1), repeat=n)]
+    m0, tail, _ = _tau_state(auto, sizes, rs[k] + (Fraction(0),) * n, True)
+    ids = {tail: 0}  # state -> its int id, in the order interned
+    table = [auto.close(sizes, m0[:len(fixed)] + list(m), tail)
+             for m in iproduct(range(side + 1), repeat=n)] if k == 0 else [0]
+    top = 0
     for j in range(1, k + 1):
         q, width = p ** (j - 1), top + 1  # width: level j - 1 per axis
         top = side if j == k else min(side, p ** j - 1)
         lead = tuple(int(x * p) for x in rs[k - j])
-        present = set(table)
-        step = {d: {c: auto.step(lead + d, c) for c in present}.__getitem__
+        states, present = list(ids), set(table)
+
+        def move(d, sid):
+            out = auto.carry(sizes, tuple(x % p for x in lead + d), 1,
+                             states[sid])
+            if j < k:
+                return ids.setdefault(out, len(ids))
+            return auto.close(sizes, [x // p for x in lead + d], out)
+
+        step = {d: {s: move(d, s) for s in present}.__getitem__
                 for d in iproduct(range(top // q + 1), repeat=n)}
         blocks = [(d, min(q, top + 1 - d * q)) for d in range(top // q + 1)]
         out = []

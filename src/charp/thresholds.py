@@ -1,15 +1,14 @@
-"""F-pure thresholds and F-jumping numbers of principal ideals under the
-full Cartier algebra.
+"""F-pure thresholds and F-jumping numbers under the full Cartier algebra.
 
 With D_j the j-th base-p digit vector of an exponent vector s (the integer
 part joins D_1) and r_j = s p^j - floor(s p^j), tau(f^s) = C_+(tau(f^(p s)))
-and Skoda give, for step(d, J) = (prod f_i^d_i J)^[1/p],
+and Skoda give, for principal f and step(d, J) = (prod f_i^d_i J)^[1/p],
 
     tau(f^s) = step(D_1, step(D_2, ... step(D_j, tau(f^(r_j))))).
 
-``fpt_search`` reads exact thresholds off this identity on the finite
-automaton of tau classes; ``jumping_numbers`` reads a grid off the digit
-table of the same identity.
+``fpt_search`` reads exact thresholds of principal ideals off this identity
+on the finite automaton of tau classes; ``jumping_numbers`` reads a grid off
+the raster's digit table, which walks the same digits on carry states.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
 
 def jumping_numbers(fixed, free: Ideal, T, depth: int):
     """Partition [0, T] into maximal constancy runs at resolution p^-depth
-    for principal ideals, ``fixed`` as in ``fpt_search``.
+    for any ideals, ``fixed`` as in ``fpt_search``.
 
     Returns a list of (start, end, class_hash) covering the grid, the runs
     of equal entries in the one-dimensional raster that
@@ -123,10 +122,8 @@ def jumping_numbers(fixed, free: Ideal, T, depth: int):
     points is refused before any tau is computed.
     """
     pair = MixedPair.of(list(fixed) + [(free, 0)])  # checks the exponents
-    if any(len(a.gens) != 1 for a in pair.ideals):
-        raise ValueError("jumping_numbers needs principal ideals")
     grid = RasterGrid(free.ring.p, T, depth, 1, [], {})
-    _digit_recursion([a.gens[0] for a in pair.ideals], grid,
+    _digit_recursion(pair.ideals, grid,
                      CartierAlgebraSpec.full_algebra(free.ring),
                      pair.exponents[:-1])
     P = grid.p ** grid.k

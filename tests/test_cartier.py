@@ -496,8 +496,14 @@ class TestDigitWalk:
                 assert ch.ideal_eq(walk(fs, m, k, J, C), want), (m, k)
 
     def test_longer_walks_are_the_automatons(self, R, full):
-        with pytest.raises(ValueError, match="0 or 1 steps"):
-            cartier._digit_walk([R.poly("x+y")], [4], 2, I(R, "1"), full)
+        # _digit_walk is one C_+ step and takes no step count; a product or
+        # a walk over two digits (4 = 1 + 1 * 3) is the automaton's walk
+        f, J = R.poly("x+y"), I(R, "1")
+        with pytest.raises(TypeError):
+            cartier._digit_walk([f], [4], 2, J, full)
+        twice = cartier._digit_walk([f], [1], cartier._digit_walk(
+            [f], [1], J, full), full)
+        assert ch.ideal_eq(walk([f], [4], 2, J, full), twice)
 
     def test_fpt_search_stays_small(self, monkeypatch):
         most = max_decompose_terms(monkeypatch)
@@ -556,15 +562,18 @@ def cusp_sweep(R, C):
 
 
 def count_products(monkeypatch):
-    """Count the products prod f_i^m_i J computed (digit walks with k = 0)
-    through any charp module; returns the list of their exponent vectors."""
+    """Count the products prod a_i^m_i J that ``_ClassAutomaton.product``
+    computes, not those its memo answers; returns the list of their
+    exponent vectors."""
     calls = []
+    real = _ClassAutomaton.product
 
-    def record(fs, m, k, J, C):
-        if k == 0:
+    def product(self, sizes, m, cid):
+        if any(m) and (sizes, m, cid) not in self._products:
             calls.append(tuple(m))
+        return real(self, sizes, m, cid)
 
-    wrap_in_charp(monkeypatch, "_digit_walk", record, module="cartier")
+    monkeypatch.setattr(_ClassAutomaton, "product", product)
     return calls
 
 

@@ -205,6 +205,55 @@ class TestFpt:
         assert "candidate = 15/32" in out
 
 
+class TestNonPrincipalIdeals:
+    """--pair, --fixed and --free take an ideal as comma-separated
+    generators."""
+
+    def test_tau(self, capsys):
+        # Howald: tau((x, y^2)^(3/2)) = (x, y), and (x+y)^(1/3) adds nothing
+        for extra in ([], ["--pair", "x+y:1/3"]):
+            code, out, _ = run(capsys, "tau", "--p", "3", "--vars", "x,y",
+                               "--pair", "x,y^2:3/2", *extra)
+            assert code == 0 and "tau = {x, y}" in out
+
+    def test_raster_matches_the_library(self, capsys, tmp_path):
+        import charp as ch
+        out = tmp_path / "r.csv"
+        code, text, _ = run(capsys, "raster", "--p", "3", "--vars", "x,y",
+                            "--pair", "x,y^2:0", "--pair", "x+y:0", "--T",
+                            "1", "--depth", "2", "--out", str(out))
+        assert code == 0 and "cells = 100" in text
+        R = ch.RingCtx(("x", "y"), ch.PrimeModulus(3))
+        ras = ch.constancy_raster([ch.Ideal(R, [R.poly("x"), R.poly("y^2")]),
+                                   ch.Ideal(R, [R.poly("x+y")])], 1, 2)
+        assert out.read_text() == ch.raster_csv(ras)
+
+    def test_jumps(self, capsys):
+        # (x, y^2) jumps at its log canonical threshold 3/2 and at 2
+        code, out, _ = run(capsys, "jumps", "--p", "3", "--vars", "x,y",
+                           "--free", "x,y^2", "--T", "2", "--depth", "2")
+        assert code == 0
+        starts = [row.split(",")[0] for row in out.splitlines()[1:]]
+        assert starts == ["0", "14/9", "2"]
+        code, out, _ = run(capsys, "jumps", "--p", "3", "--vars", "x,y",
+                           "--fixed", "x,y:1/2", "--free", "x+y", "--T", "2",
+                           "--depth", "2")
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == \
+            ["0", "1", "2"]
+
+    def test_pullback_check(self, capsys):
+        code, out, _ = run(capsys, "pullback-check", "--p", "3", "--base",
+                           "t,u", "--fiber", "x", "--pair", "t,u^2:3/2")
+        assert code == 0
+        assert "extended tau  = {t, u}" in out and "AGREE" in out
+
+    def test_fpt_stays_principal(self, capsys):
+        code, _, err = run(capsys, "fpt", "--p", "3", "--vars", "x,y",
+                           "--free", "x,y")
+        assert code == 1 and "fpt_search needs principal ideals" in err
+
+
 class TestDecompose:
     def test_absolute(self, capsys):
         code, out, _ = run(capsys, "decompose", "--p", "3", "--vars", "x,y",
@@ -309,10 +358,12 @@ class TestRasterBytes:
             "392b788be786de14a0c8b677aa663e08206dbb1ae5781f883f48d3612173a45d"
 
     def test_work_counts(self, capsys, tmp_path, monkeypatch):
-        # one automaton step per (digit vector, class) and level, not one
-        # per cell, and no Fraction coordinates
+        # one carry move per (digit vector, state) and level, not one per
+        # cell, and no Fraction coordinates; the store starts empty, as a
+        # move that an earlier walk memoised takes no step
         from charp import cartier, regions
-        calls = {"step": 0, "coord": 0}
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        calls = {"step": 0, "carry": 0, "coord": 0}
 
         def counted(name, real):
             def wrapper(*a):
@@ -320,13 +371,14 @@ class TestRasterBytes:
                 return real(*a)
             return wrapper
 
-        monkeypatch.setattr(cartier._ClassAutomaton, "step",
-                            counted("step", cartier._ClassAutomaton.step))
+        for name in ("step", "carry"):
+            monkeypatch.setattr(cartier._ClassAutomaton, name, counted(
+                name, getattr(cartier._ClassAutomaton, name)))
         monkeypatch.setattr(regions.RasterGrid, "coord",
                             counted("coord", regions.RasterGrid.coord))
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *BENCH_RASTER)[0] == 0
-        assert 0 < calls["step"] <= 100
+        assert 0 < calls["step"] <= 100 and 0 < calls["carry"] <= 100
         assert calls["coord"] == 0
         # the jumps runs are read off the same flat table
         assert run(capsys, "jumps", "--p", "3", "--vars", "x,y", "--free",

@@ -248,10 +248,11 @@ class TestDigitRecursion:
         ["x^{p}"], ["y^{p2}"]])
     def test_dispatch_matches_per_cell_tau(self, monkeypatch, p, twists):
         # twists with C_+(R) = R take the digit recursion, since then
-        # tau(f^(m/p^k)) = C_k(f^m); x^p and y^(2p-1) give C_+(R) != R, and
-        # the twist 2 is 0 at p = 2
-        from charp import cartier
-        from charp.regions import _tau_at_cell
+        # tau(a^(m/p^k)) = C_k(a^m), for principal, non-principal and mixed
+        # families alike (an ideal is written as its comma-separated
+        # generators); x^p and y^(2p-1) give C_+(R) != R, and the twist 2
+        # is 0 at p = 2
+        from charp import cartier, regions
         Rp = ring(p)
         C = CartierAlgebraSpec.from_twists(Rp, [
             (1, Rp.poly(g.format(p=p, p1=p - 1, p2=2 * p - 1)))
@@ -259,22 +260,36 @@ class TestDigitRecursion:
         recursion = C.fixes_unit()
         assert recursion == (twists[0] not in ("x^{p}", "y^{p2}")
                              and (p, twists) != (2, ["2"]))
-        walks = []
-        real_walk = cartier._digit_walk
-        monkeypatch.setattr(
-            "charp.regions._digit_walk",
-            lambda *a: walks.append(a) or real_walk(*a))
+        tails, cells = spy(monkeypatch, regions, "_tau_state", "_tau_at_cell")
         family_sizes = [(("x+y", "x*y"), {2: 3, 3: 2, 5: 1}[p]),
-                        (("x^2+y^3",), 3)]
+                        (("x^2+y^3",), 3), (("x,y",), 2),
+                        (("x,y^2", "x+y"), 2 if p < 5 else 1),
+                        (("x^2,y", "x,y^3"), 1)]
         for polys, top in family_sizes:
-            fam = [Ideal(Rp, [Rp.poly(s)]) for s in polys]
+            fam = [Ideal(Rp, [Rp.poly(g) for g in s.split(",")])
+                   for s in polys]
             for k in (0, top) if recursion else (1,):
                 ras = ch.constancy_raster(fam, 1, k, C)
                 monkeypatch.setattr(cartier, "_tau_cache", {})
                 for idx, h in ras.items():
-                    assert _tau_at_cell(fam, ras.coord(idx), C) \
-                        .content_hash() == h, (polys, k, idx)
-        assert bool(walks) == recursion
+                    assert cartier.tau_mixed(MixedPair(tuple(fam), ras.coord(
+                        idx)), C).content_hash() == h, (polys, k, idx)
+        assert bool(tails) == recursion and bool(cells) != recursion
+
+    def test_non_principal_raster_takes_no_cell(self, monkeypatch, R):
+        # ((x, y^2), x+y) at mesh 3^-4: 6,724 cells, one tau_mixed each
+        # before the digit table walked carry states
+        import time
+        from charp import cartier, regions
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        _, cells = spy(monkeypatch, regions, "_tau_state", "_tau_at_cell")
+        fam = [Ideal(R, [R.poly("x"), R.poly("y^2")]),
+               Ideal(R, [R.poly("x+y")])]
+        start = time.perf_counter()
+        ras = ch.constancy_raster(fam, 1, 4)
+        elapsed = time.perf_counter() - start
+        assert len(ras.cells) == 82 ** 2 and not cells
+        assert elapsed < 0.1, elapsed
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_twisted_algebra_stays_per_cell(self, monkeypatch, R,
@@ -297,12 +312,13 @@ class TestDigitRecursion:
     def test_over_the_cell_budget_fails_at_once(self, monkeypatch, R, T, k,
                                                 n):
         # refused before any automaton, walk or tau is built
-        from charp import regions, thresholds
+        from charp import cartier, regions, thresholds
 
         def forbidden(*args):
             raise AssertionError("work started")
 
-        for mod, name in [(regions, "_automaton"), (regions, "_digit_walk"),
+        for mod, name in [(regions, "_automaton"), (regions, "_tau_state"),
+                          (cartier, "_digit_walk"),
                           (regions, "_tau_at_cell"), (regions, "tau_mixed"),
                           (thresholds, "_digit_recursion")]:
             monkeypatch.setattr(mod, name, forbidden)
@@ -347,25 +363,27 @@ def fraction_csv(ras):
     return "\n".join(lines) + "\n"
 
 
-def dictcomp_digit_recursion(fs, grid, C, fixed=()):
-    """The level loop that the block fill of ``_digit_recursion`` replaced:
-    one dict per level, two index tuples and one step per cell.  The last
-    level is laid out as ``grid.cells`` in sorted index order."""
-    from charp.cartier import _ClassAutomaton, _digit_walk
+def dictcomp_digit_recursion(ideals, grid, C, fixed=()):
+    """The level loop that the block fill of ``_digit_recursion`` replaced,
+    for principal ideals: one dict per level, two index tuples and one
+    class step per cell, as tau(f^s) = C_+(f^D_1 tau(f^(r_1))) for the top
+    digit D_1, integer part included.  The last level is laid out as
+    ``grid.cells`` in sorted index order."""
+    from charp.cartier import _ClassAutomaton
     from charp.regions import _class_hash
     from itertools import product as iproduct
-    ring = fs[0].ring
+    fs = [a.gens[0] for a in ideals]
     p, k, n, side = grid.p, grid.k, grid.n, grid.side
     auto = _ClassAutomaton(fs, C)
     rs = [tuple(fixed)]
     for _ in range(k):
         rs.append(tuple(x * p - int(x * p) for x in rs[-1]))
-    tail = ch.tau_mixed(MixedPair(tuple(Ideal(ring, [f]) for f in fs),
-                                  rs[k] + (F(0),) * n), C) \
-        if fixed else Ideal(ring, [ring.one()])
+    tail = auto.intern(ch.tau_mixed(MixedPair(tuple(ideals),
+                                              rs[k] + (F(0),) * n), C)) \
+        if fixed else auto.unit
     top = side if k == 0 else 0
     zeros = (0,) * len(fixed)
-    table = {m: auto.intern(_digit_walk(fs, zeros + m, 0, tail, C))
+    table = {m: auto.walk(zeros + m, 0, tail)
              for m in iproduct(range(top + 1), repeat=n)}
     for j in range(1, k + 1):
         q = p ** (j - 1)
@@ -377,6 +395,18 @@ def dictcomp_digit_recursion(fs, grid, C, fixed=()):
     hashes = {cid: _class_hash(grid, auto.classes[cid])
               for cid in sorted(set(table.values()))}
     grid.cells = [hashes[table[m]] for m in sorted(table)]
+
+
+def spy(monkeypatch, module, *names):
+    """Wrap each function ``names`` of ``module`` to record its calls;
+    returns one list of argument tuples per name."""
+    logs = []
+    for name in names:
+        real, log = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda *a, real=real, log=log:
+                            log.append(a) or real(*a))
+        logs.append(log)
+    return logs
 
 
 FAMILIES = {1: ("x^2+y^3",), 2: ("x+y", "x*y"), 3: ("x", "y", "x+y")}
@@ -415,11 +445,11 @@ class TestRasterWriter:
     def test_digit_table_matches_dictcomp(self, p, T, n, k):
         from charp.regions import RasterGrid, _digit_recursion
         Rp = ring(p)
-        fs = [Rp.poly(s) for s in FAMILIES[n]]
+        fam = [Ideal(Rp, [Rp.poly(s)]) for s in FAMILIES[n]]
         full = CartierAlgebraSpec.full_algebra(Rp)
         grids = [RasterGrid(p, T, k, n, [], {}) for _ in range(2)]
-        _digit_recursion(fs, grids[0], full)
-        dictcomp_digit_recursion(fs, grids[1], full)
+        _digit_recursion(fam, grids[0], full)
+        dictcomp_digit_recursion(fam, grids[1], full)
         assert len(grids[1].cells) == (T * p ** k + 1) ** n
         for idx, h in grids[1].items():
             assert grids[0].class_at(idx) == h, idx
@@ -444,9 +474,9 @@ class TestRasterWriter:
         runs = ch.jumping_numbers(pairs, free, T, depth)
         grids = []
 
-        def oracle(fs, grid, C, fixed=()):
+        def oracle(ideals, grid, C, fixed=()):
             grids.append(grid)
-            dictcomp_digit_recursion(fs, grid, C, fixed)
+            dictcomp_digit_recursion(ideals, grid, C, fixed)
 
         monkeypatch.setattr(thresholds, "_digit_recursion", oracle)
         assert runs == ch.jumping_numbers(pairs, free, T, depth)

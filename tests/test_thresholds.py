@@ -123,6 +123,10 @@ def lines_fpt(p):
     return F(2, 3) if p % 3 == 1 else F(2 * p - 1, 3 * p)
 
 
+def ideal(R, *gens):
+    return Ideal(R, [R.poly(g) for g in gens])
+
+
 def tau_at(fixed, free, t):
     pair = MixedPair.of(list(fixed) + [(free, t)])
     return ch.tau_mixed(pair, CartierAlgebraSpec.full_algebra(free.ring))
@@ -237,39 +241,34 @@ class TestJumpingNumbers:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("t1", [None, F(5, 7), F(4, 3), "1/p"])
     def test_matches_per_point_tau(self, monkeypatch, p, t1):
-        from charp import cartier
         Rp = ring(p)
         free = Ideal(Rp, [Rp.poly("x^2+y^3")])
         if t1 == "1/p":
             t1 = F(1, p)
         fixed = [] if t1 is None else [(Ideal(Rp, [Rp.poly("x+y")]), t1)]
-        for T in (F(1), F(2), F(1, p)):
-            for k in range(1 if T.denominator > 1 else 0, 3):
-                monkeypatch.setattr(cartier, "_tau_cache", {})
-                runs = ch.jumping_numbers(fixed, free, T, k)
-                monkeypatch.setattr(cartier, "_tau_cache", {})
-                want = []
-                for m in range(int(T * p ** k) + 1):
-                    t = F(m, p ** k)
-                    h = tau_at(fixed, free, t).content_hash()
-                    if want and want[-1][2] == h:
-                        want[-1] = (want[-1][0], t, h)
-                    else:
-                        want.append((t, t, h))
-                assert runs == want, (T, k)
+        assert_runs_match_per_point(monkeypatch, fixed, free)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("case", ["free", "fixed", "both"])
+    def test_non_principal_matches_per_point_tau(self, monkeypatch, p, case):
+        # the digit table walks carry states, so non-principal ideals, free
+        # or fixed (at an exponent with p in its denominator and one
+        # without), take it like principal ones
+        Rp = ring(p)
+        xy2, lines = ideal(Rp, "x", "y^2"), ideal(Rp, "x+y")
+        if case == "free":
+            fixed, free = [(lines, F(1, p))], xy2
+        elif case == "fixed":
+            fixed, free = [(xy2, F(5, 4))], ideal(Rp, "x^2+y^3")
+        else:
+            fixed, free = [(xy2, F(1, p)), (lines, F(1, 2))], \
+                ideal(Rp, "x", "y")
+        assert_runs_match_per_point(monkeypatch, fixed, free)
 
     def test_hash_collision_is_refused(self, monkeypatch, R):
         monkeypatch.setattr(Ideal, "content_hash", lambda self: "0" * 16)
         with pytest.raises(ch.VerificationError, match="two tau classes"):
             ch.jumping_numbers([], Ideal(R, [R.poly("x*y")]), 1, 2)
-
-    def test_non_principal_rejected(self, R):
-        xy = Ideal(R, [R.var("x"), R.var("y")])
-        f = Ideal(R, [R.poly("x*y")])
-        with pytest.raises(ValueError, match="principal"):
-            ch.jumping_numbers([], xy, 1, 2)
-        with pytest.raises(ValueError, match="principal"):
-            ch.jumping_numbers([(xy, F(1, 3))], f, 1, 2)
 
     @pytest.mark.parametrize("T,depth", [(F(1), -1), (F(-1), 1), (F(1, 9), 1)])
     def test_bad_grid_rejected(self, R, T, depth):
@@ -280,6 +279,27 @@ class TestJumpingNumbers:
         f = Ideal(R, [R.poly("x*y")])
         with pytest.raises(ValueError, match="nonnegative"):
             ch.jumping_numbers([(f, F(-1, 3))], f, 1, 2)
+
+
+def assert_runs_match_per_point(monkeypatch, fixed, free):
+    """``jumping_numbers`` on T in {1, 2, 1/p} and depths up to 2 against
+    the runs of one ``tau_mixed`` per grid point, each on a fresh store."""
+    from charp import cartier
+    p = free.ring.p
+    for T in (F(1), F(2), F(1, p)):
+        for k in range(1 if T.denominator > 1 else 0, 3):
+            monkeypatch.setattr(cartier, "_tau_cache", {})
+            runs = ch.jumping_numbers(fixed, free, T, k)
+            monkeypatch.setattr(cartier, "_tau_cache", {})
+            want = []
+            for m in range(int(T * p ** k) + 1):
+                t = F(m, p ** k)
+                h = tau_at(fixed, free, t).content_hash()
+                if want and want[-1][2] == h:
+                    want[-1] = (want[-1][0], t, h)
+                else:
+                    want.append((t, t, h))
+            assert runs == want, (T, k)
 
 
 class TestJumpScaling:
