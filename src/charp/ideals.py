@@ -77,8 +77,10 @@ def _divide(f: Polynomial, step) -> dict:
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Fully reduced remainder of f modulo the list of divisors."""
+    """Fully reduced remainder of f modulo the divisors (f if there are none)."""
     divisors = [g.monic() for g in basis if g]
+    if not divisors:
+        return f
 
     def step(m, c):
         for gm, tail in divisors:
@@ -258,6 +260,10 @@ def _twin_poly_ring(ring: RingCtx) -> RingCtx:
 
 
 def _ext_ring(ring: RingCtx, k: int = 1) -> RingCtx:
+    """ring with k auxiliary variables in front, eliminated first; ring must
+    be grevlex, which the block order restricts to (see ``_eliminate``)."""
+    if ring.order != ("grevlex",):
+        raise ValueError(f"elimination needs a grevlex ring, not {ring.order}")
     aux = tuple(f"@e{i}" for i in range(k))
     return RingCtx(aux + ring.names, ring.modulus, laurent=False,
                    order=("elim", k))
@@ -280,17 +286,25 @@ def _strip_to_poly(f: Polynomial, twin: RingCtx) -> Polynomial:
                              for m, c in f.terms.items()})
 
 
+def _eliminate(sys, work: RingCtx, k: int):
+    """Reduced basis of (sys) meet work, for sys in ``_ext_ring(work, k)``, by
+    one Buchberger run.  By the elimination theorem (Cox, Little and O'Shea,
+    *Ideals, Varieties, and Algorithms*, 3.1), the basis elements whose leads
+    lack the k auxiliary variables lack them in every term and form a
+    Groebner basis of the meet; so only those are reduced."""
+    kept = [g for g in buchberger(sys) if not any(g.lead()[0][:k])]
+    return reduce_basis([_drop(g, work, k) for g in kept])
+
+
 def _saturate_gens(gens, ring: RingCtx):
-    """Generators of (gens) : (x_1*...*x_n)^infinity, by the Rabinowitsch trick."""
-    if not gens:
-        return []
+    """Reduced basis of (gens) : (x_1*...*x_n)^infinity, by the Rabinowitsch
+    trick: the elimination of t from (gens, 1 - t x_1...x_n), which
+    ``_eliminate`` returns already reduced."""
     ext = _ext_ring(ring, 1)
-    m_all = ext.monomial((0,) + (1,) * ring.nvars)
+    n = ring.nvars + 1
     sys = [_lift(g, ext, 1) for g in gens]
-    sys.append(ext.one() - ext.var("@e0") * m_all)
-    gb = buchberger(sys)
-    return [_drop(g, ring, 1) for g in reduce_basis(gb)
-            if all(m[0] == 0 for m in g.terms)]
+    sys.append(Polynomial(ext, {(0,) * n: 1, (1,) * n: ring.p - 1}))
+    return _eliminate(sys, ring, 1)
 
 
 # --- the Ideal type ---------------------------------------------------------------
@@ -329,20 +343,18 @@ class Ideal:
                 self._gb = ()
             elif self.ring.laurent:
                 twin = _twin_poly_ring(self.ring)
-                stripped = [_strip_to_poly(g, twin) for g in self.gens]
-                if any(g.is_unit() for g in stripped):
-                    sat = [twin.one()]
-                else:
-                    sat = _saturate_gens(stripped, twin)
-                back = [Polynomial(self.ring, dict(g.terms)) for g in sat]
-                self._gb = reduce_basis(back) if back else ()
+                sat = _saturate_gens([_strip_to_poly(g, twin)
+                                      for g in self.gens], twin)
+                self._gb = tuple(Polynomial(self.ring, dict(g.terms))
+                                 for g in sat)
             else:
                 self._gb = reduce_basis(buchberger(list(self.gens)))
         return self._gb
 
     # --- predicates ---------------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.groebner()
+        """No generator; the constructor drops zero ones, so no basis is needed."""
+        return not self.gens
 
     def is_unit(self) -> bool:
         gb = self.groebner()
@@ -435,6 +447,11 @@ def frob_power(I: Ideal, e: int) -> Ideal:
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
+    """a meet b as the elimination of t from t a + (1 - t) b (Cox, Little and
+    O'Shea, 4.3), by one Buchberger run.  On polynomial rings the result
+    keeps the reduced basis that ``_eliminate`` yields.  (1 - t) goes on the
+    side with fewer terms, as it doubles every term it multiplies; the
+    reduced basis is unique, so the side does not change the result."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     ring = a.ring
@@ -444,18 +461,22 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
         b = Ideal(ring, list(b.groebner()))
     work = _twin_poly_ring(ring) if ring.laurent else ring
     ext = _ext_ring(work, 1)
-    t = ext.var("@e0")
-    one = ext.one()
-    sys = [t * _lift(Polynomial(work, dict(g.terms)), ext, 1) for g in a.gens]
-    sys += [(one - t) * _lift(Polynomial(work, dict(g.terms)), ext, 1)
-            for g in b.gens]
-    gb = reduce_basis(buchberger(sys))
-    gens = [_drop(g, work, 1) for g in gb if all(m[0] == 0 for m in g.terms)]
-    return Ideal(ring, [Polynomial(ring, dict(g.terms)) for g in gens])
+    if sum(len(g.terms) for g in a.gens) < sum(len(g.terms) for g in b.gens):
+        a, b = b, a
+    p = ring.p
+    sys = [Polynomial(ext, {(1,) + m: c for m, c in g.terms.items()})
+           for g in a.gens]
+    sys += [Polynomial(ext, {(e,) + m: p - c if e else c for e in (0, 1)
+                             for m, c in g.terms.items()}) for g in b.gens]
+    gb = _eliminate(sys, work, 1)
+    if ring.laurent:
+        return Ideal(ring, [Polynomial(ring, dict(g.terms)) for g in gb])
+    return Ideal._reduced(ring, gb)
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
-    """The ideal quotient (I : J) = {f : f*J within I}, exact."""
+    """The ideal quotient (I : J) = {f : f*J within I}, exact: the meet of
+    the quotients by J's generators, each by one elimination."""
     if I.ring != J.ring:
         raise ValueError("ring mismatch")
     if J.is_zero():
@@ -468,6 +489,9 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
+    """(I : g) = (I meet (g)) / g.  As lead(g h) = lead(g) lead(h), the quotients
+    of a Groebner basis of I meet (g) are one of (I : g), so on polynomial
+    rings ``reduce_basis`` alone makes the reduced one: no further run."""
     if g.is_zero():
         raise ValueError("colon by zero generator")
     ring = I.ring
@@ -477,4 +501,7 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
     if g.is_unit():
         return Ideal._reduced(ring, I.groebner())
     meet = intersect(I, Ideal(ring, [g]))
-    return Ideal(ring, [exact_div(f, g) for f in meet.gens])
+    quotients = [exact_div(f, g) for f in meet.gens]
+    if ring.laurent:
+        return Ideal(ring, quotients)
+    return Ideal._reduced(ring, reduce_basis(quotients))

@@ -329,27 +329,21 @@ def three_lines_staircase(p: int, depth: int):
         raise ValueError("staircase requires an odd prime")
 
     def build(k):
+        """Vertices at depth k as integer pairs over 2 p^k."""
         if k == 0:
-            return [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1, 2))]
-        sub = build(k - 1)
+            return [(0, 2), (2, 1)]
+        sub, h = build(k - 1), p ** (k - 1)  # sub is over 2h
         verts = []
         for a in range(p):
-            if a % 2 == 1:
-                top = (Fraction(a, p), 1 - Fraction(a, 2 * p))
-                bottom = (Fraction(a, p), 1 - Fraction(a + 1, 2 * p))
-                end = (Fraction(a + 1, p), 1 - Fraction(a + 1, 2 * p))
-                verts.extend([top, bottom, end])
+            if a % 2:  # x = a/p, (a+1)/p and y = 1 - a/(2p), 1 - (a+1)/(2p)
+                y0, y1 = (2 * p - a) * h, (2 * p - a - 1) * h
+                verts += [(2 * a * h, y0), (2 * a * h, y1), (2 * (a + 1) * h, y1)]
             else:
-                l = a // 2
-                for (s, y) in sub:
-                    verts.append((Fraction(s + a, p), Fraction(y + p - l - 1, p)))
-        out = []
-        for v in verts:
-            if not out or out[-1] != v:
-                out.append(v)
-        return out
+                verts += [(s + 2 * a * h, y + (2 * p - a - 2) * h) for s, y in sub]
+        return [v for i, v in enumerate(verts) if not i or verts[i - 1] != v]
 
-    return build(depth)
+    den = 2 * p ** depth
+    return [(Fraction(x, den), Fraction(y, den)) for x, y in build(depth)]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import charp as ch
 from charp import Ideal
-from charp.ideals import _spoly, buchberger, reduce_basis
+from charp.ideals import _ext_ring, _spoly, buchberger, reduce_basis
 from charp.rings import EXP_LIMIT, heap_key, order_key, poly_str
-from test_cartier import wrap_in_charp
+from elimination_oracle import (oracle_colon, oracle_groebner,
+                                oracle_intersect)
+from test_cartier import count_buchberger, wrap_in_charp
 
 
 def ring(p=3, names=("x", "y"), laurent=False):
@@ -455,3 +457,77 @@ def test_buchberger_terminates_on_degree_30_corpus():
     R = ring(names=("x", "y", "z"))
     J = I(R, "x^30 + y^2*z", "y^15 + z", "x*z^3 + y")
     assert J.groebner()  # no budget blowup at the intended corpus scale (2-3 vars, degree <= 30)
+
+
+# --- one elimination per intersection, colon and saturation -----------------------
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Two ideals of one ring: 1-3 generators each, so principal and
+    non-principal divisors with either side larger; Laurent rings allow
+    exponents down to -1."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 32003]))
+    n = draw(st.integers(2, 3))
+    laurent = draw(st.booleans())
+    R = ring(p, ("x", "y", "z")[:n], laurent)
+    lo = -1 if laurent else 0
+    monos = st.sampled_from([m for m in product(range(lo, 3), repeat=n)
+                             if sum(map(abs, m)) <= 3])
+    polys = st.dictionaries(monos, st.integers(1, p - 1), min_size=1,
+                            max_size=3).map(lambda d: ch.Polynomial(R, d))
+    a, b = (Ideal(R, draw(st.lists(polys, min_size=1, max_size=3)))
+            for _ in range(2))
+    return a, b
+
+
+def assert_reduced(out, expected):
+    """out's reduced basis is the oracle's; a polynomial-ring result holds
+    it already, equal to a fresh Buchberger run on its generators."""
+    if not out.ring.laurent:
+        assert out._gb is not None
+        assert out._gb == reduce_basis(buchberger(list(out.gens)))
+    assert out.groebner() == expected
+
+
+@given(ideal_pairs())
+@settings(max_examples=80, deadline=None)
+def test_elimination_matches_oracle(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        assert_reduced(ch.intersect(x, y), oracle_groebner(oracle_intersect(x, y)))
+        assert_reduced(ch.colon(x, y), oracle_groebner(oracle_colon(x, y)))
+    if a.ring.laurent:
+        for x in (a, b):
+            assert Ideal(x.ring, x.gens).groebner() == oracle_groebner(x)
+
+
+def test_transform_sweep_takes_one_run_each(monkeypatch):
+    # (N^[p] : prod f_i^b_i) is one elimination; the parent took 66 runs
+    runs = count_buchberger(monkeypatch)
+    jobs = 0
+    for p in (3, 5, 7, 11, 13):
+        R = ring(p)
+        fam = [I(R, "x+y"), I(R, "x*y")]
+        for l in range((p - 1) // 2 + 1):
+            before = len(runs)
+            out = ch.transform_chi_symbolic(I(R, "x", "y"), (2 * l, p - l - 1),
+                                            fam)
+            assert out.basis_strings() == ("x", "y")
+            assert len(runs) - before == 1
+            jobs += 1
+    assert jobs == len(runs) == 22
+
+
+def test_principal_colon_takes_one_run(monkeypatch):
+    R = ring()
+    runs = count_buchberger(monkeypatch)
+    out = ch.colon(I(R, "x^2", "y^2"), I(R, "(x+y)^2"))
+    assert out.basis_strings() == ("x", "y")
+    assert len(runs) == 1
+
+
+def test_ext_ring_needs_grevlex():
+    R = ch.RingCtx(("x", "y"), ch.PrimeModulus(3), order=("elim", 1))
+    with pytest.raises(ValueError, match="grevlex"):
+        _ext_ring(R, 1)
