@@ -279,7 +279,8 @@ class _ClassAutomaton:
     (f tuple, ``C.cache_key()``) for the process, so every call on the same
     f and C reuses the roots of the calls before it.  Under the full algebra
     the tau classes are finitely many on [0, 1)^n (Blickle-Mustata-Smith
-    2008; Perez 2013 for mixed ideals), so ``closure`` stops."""
+    2008; Perez 2013 for mixed ideals), so the closure that ``fpt_search``
+    takes of its tails under the digits it chooses stops."""
 
     def __init__(self, fs, C: CartierAlgebraSpec):
         self.fs, self.C = fs, C
@@ -382,15 +383,6 @@ class _ClassAutomaton:
         for kappa, cid in y:
             acc[kappa] = self.plus(acc[kappa], cid) if kappa in acc else cid
         return tuple(sorted(acc.items()))
-
-    def closure(self, cids) -> frozenset:
-        """The classes reached from ``cids`` by digits in [0, p)^n."""
-        digits = list(iproduct(range(self.C.ring.p), repeat=len(self.fs)))
-        seen = frontier = set(cids)
-        while frontier:
-            frontier = {self.step(d, c) for c in frontier for d in digits} - seen
-            seen = seen | frontier
-        return frozenset(seen)
 
 
 def skoda_reduce(pair: MixedPair, i: int):

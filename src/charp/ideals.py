@@ -311,9 +311,10 @@ def _saturate_gens(gens, ring: RingCtx):
 
 
 class Ideal:
-    """Generator list plus the lazily cached reduced Groebner basis."""
+    """Generator list plus the lazily cached reduced Groebner basis and
+    content hash."""
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_hash")
 
     def __init__(self, ring: RingCtx, gens):
         self.ring = ring
@@ -321,7 +322,7 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
-        self._gb = None
+        self._gb = self._hash = None
 
     @classmethod
     def _reduced(cls, ring: RingCtx, gb) -> "Ideal":
@@ -380,9 +381,11 @@ class Ideal:
         return "{" + ", ".join(self.basis_strings()) + "}"
 
     def content_hash(self) -> str:
-        """Stable 64-bit hash of the printed reduced basis."""
-        h = hashlib.blake2b(self.canonical_str().encode(), digest_size=8)
-        return h.hexdigest()
+        """Stable 64-bit hash of the printed reduced basis, printed once."""
+        if self._hash is None:
+            self._hash = hashlib.blake2b(self.canonical_str().encode(),
+                                         digest_size=8).hexdigest()
+        return self._hash
 
     def __repr__(self):
         gens = ", ".join(poly_str(g) for g in self.gens)
@@ -448,10 +451,12 @@ def frob_power(I: Ideal, e: int) -> Ideal:
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     """a meet b as the elimination of t from t a + (1 - t) b (Cox, Little and
-    O'Shea, 4.3), by one Buchberger run.  On polynomial rings the result
-    keeps the reduced basis that ``_eliminate`` yields.  (1 - t) goes on the
-    side with fewer terms, as it doubles every term it multiplies; the
-    reduced basis is unique, so the side does not change the result."""
+    O'Shea, 4.3), by one Buchberger run.  The result keeps the reduced basis
+    that ``_eliminate`` yields; on Laurent rings that is the meet of the
+    saturated representatives, itself saturated, so it is the reduced basis
+    of the Laurent meet.  (1 - t) goes on the side with fewer terms, as it
+    doubles every term it multiplies; the reduced basis is unique, so the
+    side does not change the result."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     ring = a.ring
@@ -470,7 +475,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
                              for m, c in g.terms.items()}) for g in b.gens]
     gb = _eliminate(sys, work, 1)
     if ring.laurent:
-        return Ideal(ring, [Polynomial(ring, dict(g.terms)) for g in gb])
+        gb = [Polynomial(ring, dict(g.terms)) for g in gb]
     return Ideal._reduced(ring, gb)
 
 
@@ -490,8 +495,10 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
 
 def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
     """(I : g) = (I meet (g)) / g.  As lead(g h) = lead(g) lead(h), the quotients
-    of a Groebner basis of I meet (g) are one of (I : g), so on polynomial
-    rings ``reduce_basis`` alone makes the reduced one: no further run."""
+    of a Groebner basis of I meet (g) are one of (I : g), so ``reduce_basis``
+    alone makes the reduced one: no further run.  On Laurent rings g is
+    stripped of its monomial content, so (g) is saturated, with basis g; and
+    (I : g) is saturated when I is, so the quotients need no saturation."""
     if g.is_zero():
         raise ValueError("colon by zero generator")
     ring = I.ring
@@ -500,8 +507,7 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
         g = Polynomial(ring, dict(_strip_to_poly(g, twin).terms))
     if g.is_unit():
         return Ideal._reduced(ring, I.groebner())
-    meet = intersect(I, Ideal(ring, [g]))
+    monic = g.scale(ring.modulus.inv(g.lead()[1]))  # the basis of (g)
+    meet = intersect(I, Ideal._reduced(ring, [monic]))
     quotients = [exact_div(f, g) for f in meet.gens]
-    if ring.laurent:
-        return Ideal(ring, quotients)
     return Ideal._reduced(ring, reduce_basis(quotients))

@@ -58,11 +58,17 @@ def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
 
     Free digits d_1..d_j keep tau = (1) iff the tail class T_j (``tau_mixed``
     at the fixed remainders r_j and free exponent 0) lies in
-    U_j = {c in S : step(D_j, c) in U_(j-1)}, U_0 = {(1)}, for the closure S
-    of the tails under digits in [0, p)^n.  The largest such digit at each
-    position spells c, as those prefixes are the largest a/p^j below c.  The
-    digit depends only on (U_j, r_j), so once that pair repeats the digits
-    are periodic and c is exact.  c <= 1, as tau(... free^1) lies in free.
+    U_j = {c : step(D_j, c) in U_(j-1)}, U_0 = {(1)}.  The largest such digit
+    at each position spells c, as those prefixes are the largest a/p^j below
+    c.  U_j is kept on V, the closure under the digit vectors chosen so far
+    of the tails and of Q = {step((floor(p r), d), T_frac(p r))} over the
+    remainders r and d in [1, p); V grows with each new digit vector, and
+    U_0..U_j are then recomputed on it.  Every class a digit test asks
+    about lies in Q, so the digit after position j depends only on
+    (U_j meet V, r_j).  Once that pair repeats, at i < j, V is closed under
+    every digit chosen since i, so by induction the digits after i repeat
+    with period j - i, V stops growing, and c is exact.  c <= 1, as
+    tau(... free^1) lies in free.
     """
     ideals = tuple(I for I, _ in fixed) + (free,)
     if any(len(a.gens) != 1 for a in ideals):
@@ -73,25 +79,27 @@ def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
     C = CartierAlgebraSpec.full_algebra(free.ring)
     auto = _automaton([a.gens[0] for a in ideals], C)
     r = tuple(Fraction(t) for _, t in fixed)
-    tails, x = {}, r  # r_0, r_1, ... is eventually periodic
+    tails, moves, x = {}, {}, r  # r_0, r_1, ... is eventually periodic
     while x not in tails:
         pair = MixedPair(ideals, x + (Fraction(0),))
         tails[x] = auto.intern(tau_mixed(pair, C))
-        x = tuple(y * p - int(y * p) for y in x)
+        digits = tuple(int(y * p) for y in x)
+        moves[x] = digits, tuple(y * p - d for y, d in zip(x, digits))
+        x = moves[x][1]
     transcript = [(Fraction(0), auto.classes[tails[r]].content_hash())]
     if tails[r] != auto.unit:
         raise ThresholdError("slice is not F-regular at free exponent 0")
-    S = auto.closure(tails.values())
-    U, chosen, values, seen = frozenset([auto.unit]), [], [Fraction(0)], {}
-    while len(chosen) < depth or (U, r) not in seen:
-        seen.setdefault((U, r), len(chosen))
+    V = set(tails.values()) | {auto.step(D + (d,), tails[y])
+                               for D, y in moves.values() for d in range(1, p)}
+    closed = set()  # the digit vectors V is closed under
+    rs, Us, chosen, values = [r], [frozenset([auto.unit])], [], [Fraction(0)]
+    while len(chosen) < depth or (Us[-1], r) not in zip(Us[:-1], rs):
         j = len(chosen) + 1
-        fixed_digits = tuple(int(x * p) for x in r)
-        r = tuple(x * p - d for x, d in zip(r, fixed_digits))
+        fixed_digits, r = moves[r]
         best = 0
         for d in range(1, p):
             cid = auto.step(fixed_digits + (d,), tails[r])
-            ok = cid in U
+            ok = cid in Us[-1]
             if j <= depth:  # record tau = step(D_1, ... step(D_j, T_j))
                 for D in reversed(chosen):
                     cid = auto.step(D, cid)
@@ -101,9 +109,19 @@ def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
                 break
             best = d
         chosen.append(fixed_digits + (best,))
-        U = frozenset(c for c in S if auto.step(chosen[-1], c) in U)
+        rs.append(r)
         values.append(values[-1] + Fraction(best, p ** j))
-    i = seen[U, r]
+        if chosen[-1] not in closed:  # V grows: close it, redo U_1.. on it
+            closed.add(chosen[-1])
+            frontier = V
+            while frontier:
+                frontier = {auto.step(D, c) for c in frontier
+                            for D in closed} - V
+                V |= frontier
+            del Us[1:]
+        for D in chosen[len(Us) - 1:]:
+            Us.append(frozenset(c for c in V if auto.step(D, c) in Us[-1]))
+    i = list(zip(Us, rs)).index((Us[-1], r))
     q = p ** (len(chosen) - i)  # the digits after position i repeat
     candidate = values[i] + (values[-1] - values[i]) * q / (q - 1)
     lo = values[depth]

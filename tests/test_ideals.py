@@ -502,6 +502,33 @@ def test_elimination_matches_oracle(pair):
             assert Ideal(x.ring, x.gens).groebner() == oracle_groebner(x)
 
 
+@given(ideal_pairs())
+@settings(max_examples=60, deadline=None)
+def test_kept_basis_matches_fresh_groebner(pair):
+    # intersect and colon keep the basis of their elimination on polynomial
+    # and Laurent rings alike; it is what a fresh Ideal of the same
+    # generators computes from scratch
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        for out in (ch.intersect(x, y), ch.colon(x, y)):
+            assert out._gb is not None
+            assert out._gb == Ideal(out.ring, out.gens).groebner()
+
+
+def test_laurent_results_keep_their_basis(monkeypatch):
+    # the parent took one more run for each result's groebner(), and three
+    # runs for the colon, saturating the stripped divisor (x+y+1) too
+    R = ring(3, laurent=True)
+    runs = count_buchberger(monkeypatch)
+    for op, cost in ((ch.intersect, 3), (ch.colon, 2)):
+        before = len(runs)
+        out = op(I(R, "x^2+y", "y^2+x"), I(R, "x+y+1"))
+        assert len(runs) - before == cost
+        out.groebner()
+        assert len(runs) - before == cost
+    assert out.basis_strings() == ("x^2 + y", "x*y + 2", "y^2 + x")
+
+
 def test_transform_sweep_takes_one_run_each(monkeypatch):
     # (N^[p] : prod f_i^b_i) is one elimination; the parent took 66 runs
     runs = count_buchberger(monkeypatch)

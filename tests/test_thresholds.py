@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import charp as ch
 from charp import CartierAlgebraSpec, Ideal, MixedPair
+from fpt_oracle import oracle_fpt_search
 
 
 def ring(p=3):
@@ -85,18 +86,17 @@ class TestFptSearch:
 
     def test_staircase_slices_share_one_automaton(self, monkeypatch, family):
         # the four slices walk the one automaton of (x+y, xy); searched one
-        # by one on automata of their own they took 19, 19, 20 and 20 roots
+        # by one on automata of their own they took 19, 19, 20 and 20 roots,
+        # and closing the tails under every digit took 18 for the first
+        # slice and none after it
         from charp import cartier
-        real, calls = cartier.bracket_root, []
-        monkeypatch.setattr(cartier, "bracket_root",
-                            lambda I, e: calls.append(e) or real(I, e))
-        monkeypatch.setattr(cartier, "_tau_cache", {})
+        calls = count_roots(monkeypatch)
         f1, f2 = family
         roots = []
         for t1, expected in self.CASES:
             assert ch.fpt_search([(f1, t1)], f2, depth=6).candidate == expected
             roots.append(len(calls))
-        assert 0 < roots[0] <= 18 and roots[-1] == roots[0]
+        assert 0 < roots[0] <= 8 and roots[-1] <= 12
         assert len(cartier._tau_cache) == 1
 
     def test_threshold_avoidance_probe_logged(self, family):
@@ -111,6 +111,16 @@ class TestFptSearch:
                         avoidance_windows(res.candidate, 3)))
         print("avoidance probe:", log)
         assert len(log) == len(self.CASES)
+
+
+def count_roots(monkeypatch):
+    """Count the bracket roots the automata take, on a fresh store."""
+    from charp import cartier
+    real, calls = cartier.bracket_root, []
+    monkeypatch.setattr(cartier, "bracket_root",
+                        lambda I, e: calls.append(e) or real(I, e))
+    monkeypatch.setattr(cartier, "_tau_cache", {})
+    return calls
 
 
 def cusp_fpt(p):
@@ -147,6 +157,15 @@ class TestExactThresholds:
         res = ch.fpt_search([], Ideal(Rp, [Rp.poly(expr)]), depth=2)
         assert res.candidate == closed_form(p)
         assert res.lo < res.candidate <= res.hi
+
+    @pytest.mark.parametrize("expr", ["x^2+y^3", "x*y*(x+y)"])
+    def test_closed_form_roots(self, monkeypatch, expr):
+        # the tails are closed under the chosen digits only; closing them
+        # under every digit in [0, 5) took 10 roots
+        R5 = ring(5)
+        calls = count_roots(monkeypatch)
+        ch.fpt_search([], Ideal(R5, [R5.poly(expr)]), depth=2)
+        assert 0 < len(calls) <= 7
 
     def test_mixed_slice(self, monkeypatch):
         from charp import cartier
@@ -190,6 +209,55 @@ class TestExactThresholds:
             assert not unit_at([], free, t)
             assert unit_at([], free, max(res.lo, t - F(1, p ** (depth + 2))))
             assert unit_at([], free, res.lo) and not unit_at([], free, res.hi)
+
+
+def search_outcome(search, fixed, free, depth):
+    """The ``ThresholdResult`` of ``search`` on a fresh automaton store, or
+    the message of the ``ThresholdError`` it raised."""
+    from charp import cartier
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cartier, "_tau_cache", {})
+        try:
+            return search(fixed, free, depth)
+        except ch.ThresholdError as err:
+            return str(err)
+
+
+class TestAgainstAllDigitOracle:
+    # fpt_search closes its tails under the digits it chooses; the oracle
+    # closes them under every digit vector in [0, p)^n first
+
+    @pytest.mark.parametrize("p,expr,expected", [
+        (7, "x^2+y^3", F(5, 6)), (2, "x^3+y^7", F(15, 32)),
+        (5, "x^2+y^3", F(4, 5)), (3, "x*y*(x+y)", F(2, 3))])
+    def test_curves(self, p, expr, expected):
+        Rp = ring(p)
+        for depth in range(7):
+            res = search_outcome(ch.fpt_search, [],
+                                 Ideal(Rp, [Rp.poly(expr)]), depth)
+            assert res.candidate == expected
+            assert res == search_outcome(oracle_fpt_search, [],
+                                         Ideal(Rp, [Rp.poly(expr)]), depth)
+
+    @given(p=st.sampled_from([2, 3, 5, 7]),
+           mons=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         min_size=2, max_size=2, unique=True),
+           c=st.integers(1, 6),
+           fixed=st.sampled_from([None, "x+y", "x^2+y^3", "x*y"]),
+           t1=st.sampled_from([F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 9),
+                               F(7, 9), F(5, 6), F(2, 5), F(4, 7), F(1)]),
+           free=st.sampled_from(["binomial", "x*y", "x+y"]),
+           depth=st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, p, mons, c, fixed, t1, free, depth):
+        Rp = ring(p)
+        (a, b), (d, e) = mons
+        if free == "binomial":
+            free = f"x^{a}*y^{b} + {c % (p - 1) + 1}*x^{d}*y^{e}"
+        free = Ideal(Rp, [Rp.poly(free)])
+        fixed = [] if fixed is None else [(Ideal(Rp, [Rp.poly(fixed)]), t1)]
+        got = search_outcome(ch.fpt_search, fixed, free, depth)
+        assert got == search_outcome(oracle_fpt_search, fixed, free, depth)
 
 
 class TestJumpingNumbers:
