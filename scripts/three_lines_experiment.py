@@ -114,7 +114,7 @@ def main():
 
     csv_path = os.path.join(args.out, f"regions_k{args.mesh}.csv")
     with open(csv_path, "w") as fh:
-        fh.write(ch.raster_csv(ras))
+        fh.writelines(ch.raster_csv_pieces(ras))
     print(f"wrote {csv_path}")
 
 

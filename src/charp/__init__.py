@@ -21,8 +21,9 @@ from .thresholds import (ThresholdError, ThresholdResult, breakpoints,
 from .regions import (BoundaryLength, RasterGrid, RegionFunction, TOperator,
                       apply_T, boundary_length, chi_function, compose_T,
                       constancy_raster, hausdorff_distance, pfractal_span_rank,
-                      raster_csv, rho_function, staircase_partial_sum,
-                      three_lines_staircase, transform_chi_symbolic)
+                      raster_csv, raster_csv_pieces, rho_function,
+                      staircase_partial_sum, three_lines_staircase,
+                      transform_chi_symbolic)
 from .basischange import (FrobJacobian, IdentityReport, PolyMatrix,
                           admissible_matrices, combinatorial_identity_check,
                           det_mod_p, dual_generator_ratio, dual_ratio_direct,

@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import product as iproduct
+from itertools import chain
 
 from .basischange import (admissible_matrices, combinatorial_identity_check,
                           dual_generator_ratio, frobenius_jacobian, jacobian,
@@ -23,8 +23,8 @@ from .cartier import (CartierAlgebraSpec, MixedPair, RelativeChart, sigma,
                       tau_mixed, theorem_b_sides)
 from .frobenius import bracket_root, decompose
 from .ideals import Ideal, ideal_eq
-from .regions import boundary_length, constancy_raster, raster_csv, \
-    three_lines_staircase, staircase_partial_sum
+from .regions import boundary_length, constancy_raster, raster_csv_pieces, \
+    raster_rows, three_lines_staircase, staircase_partial_sum
 from .rings import PrimeModulus, RingCtx
 from .thresholds import fpt_search, jumping_numbers
 
@@ -77,6 +77,19 @@ def _hash_text(text: str) -> str:
     return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
 
 
+def _write_artifact(path, pieces) -> str:
+    """Write the text ``pieces`` to ``path`` one at a time, UTF-8 encoded in
+    binary mode, and return the ``_hash_text`` hash of the bytes written:
+    the hash of the file itself, with no copy of its whole text."""
+    digest = hashlib.blake2b(digest_size=8)
+    with open(path, "wb") as fh:
+        for piece in pieces:
+            data = piece.encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
 def _emit(args, command, payload, human_lines):
     if getattr(args, "json", False):
         doc = {"p": args.p, "vars": getattr(args, "vars", "").split(",")
@@ -89,9 +102,9 @@ def _emit(args, command, payload, human_lines):
             print(line)
 
 
-def _write_manifest(args, artifacts, started):
+def _write_manifest(args, artifacts):
     core = {
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args._argv),
         "p": args.p,
         "ring": {"vars": getattr(args, "vars", ""),
                  "laurent": getattr(args, "laurent", False)},
@@ -101,7 +114,7 @@ def _write_manifest(args, artifacts, started):
     }
     manifest = dict(core)
     manifest["manifest_hash"] = _hash_text(json.dumps(core, sort_keys=True))
-    manifest["wall_clock_s"] = round(time.time() - started, 3)
+    manifest["wall_clock_s"] = round(time.time() - args._started, 3)
     path = args.manifest or (next(iter(artifacts)) + ".manifest.json"
                              if artifacts else None)
     if path:
@@ -145,15 +158,13 @@ def _cmd_jumps(args):
     runs = jumping_numbers(fixed, free, _fraction(args.T), args.depth)
     lines = ["t_start,t_end,class_hash"]
     lines += [f"{a},{b},{h}" for a, b, h in runs]
-    text = "\n".join(lines) + "\n"
     artifacts = {}
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        artifacts[args.out] = _hash_text(text)
+        artifacts[args.out] = _write_artifact(
+            args.out, (line + "\n" for line in lines))
     _emit(args, "jumps", {"runs": [[str(a), str(b), h] for a, b, h in runs]},
           lines if not args.out else [f"wrote {args.out}"])
-    _write_manifest(args, artifacts, args._started)
+    _write_manifest(args, artifacts)
     return 0
 
 
@@ -167,22 +178,16 @@ def _cmd_raster(args):
         _check_staircase(args, ring, ideals)
     ras = constancy_raster(ideals, _fraction(args.T), args.depth,
                            C=_parse_algebra(ring, args.alg))
-    text = raster_csv(ras)
-    artifacts = {}
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    artifacts[args.out] = _hash_text(text)
+    artifacts = {args.out: _write_artifact(args.out, raster_csv_pieces(ras))}
     if args.svg:
-        svg = _raster_svg(ras, overlay=args.staircase)
-        with open(args.svg, "w") as fh:
-            fh.write(svg)
-        artifacts[args.svg] = _hash_text(svg)
+        artifacts[args.svg] = _write_artifact(
+            args.svg, _raster_svg(ras, overlay=args.staircase))
     _emit(args, "raster",
           {"cells": len(ras.cells), "classes": ras.class_count(),
            "artifacts": artifacts},
           [f"cells = {len(ras.cells)}", f"classes = {ras.class_count()}",
            f"wrote {args.out}" + (f" and {args.svg}" if args.svg else "")])
-    _write_manifest(args, artifacts, args._started)
+    _write_manifest(args, artifacts)
     return 0
 
 
@@ -204,35 +209,39 @@ def _check_staircase(args, ring, ideals):
 
 
 def _raster_svg(ras, overlay=False, size=600):
-    """Cells colored by class hash over a size x size viewport; the unit box
-    maps to the full viewport with t2 pointing up."""
+    """Cells colored by class hash over a size x size viewport, as pieces of
+    text (one per column of cells, from ``raster_rows``); the unit box maps
+    to the full viewport with t2 pointing up.  A cell's rect is the x
+    attribute of its t1 index, the y attribute of its t2 index and the fill
+    of its class, each formatted once."""
     side = ras.side
     step = size / (side + 1)
     xs = [f'<rect x="{i * step:.2f}" y="' for i in range(side + 1)]
     ys = [f'{size - (j + 1) * step:.2f}" width="{step:.2f}" '
           f'height="{step:.2f}" fill="#' for j in range(side + 1)]
-    ends = {h: f'{h[:6]}"/>' for h in ras.ideals}  # one per class
-    body = [f'{x}{y}{ends[h]}'
-            for (x, y), h in zip(iproduct(xs, ys), ras.cells)]
+    ends = {h: f'{h[:6]}"/>\n' for h in ras.ideals}  # one per class
+    body = raster_rows(ras, xs, ys, ends)
     if overlay:
-        body.append(_polyline(three_lines_staircase(ras.p, ras.k),
-                              size / float(ras.T), size))
+        body = chain(body, [_polyline(three_lines_staircase(ras.p, ras.k),
+                                      size / float(ras.T), size)])
     return _svg(body, size)
 
 
 def _svg(body, size=600):
-    """A size x size SVG document around the element lines ``body``."""
+    """A size x size SVG document around ``body``, pieces of text that each
+    end in a newline, as an iterator of pieces."""
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-            f'height="{size}" viewBox="0 0 {size} {size}">')
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+            f'height="{size}" viewBox="0 0 {size} {size}">\n')
+    return chain([head], body, ["</svg>\n"])
 
 
 def _polyline(verts, scale, size=600):
-    """The black polyline through ``verts``, y up, scaled by ``scale``."""
+    """The black polyline through ``verts``, y up, scaled by ``scale``, as
+    one line of text."""
     pts = " ".join(f"{float(a) * scale:.2f},{size - float(b) * scale:.2f}"
                    for a, b in verts)
     return (f'<polyline points="{pts}" fill="none" stroke="black" '
-            f'stroke-width="2"/>')
+            f'stroke-width="2"/>\n')
 
 
 def _cmd_decompose(args):
@@ -372,17 +381,15 @@ def _cmd_staircase(args):
                  f"= {float(partial):.6f}")
     artifacts = {}
     if args.svg:
-        svg = _svg([_polyline(verts, 600)])
-        with open(args.svg, "w") as fh:
-            fh.write(svg)
-        artifacts[args.svg] = _hash_text(svg)
+        artifacts[args.svg] = _write_artifact(args.svg,
+                                              _svg([_polyline(verts, 600)]))
         lines.append(f"wrote {args.svg}")
     _emit(args, "staircase",
           {"vertices": [[str(a), str(b)] for a, b in verts],
            "axis_length": str(bl.axis), "diagonal_length": bl.diagonal,
            "partial_sum": str(partial)},
           lines)
-    _write_manifest(args, artifacts, args._started)
+    _write_manifest(args, artifacts)
     return 0
 
 
@@ -520,7 +527,7 @@ def main(argv=None) -> int:
     parser = build_parser(next((a for a in argv if a in COMMANDS), None))
     try:
         args = parser.parse_args(argv)
-        args._started = started
+        args._started, args._argv = started, argv
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

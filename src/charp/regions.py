@@ -9,7 +9,8 @@ Regions are always compared as finite cell sets at a declared mesh: a cell
 grid at mesh exponent k has lattice points m/p^k, 0 <= m <= T*p^k, per axis.
 A ``RasterGrid`` keeps its classes as one flat list over those points in
 ``itertools.product`` order, the order the digit recursion fills and the
-CSV and SVG writers read; no writer builds a per-cell index or Fraction.
+CSV and SVG writers read row by row through ``raster_rows``; no writer
+builds a per-cell index, Fraction or string.
 """
 
 from __future__ import annotations
@@ -104,17 +105,46 @@ class RasterGrid:
         return len(self.ideals)
 
 
-def raster_csv(ras: RasterGrid) -> str:
-    """The raster as CSV text: a header, then one row per cell of
-    [0, side]^n in index order, each coordinate i/p^k written reduced as
-    NUM,DEN and the class hash last.  The side + 1 labels are built once."""
+def raster_rows(ras: RasterGrid, leads, labels, tails):
+    """The text of the cells of ``ras``, one piece per grid row (the side + 1
+    cells that share their first n - 1 indices), in ``cells`` order.
+
+    The cell (..., j) of class h is the line lead + labels[j] + tails[h],
+    where lead is the row's entry of ``leads`` and each tail ends in a
+    newline.  A row is joined from one list whose lead and label slots are
+    set once per row and whose tail slots are one dict lookup per cell, so
+    no cell builds a string of its own, and a caller that writes each piece
+    as it comes holds the text of one row at a time.
+    """
+    w = ras.side + 1
+    parts = [None] * (3 * w)
+    parts[1::3] = labels
+    cells = ras.cells
+    for start, lead in zip(range(0, len(cells), w), leads):
+        parts[::3] = [lead] * w
+        parts[2::3] = map(tails.__getitem__, cells[start:start + w])
+        yield "".join(parts)
+
+
+def raster_csv_pieces(ras: RasterGrid):
+    """The raster's CSV text in pieces: the header line, then one piece per
+    grid row from ``raster_rows``.  A cell's line is its coordinates i/p^k,
+    each written reduced as NUM,DEN, and its class hash last.  The side + 1
+    labels NUM,DEN, are built once; a row's lead is the labels of its first
+    n - 1 indices."""
     P = ras.p ** ras.k
-    labels = [f"{i // g},{P // g}"
+    labels = [f"{i // g},{P // g},"
               for i in range(ras.side + 1) for g in (gcd(i, P),)]
-    header = ",".join(f"t{i+1}_num,t{i+1}_den" for i in range(ras.n))
-    coords = map(",".join, iproduct(labels, repeat=ras.n))
-    rows = [f"{c},{h}" for c, h in zip(coords, ras.cells)]
-    return "\n".join([header + ",class_hash", *rows]) + "\n"
+    yield ",".join(f"t{i+1}_num,t{i+1}_den"
+                   for i in range(ras.n)) + ",class_hash\n"
+    leads = map("".join, iproduct(labels, repeat=ras.n - 1))
+    yield from raster_rows(ras, leads, labels,
+                           {h: h + "\n" for h in ras.ideals})
+
+
+def raster_csv(ras: RasterGrid) -> str:
+    """The raster as CSV text: the join of ``raster_csv_pieces``."""
+    return "".join(raster_csv_pieces(ras))
 
 
 class RegionFunction:

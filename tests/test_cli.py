@@ -386,6 +386,66 @@ class TestRasterBytes:
         assert calls["coord"] == 0
 
 
+class TestArtifacts:
+    def test_manifest_records_the_argv_main_parsed(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # not the interpreter's command line, which a caller of main owns
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.argv", ["python", "-c", "unrelated"])
+        argv = ["staircase", "--p", "3", "--depth", "2", "--svg", "s.svg"]
+        assert run(capsys, *argv)[0] == 0
+        manifest = json.loads((tmp_path / "s.svg.manifest.json").read_text())
+        assert manifest["command"] == " ".join(argv)
+
+    @pytest.mark.parametrize("argv,files", [
+        (["raster", "--p", "3", "--vars", "x,y", "--pair", "x+y:0",
+          "--pair", "x*y:0", "--T", "1", "--depth", "2", "--out", "r.csv",
+          "--svg", "r.svg", "--staircase"], ["r.csv", "r.svg"]),
+        (["jumps", "--p", "3", "--vars", "x,y", "--free", "x*y", "--T", "1",
+          "--depth", "2", "--out", "j.csv"], ["j.csv"]),
+        (["staircase", "--p", "3", "--depth", "2", "--svg", "s.svg"],
+         ["s.svg"])], ids=["raster", "jumps", "staircase"])
+    def test_artifact_hashes_are_file_hashes(self, capsys, tmp_path,
+                                             monkeypatch, argv, files):
+        import hashlib
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv, "--manifest", "m.json")[0] == 0
+        artifacts = json.loads((tmp_path / "m.json").read_text())["artifacts"]
+        assert sorted(artifacts) == files
+        for path, digest in artifacts.items():
+            data = (tmp_path / path).read_bytes()
+            assert digest == hashlib.blake2b(data, digest_size=8).hexdigest()
+
+    def test_raster_holds_no_whole_artifact(self, capsys, tmp_path,
+                                            monkeypatch):
+        # the CSV and SVG are written row by row: at mesh 3^-5 (1.8 MB and
+        # 4.2 MB of text) the command's traced peak stays within 1 MB of
+        # the raster's own
+        import tracemalloc
+        import charp as ch
+        from charp import cartier
+        monkeypatch.chdir(tmp_path)
+        argv = list(BENCH_RASTER)
+        argv[argv.index("--depth") + 1] = "5"
+        R = ch.RingCtx(("x", "y"), ch.PrimeModulus(3))
+        family = [ch.Ideal(R, [R.poly("x+y")]), ch.Ideal(R, [R.poly("x*y")])]
+
+        def peak(task):
+            monkeypatch.setattr(cartier, "_tau_cache", {})
+            tracemalloc.start()
+            try:
+                task()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert run(capsys, *argv)[0] == 0  # warm-up: imports, module caches
+        alone = peak(lambda: ch.constancy_raster(family, 1, 5))
+        command = peak(lambda: main(argv))
+        capsys.readouterr()
+        assert command <= alone + 1_000_000
+
+
 def test_hashes_stable_across_hash_seeds(tmp_path):
     # content hashes and JSON output must not depend on interpreter hash
     # randomization

@@ -428,17 +428,58 @@ def writer_cases():
                          + ("-cell" if c[4] else "-digits")) for c in cases]
 
 
+def writer_raster(p, T, n, k, per_cell):
+    """The raster of the family ``FAMILIES[n]`` for a ``writer_cases`` case,
+    under the twist x^p on the per-cell path."""
+    Rp = ring(p)
+    fam = [Ideal(Rp, [Rp.poly(s)]) for s in FAMILIES[n]]
+    C = CartierAlgebraSpec.from_twists(Rp, [(1, Rp.poly(f"x^{p}"))]) \
+        if per_cell else None
+    assert per_cell == (C is not None and not C.fixes_unit())
+    ras = ch.constancy_raster(fam, T, k, C)
+    assert len(ras.cells) == (T * p ** k + 1) ** n
+    return ras
+
+
+def per_cell_svg(ras, overlay=False, size=600):
+    """The SVG writer that ``cli._raster_svg`` replaced, kept as its oracle:
+    one f-string per cell, zipping the product of the x and y attributes with
+    ``cells``, and the whole document joined as one string."""
+    from itertools import product as iproduct
+    side = ras.side
+    step = size / (side + 1)
+    xs = [f'<rect x="{i * step:.2f}" y="' for i in range(side + 1)]
+    ys = [f'{size - (j + 1) * step:.2f}" width="{step:.2f}" '
+          f'height="{step:.2f}" fill="#' for j in range(side + 1)]
+    ends = {h: f'{h[:6]}"/>' for h in ras.ideals}
+    body = [f'{x}{y}{ends[h]}'
+            for (x, y), h in zip(iproduct(xs, ys), ras.cells)]
+    if overlay:
+        scale = size / float(ras.T)
+        pts = " ".join(f"{float(a) * scale:.2f},{size - float(b) * scale:.2f}"
+                       for a, b in ch.three_lines_staircase(ras.p, ras.k))
+        body.append(f'<polyline points="{pts}" fill="none" stroke="black" '
+                    f'stroke-width="2"/>')
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+            f'height="{size}" viewBox="0 0 {size} {size}">')
+    return "\n".join([head, *body, "</svg>"]) + "\n"
+
+
 class TestRasterWriter:
     @pytest.mark.parametrize("p,T,n,k,per_cell", writer_cases())
     def test_csv_matches_fraction_writer(self, p, T, n, k, per_cell):
-        Rp = ring(p)
-        fam = [Ideal(Rp, [Rp.poly(s)]) for s in FAMILIES[n]]
-        C = CartierAlgebraSpec.from_twists(Rp, [(1, Rp.poly(f"x^{p}"))]) \
-            if per_cell else None
-        assert per_cell == (C is not None and not C.fixes_unit())
-        ras = ch.constancy_raster(fam, T, k, C)
-        assert len(ras.cells) == (T * p ** k + 1) ** n
+        ras = writer_raster(p, T, n, k, per_cell)
         assert ch.raster_csv(ras) == fraction_csv(ras)
+
+    @pytest.mark.parametrize("p,T,n,k,per_cell", [
+        c for c in writer_cases() if c.values[2] == 2] + [
+        pytest.param(3, F(1), 2, 0, False, id="p3-T1-n2-k0-digits")])
+    def test_svg_matches_per_cell_writer(self, p, T, n, k, per_cell):
+        from charp.cli import _raster_svg
+        ras = writer_raster(p, T, n, k, per_cell)
+        for overlay in (False, True) if p % 2 else (False,):
+            assert "".join(_raster_svg(ras, overlay)) == \
+                per_cell_svg(ras, overlay)
 
     @pytest.mark.parametrize("p,T,n,k", [
         c.values[:4] for c in writer_cases() if not c.values[4]])
