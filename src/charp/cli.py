@@ -220,7 +220,7 @@ def _raster_svg(ras, overlay=False, size=600):
     ys = [f'{size - (j + 1) * step:.2f}" width="{step:.2f}" '
           f'height="{step:.2f}" fill="#' for j in range(side + 1)]
     ends = {h: f'{h[:6]}"/>\n' for h in ras.ideals}  # one per class
-    body = raster_rows(ras, xs, ys, ends)
+    body = raster_rows(ras, xs, ys.__getitem__, ends)
     if overlay:
         body = chain(body, [_polyline(three_lines_staircase(ras.p, ras.k),
                                       size / float(ras.T), size)])

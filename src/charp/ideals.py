@@ -152,6 +152,11 @@ def buchberger(gens, budget=S_PAIR_BUDGET):
     (*On an installation of Buchberger's algorithm*, 1988) and the normal
     selection strategy: the pending pair with the smallest lcm is reduced
     first.  Returns the elements that no later lead made redundant.
+
+    A pair of two monomials is treated like a pair with coprime leads: its
+    S-polynomial is 0, so, like the product criterion's pairs, it has a
+    standard representation.  It is never reduced, but it stays in the
+    update to prune other pairs by criteria M and F.
     """
     G = [g for g in gens if g]
     if not G:
@@ -165,7 +170,7 @@ def buchberger(gens, budget=S_PAIR_BUDGET):
     if all(g.is_monomial() for g in G):
         return G
     key = order_key(ring)
-    basis, leads = [], []
+    basis, leads, monomial = [], [], []
     active = []   # indices of the reducers: no later lead divides their lead
     pending = {}  # (i, j) -> lcm of the pairs still to reduce
     heap = []     # (key(lcm), i, j); entries no longer pending are skipped
@@ -174,14 +179,16 @@ def buchberger(gens, budget=S_PAIR_BUDGET):
         """Gebauer-Moeller update for a new basis element h."""
         n = len(basis)
         hm = h.lead()[0]
+        hmono = h.is_monomial()
         new = [(k, tuple(map(max, leads[k], hm))) for k in active]
-        kept = []  # criteria M and F; coprime pairs stay to prune others
+        kept = []  # criteria M and F; zero pairs stay to prune others
         for idx, (k, lcm) in enumerate(new):
-            coprime = not any(map(min, leads[k], hm))
-            if coprime or not (
+            # coprime leads or two monomials: the S-polynomial reduces to 0
+            zero = (hmono and monomial[k]) or not any(map(min, leads[k], hm))
+            if zero or not (
                     any(_divides(other, lcm) for _, other in new[idx + 1:])
                     or any(_divides(other, lcm) for _, other, _ in kept)):
-                kept.append((k, lcm, coprime))
+                kept.append((k, lcm, zero))
         for ij, lcm in list(pending.items()):  # criterion B
             i, j = ij
             if (_divides(hm, lcm) and tuple(map(max, leads[i], hm)) != lcm
@@ -191,8 +198,9 @@ def buchberger(gens, budget=S_PAIR_BUDGET):
         active.append(n)
         basis.append(h)
         leads.append(hm)
-        for k, lcm, coprime in kept:  # the product criterion
-            if not coprime:
+        monomial.append(hmono)
+        for k, lcm, zero in kept:  # the product criterion, monomial pairs
+            if not zero:
                 pending[n, k] = lcm
                 heappush(heap, (key(lcm), n, k))
 
@@ -481,7 +489,8 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
     """The ideal quotient (I : J) = {f : f*J within I}, exact: the meet of
-    the quotients by J's generators, each by one elimination."""
+    the quotients by J's generators, each by at most one elimination.  A
+    quotient equal to (1) is left out of the meet, as X meet (1) = X."""
     if I.ring != J.ring:
         raise ValueError("ring mismatch")
     if J.is_zero():
@@ -489,7 +498,10 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     result = None
     for g in J.gens:
         part = _colon_single(I, g)
-        result = part if result is None else intersect(result, part)
+        if result is None or result.is_unit():
+            result = part
+        elif not part.is_unit():
+            result = intersect(result, part)
     return result
 
 
@@ -498,13 +510,28 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
     of a Groebner basis of I meet (g) are one of (I : g), so ``reduce_basis``
     alone makes the reduced one: no further run.  On Laurent rings g is
     stripped of its monomial content, so (g) is saturated, with basis g; and
-    (I : g) is saturated when I is, so the quotients need no saturation."""
+    (I : g) is saturated when I is, so the quotients need no saturation.
+
+    (I : g) depends only on g mod I, since f g and f (g - h) differ by f h
+    within I.  So g is first replaced by its remainder modulo the generators
+    of I that ``intersect`` uses: I's generators, or on Laurent rings its
+    saturated basis, the remainder then stripped again.  A remainder of 0
+    puts g in I, and (I : g) = (1) with no elimination; a unit remainder
+    gives I itself."""
     if g.is_zero():
         raise ValueError("colon by zero generator")
     ring = I.ring
     if ring.laurent:
         twin = _twin_poly_ring(ring)
-        g = Polynomial(ring, dict(_strip_to_poly(g, twin).terms))
+
+        def strip(f):
+            return Polynomial(ring, dict(_strip_to_poly(f, twin).terms))
+
+        g = strip(normal_form(strip(g), I.groebner()))
+    else:
+        g = normal_form(g, I.gens)
+    if g.is_zero():
+        return Ideal._reduced(ring, [ring.one()])
     if g.is_unit():
         return Ideal._reduced(ring, I.groebner())
     monic = g.scale(ring.modulus.inv(g.lead()[1]))  # the basis of (g)

@@ -26,6 +26,7 @@ from .ideals import BudgetExceeded, Ideal, VerificationError, colon, frob_power
 from .rings import pow_poly
 
 RASTER_CELL_BUDGET = 1_000_000  # lattice points (side + 1)^n in one raster
+ROW_RUN = 1024  # most cells in one piece of ``raster_rows``
 
 
 @dataclass(frozen=True)
@@ -105,40 +106,55 @@ class RasterGrid:
         return len(self.ideals)
 
 
-def raster_rows(ras: RasterGrid, leads, labels, tails):
+def raster_rows(ras: RasterGrid, leads, label, tails):
     """The text of the cells of ``ras``, one piece per grid row (the side + 1
-    cells that share their first n - 1 indices), in ``cells`` order.
+    cells that share their first n - 1 indices), in ``cells`` order; a row
+    of more than ROW_RUN cells, such as the single row of a one-parameter
+    raster, comes as runs of ROW_RUN cells along the last axis.
 
-    The cell (..., j) of class h is the line lead + labels[j] + tails[h],
+    The cell (..., j) of class h is the line lead + label(j) + tails[h],
     where lead is the row's entry of ``leads`` and each tail ends in a
-    newline.  A row is joined from one list whose lead and label slots are
-    set once per row and whose tail slots are one dict lookup per cell, so
-    no cell builds a string of its own, and a caller that writes each piece
-    as it comes holds the text of one row at a time.
+    newline.  A piece is joined from one list whose label slots are set
+    once, whose lead slots are set once per piece and whose tail slots are
+    one dict lookup per cell, so no cell builds a string of its own.  Only
+    a long row's runs take labels of their own (by the cell budget only a
+    one-parameter raster, a single row, has such a row).  A caller that
+    writes each piece as it comes holds the text of at most ROW_RUN cells
+    at a time.
     """
     w = ras.side + 1
-    parts = [None] * (3 * w)
-    parts[1::3] = labels
+    run = min(w, ROW_RUN)
+    parts = [None] * (3 * run)
+    parts[1::3] = map(label, range(run))
     cells = ras.cells
     for start, lead in zip(range(0, len(cells), w), leads):
-        parts[::3] = [lead] * w
-        parts[2::3] = map(tails.__getitem__, cells[start:start + w])
-        yield "".join(parts)
+        for lo in range(0, w, run):
+            hi = min(lo + run, w)
+            if w > run:
+                parts = [None] * (3 * (hi - lo))
+                parts[1::3] = map(label, range(lo, hi))
+            parts[::3] = [lead] * (hi - lo)
+            parts[2::3] = map(tails.__getitem__, cells[start + lo:start + hi])
+            yield "".join(parts)
 
 
 def raster_csv_pieces(ras: RasterGrid):
-    """The raster's CSV text in pieces: the header line, then one piece per
-    grid row from ``raster_rows``.  A cell's line is its coordinates i/p^k,
-    each written reduced as NUM,DEN, and its class hash last.  The side + 1
-    labels NUM,DEN, are built once; a row's lead is the labels of its first
-    n - 1 indices."""
+    """The raster's CSV text in pieces: the header line, then the pieces of
+    ``raster_rows``.  A cell's line is its coordinates i/p^k, each written
+    reduced as NUM,DEN, and its class hash last.  A row's lead is the labels
+    NUM,DEN, of its first n - 1 indices."""
     P = ras.p ** ras.k
-    labels = [f"{i // g},{P // g},"
-              for i in range(ras.side + 1) for g in (gcd(i, P),)]
+
+    def label(i):
+        g = gcd(i, P)
+        return f"{i // g},{P // g},"
+
     yield ",".join(f"t{i+1}_num,t{i+1}_den"
                    for i in range(ras.n)) + ",class_hash\n"
-    leads = map("".join, iproduct(labels, repeat=ras.n - 1))
-    yield from raster_rows(ras, leads, labels,
+    # the labels of the first n - 1 axes; a one-parameter raster has none
+    axis = list(map(label, range(ras.side + 1))) if ras.n > 1 else ()
+    leads = map("".join, iproduct(axis, repeat=ras.n - 1))
+    yield from raster_rows(ras, leads, label,
                            {h: h + "\n" for h in ras.ideals})
 
 
@@ -325,7 +341,9 @@ def compose_T(first: TOperator, then: TOperator, p: int) -> TOperator:
 def transform_chi_symbolic(N: Ideal, offsets, ideals) -> Ideal:
     """Symbolic form of T_{p|b} chi_a^N for principal a_i = (f_i) under the
     full algebra: returns N' = (N^[p] : prod f_i^b_i) with the guarantee
-    T_{p|b} chi_a^N = chi_a^N'."""
+    T_{p|b} chi_a^N = chi_a^N'.  ``colon`` reduces the divisor modulo the
+    generators of N^[p] first; for N = (x, y), f = (x+y, xy) and b =
+    (2l, p-l-1) that leaves the one term binom(2l, l) x^(p-1) y^(p-1)."""
     ring = N.ring
     p = ring.p
     fs = []

@@ -13,6 +13,8 @@ from charp import CartierAlgebraSpec, Ideal, MixedPair, TraceTwist, poly_str
 from charp import cartier
 from charp.cartier import _ceil_mul, _ClassAutomaton, _p_depth, _pulled_action
 from chain_oracle import _tau_chain
+from work_counts import (count_bracket_roots, count_buchberger,
+                         wrap_in_charp)
 
 
 def ring(p=3, names=("x", "y")):
@@ -420,22 +422,6 @@ class TestTheoremBNonPrincipal:
         assert ch.theorem_b_check(C, pr, chart)
 
 
-def wrap_in_charp(monkeypatch, name, before, module="frobenius"):
-    """Replace charp.<module>.<name> in every charp module that holds it with
-    a wrapper that calls ``before`` on the arguments first."""
-    import sys
-    original = getattr(getattr(ch, module), name)
-
-    def wrapper(*args, **kwargs):
-        before(*args)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if (mod_name == "charp" or mod_name.startswith("charp.")) \
-                and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, wrapper)
-
-
 def max_decompose_terms(monkeypatch):
     """Record the largest term count handed to decompose through any charp
     module, with a fresh tau cache; returns a one-element list."""
@@ -448,16 +434,6 @@ def max_decompose_terms(monkeypatch):
 
     wrap_in_charp(monkeypatch, "decompose", record)
     return most
-
-
-def count_bracket_roots(monkeypatch):
-    """Count bracket_root calls made through any charp module, with a fresh
-    tau cache; returns the list of root exponents."""
-    from charp import cartier
-    monkeypatch.setattr(cartier, "_tau_cache", {})
-    calls = []
-    wrap_in_charp(monkeypatch, "bracket_root", lambda I, e: calls.append(e))
-    return calls
 
 
 def walk(fs, m, k, J, C):
@@ -574,14 +550,6 @@ def count_products(monkeypatch):
         return real(self, sizes, m, cid)
 
     monkeypatch.setattr(_ClassAutomaton, "product", product)
-    return calls
-
-
-def count_buchberger(monkeypatch):
-    """Count the Buchberger runs made through any charp module."""
-    calls = []
-    wrap_in_charp(monkeypatch, "buchberger", lambda *args: calls.append(1),
-                  module="ideals")
     return calls
 
 

@@ -421,29 +421,49 @@ class TestArtifacts:
         # the CSV and SVG are written row by row: at mesh 3^-5 (1.8 MB and
         # 4.2 MB of text) the command's traced peak stays within 1 MB of
         # the raster's own
-        import tracemalloc
-        import charp as ch
-        from charp import cartier
         monkeypatch.chdir(tmp_path)
         argv = list(BENCH_RASTER)
         argv[argv.index("--depth") + 1] = "5"
-        R = ch.RingCtx(("x", "y"), ch.PrimeModulus(3))
-        family = [ch.Ideal(R, [R.poly("x+y")]), ch.Ideal(R, [R.poly("x*y")])]
-
-        def peak(task):
-            monkeypatch.setattr(cartier, "_tau_cache", {})
-            tracemalloc.start()
-            try:
-                task()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert run(capsys, *argv)[0] == 0  # warm-up: imports, module caches
-        alone = peak(lambda: ch.constancy_raster(family, 1, 5))
-        command = peak(lambda: main(argv))
-        capsys.readouterr()
+        alone, command = peaks(capsys, monkeypatch, argv,
+                               ["x+y", "x*y"], 1, 5)
         assert command <= alone + 1_000_000
+
+    def test_one_parameter_raster_holds_no_whole_artifact(
+            self, capsys, tmp_path, monkeypatch):
+        # a one-parameter raster is a single grid row of 65,611 cells here
+        # (1.8 MB of CSV), written in runs of the last axis; written whole
+        # it took a traced peak of 10.3 MB against the raster's 1.19 MB
+        monkeypatch.chdir(tmp_path)
+        argv = ["raster", "--p", "3", "--vars", "x,y", "--pair", "x^2+y^3:0",
+                "--T", "10", "--depth", "8", "--out", "line.csv"]
+        alone, command = peaks(capsys, monkeypatch, argv, ["x^2+y^3"], 10, 8)
+        assert command <= alone + 1_000_000
+
+
+def peaks(capsys, monkeypatch, argv, family, T, depth):
+    """The traced peaks of ``constancy_raster`` of the principal family
+    alone and of the command ``argv`` that writes it, each from an empty
+    automaton store, after one warm-up run of the command."""
+    import tracemalloc
+    import charp as ch
+    from charp import cartier
+    R = ch.RingCtx(("x", "y"), ch.PrimeModulus(3))
+    family = [ch.Ideal(R, [R.poly(f)]) for f in family]
+
+    def peak(task):
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        tracemalloc.start()
+        try:
+            task()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert run(capsys, *argv)[0] == 0  # warm-up: imports, module caches
+    alone = peak(lambda: ch.constancy_raster(family, T, depth))
+    command = peak(lambda: main(argv))
+    capsys.readouterr()
+    return alone, command
 
 
 def test_hashes_stable_across_hash_seeds(tmp_path):

@@ -2,10 +2,11 @@ import os
 import subprocess
 import sys
 from itertools import permutations, product
+from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import charp as ch
 from charp import Ideal
@@ -13,7 +14,7 @@ from charp.ideals import _ext_ring, _spoly, buchberger, reduce_basis
 from charp.rings import EXP_LIMIT, heap_key, order_key, poly_str
 from elimination_oracle import (oracle_colon, oracle_groebner,
                                 oracle_intersect)
-from test_cartier import count_buchberger, wrap_in_charp
+from work_counts import count_buchberger, count_groebner
 
 
 def ring(p=3, names=("x", "y"), laurent=False):
@@ -235,71 +236,85 @@ class TestExactDiv:
 # --- Buchberger against a textbook oracle -----------------------------------------
 
 
-def textbook_reduced_basis(gens, ring):
-    """Reduced Groebner basis by Buchberger's original algorithm on term
-    dicts: every pair is reduced, smallest lcm first, with no criterion."""
-    key = order_key(ring)
-    p = ring.p
+class Textbook:
+    """Buchberger's original algorithm on term dicts under ``ring``'s order:
+    every pair is reduced, smallest lcm first, with no criterion."""
 
-    def lead(f):
-        m = max(f, key=key)
+    def __init__(self, ring):
+        self.key = order_key(ring)
+        self.p = ring.p
+
+    def lead(self, f):
+        m = max(f, key=self.key)
         return m, f[m]
 
-    def add_scaled(acc, g, c, shift):
+    def add_scaled(self, acc, g, c, shift):
         for m, v in g.items():
             t = tuple(a + b for a, b in zip(m, shift))
-            w = (acc.get(t, 0) + c * v) % p
+            w = (acc.get(t, 0) + c * v) % self.p
             if w:
                 acc[t] = w
             else:
                 acc.pop(t, None)
 
-    def remainder(f, divisors):
+    def remainder(self, f, divisors):
         work, rem = dict(f), {}
         while work:
-            m = max(work, key=key)
+            m = max(work, key=self.key)
             for g in divisors:
-                gm, gc = lead(g)
+                gm, gc = self.lead(g)
                 if all(a <= b for a, b in zip(gm, m)):
                     shift = tuple(a - b for a, b in zip(m, gm))
-                    add_scaled(work, g, -work[m] * pow(gc, -1, p), shift)
+                    self.add_scaled(work, g, -work[m] * pow(gc, -1, self.p),
+                                    shift)
                     break
             else:
                 rem[m] = work.pop(m)
         return rem
 
-    def spoly(f, g):
-        (fm, fc), (gm, gc) = lead(f), lead(g)
+    def spoly(self, f, g):
+        (fm, fc), (gm, gc) = self.lead(f), self.lead(g)
         lcm = tuple(map(max, fm, gm))
         out = {}
-        add_scaled(out, f, pow(fc, -1, p), tuple(a - b for a, b in zip(lcm, fm)))
-        add_scaled(out, g, -pow(gc, -1, p), tuple(a - b for a, b in zip(lcm, gm)))
+        self.add_scaled(out, f, pow(fc, -1, self.p),
+                        tuple(a - b for a, b in zip(lcm, fm)))
+        self.add_scaled(out, g, -pow(gc, -1, self.p),
+                        tuple(a - b for a, b in zip(lcm, gm)))
         return out
 
-    def lcm_key(pair):
-        i, j = pair
-        return key(tuple(map(max, lead(G[i])[0], lead(G[j])[0])))
+    def is_groebner(self, G):
+        """Buchberger's criterion: every S-pair of G reduces to 0 by G."""
+        G = [dict(g.terms) for g in G]
+        return not any(self.remainder(self.spoly(f, g), G)
+                       for i, f in enumerate(G) for g in G[:i])
 
-    G = [dict(g.terms) for g in gens if g]
-    pairs = [(i, j) for i in range(len(G)) for j in range(i)]
-    while pairs:
-        pairs.sort(key=lcm_key, reverse=True)
-        i, j = pairs.pop()
-        r = remainder(spoly(G[i], G[j]), G)
-        if r:
-            G.append(r)
-            pairs += [(len(G) - 1, k) for k in range(len(G) - 1)]
-    minimal = []
-    for g in sorted(G, key=lambda g: key(lead(g)[0])):
-        if not any(all(a <= b for a, b in zip(lead(h)[0], lead(g)[0]))
-                   for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        r = remainder(g, minimal[:i] + minimal[i + 1:])
-        inv = pow(lead(r)[1], -1, p)
-        reduced.append(frozenset((m, c * inv % p) for m, c in r.items()))
-    return set(reduced)
+    def reduced_basis(self, gens):
+        lead, key, p = self.lead, self.key, self.p
+
+        def lcm_key(pair):
+            i, j = pair
+            return key(tuple(map(max, lead(G[i])[0], lead(G[j])[0])))
+
+        G = [dict(g.terms) for g in gens if g]
+        pairs = [(i, j) for i in range(len(G)) for j in range(i)]
+        while pairs:
+            pairs.sort(key=lcm_key, reverse=True)
+            i, j = pairs.pop()
+            r = self.remainder(self.spoly(G[i], G[j]), G)
+            if r:
+                G.append(r)
+                pairs += [(len(G) - 1, k) for k in range(len(G) - 1)]
+        minimal = []
+        for g in sorted(G, key=lambda g: key(lead(g)[0])):
+            if not any(all(a <= b for a, b in zip(lead(h)[0], lead(g)[0]))
+                       for h in minimal):
+                minimal.append(g)
+        reduced = []
+        for i, g in enumerate(minimal):
+            r = self.remainder(g, minimal[:i] + minimal[i + 1:])
+            inv = pow(lead(r)[1], -1, p)
+            reduced.append(frozenset((m, c * inv % p) for m, c in r.items()))
+        return set(reduced)
 
 
 ORDERS = [("grevlex",), ("elim", 1)]
@@ -323,7 +338,41 @@ def test_buchberger_matches_textbook_oracle(order):
     def check(system):
         R, gens = system
         ours = {frozenset(g.terms.items()) for g in reduce_basis(buchberger(gens))}
-        assert ours == textbook_reduced_basis(gens, R)
+        assert ours == Textbook(R).reduced_basis(gens)
+    check()
+
+
+@st.composite
+def monomial_mixes(draw, order):
+    """2-4 monomials and 1-2 binomials, in any order: the generators whose
+    monomial pairs ``buchberger`` never reduces."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 32003]))
+    n = draw(st.integers(2, 3))
+    R = ch.RingCtx(("x", "y", "z")[:n], ch.PrimeModulus(p), order=order)
+    monos = st.sampled_from([m for m in product(range(4), repeat=n) if sum(m) <= 3])
+
+    def polys(size):
+        return st.dictionaries(monos, st.integers(1, p - 1), min_size=size,
+                               max_size=size)
+
+    gens = draw(st.lists(polys(1), min_size=2, max_size=4)) \
+        + draw(st.lists(polys(2), min_size=1, max_size=2))
+    return R, [ch.Polynomial(R, g) for g in draw(st.permutations(gens))]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_monomial_pairs_need_no_reduction(order):
+    # the S-polynomial of two monomials is 0: skipping those pairs still
+    # returns a Groebner basis, by Buchberger's criterion, of the right ideal
+    @given(monomial_mixes(order))
+    @settings(max_examples=80, deadline=None)
+    def check(system):
+        R, gens = system
+        book = Textbook(R)
+        basis = buchberger(gens)
+        assert book.is_groebner(basis)
+        ours = {frozenset(g.terms.items()) for g in reduce_basis(basis)}
+        assert ours == book.reduced_basis(gens)
     check()
 
 
@@ -438,11 +487,10 @@ def test_basis_independent_of_generator_order(name):
                                          ("katsura4", 28)])
 def test_reduced_spair_bound(monkeypatch, name, count):
     R, gens = system(name)
-    calls = []
-    wrap_in_charp(monkeypatch, "_spoly", lambda f, g: calls.append(1), "ideals")
+    work = count_groebner(monkeypatch)
     basis = Ideal(R, gens).groebner()
     assert basis and not basis[0].is_one()
-    assert len(calls) == count
+    assert len(work.spairs) == count
 
 
 def test_buchberger_budget_guard():
@@ -513,6 +561,65 @@ def test_kept_basis_matches_fresh_groebner(pair):
         for out in (ch.intersect(x, y), ch.colon(x, y)):
             assert out._gb is not None
             assert out._gb == Ideal(out.ring, out.gens).groebner()
+
+
+@st.composite
+def shifted_divisors(draw):
+    """An ``ideal_pairs`` pair (I, J) and J', whose generators are J's each
+    shifted by a random combination of I's generators."""
+    a, b = draw(ideal_pairs())
+    R = a.ring
+    lo = -1 if R.laurent else 0
+    factors = st.dictionaries(st.tuples(*[st.integers(lo, 1)] * R.nvars),
+                              st.integers(1, R.p - 1), max_size=2)
+    shifted = []
+    for g in b.gens:
+        for f in a.gens:
+            g = g + ch.Polynomial(R, draw(factors)) * f
+        shifted.append(g)
+    return a, b, Ideal(R, shifted)
+
+
+@given(shifted_divisors())
+@settings(max_examples=60, deadline=None)
+def test_colon_depends_on_the_divisor_mod_I(case):
+    # (I : g) = (I : g + h) for h in I; a generator shifted to 0 lies in I
+    # and leaves the meet, and J' = 0 has no colon
+    a, b, shifted = case
+    assume(not shifted.is_zero())
+    want = oracle_groebner(oracle_colon(a, b))
+    assert ch.colon(a, b).groebner() == want
+    assert ch.colon(a, shifted).groebner() == want
+
+
+def test_colon_by_a_member_takes_no_run(monkeypatch):
+    R = ring()
+    runs = count_buchberger(monkeypatch)
+    out = ch.colon(I(R, "x^2", "y^2"), I(R, "x^2 + x*y^2"))
+    assert out.basis_strings() == ("1",)
+    assert not runs
+
+
+def test_transform_sweep_divides_by_one_term(monkeypatch):
+    # (x+y)^(2l) (xy)^(p-l-1) mod (x^p, y^p) is binom(2l, l) x^(p-1) y^(p-1),
+    # the one term with both exponents below p; the parent eliminated with
+    # the whole product and reduced 127 S-pairs, 66 of them to 0
+    from charp import ideals
+    divisors = []
+    real = ideals.exact_div
+    monkeypatch.setattr(ideals, "exact_div",
+                        lambda f, g: divisors.append(g) or real(f, g))
+    work = count_groebner(monkeypatch)
+    for p in (3, 5, 7, 11, 13):
+        R = ring(p)
+        fam = [I(R, "x+y"), I(R, "x*y")]
+        for l in range((p - 1) // 2 + 1):
+            del divisors[:]
+            ch.transform_chi_symbolic(I(R, "x", "y"), (2 * l, p - l - 1), fam)
+            assert set(divisors) == {R.monomial((p - 1, p - 1),
+                                                comb(2 * l, l) % p)}, (p, l)
+    assert len(work.runs) == 22 and len(work.spairs) <= 44
+    assert not work.zero_reductions
 
 
 def test_laurent_results_keep_their_basis(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 import charp as ch
 from charp import (CartierAlgebraSpec, Ideal, MixedPair, RegionFunction,
                    TOperator)
+from work_counts import count_bracket_roots
 
 
 def ring(p=3):
@@ -167,26 +168,6 @@ class TestConstancyRaster:
             for c in chis:
                 prod *= c.at(idx)
             assert rho.at(idx) == prod - chi_p.at(idx)
-
-
-def count_bracket_roots(monkeypatch):
-    """Count bracket_root calls made through any charp module, from an empty
-    automaton store."""
-    import sys
-    from charp import cartier, frobenius
-    monkeypatch.setattr(cartier, "_tau_cache", {})
-    original = frobenius.bracket_root
-    calls = []
-
-    def counting(I, e):
-        calls.append(e)
-        return original(I, e)
-
-    for name, mod in list(sys.modules.items()):
-        if (name == "charp" or name.startswith("charp.")) \
-                and getattr(mod, "bracket_root", None) is original:
-            monkeypatch.setattr(mod, "bracket_root", counting)
-    return calls
 
 
 def oracle_cases():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import charp as ch
 from charp import CartierAlgebraSpec, Ideal, MixedPair
 from fpt_oracle import oracle_fpt_search
+from work_counts import count_bracket_roots
 
 
 def ring(p=3):
@@ -90,7 +91,7 @@ class TestFptSearch:
         # and closing the tails under every digit took 18 for the first
         # slice and none after it
         from charp import cartier
-        calls = count_roots(monkeypatch)
+        calls = count_bracket_roots(monkeypatch)
         f1, f2 = family
         roots = []
         for t1, expected in self.CASES:
@@ -111,16 +112,6 @@ class TestFptSearch:
                         avoidance_windows(res.candidate, 3)))
         print("avoidance probe:", log)
         assert len(log) == len(self.CASES)
-
-
-def count_roots(monkeypatch):
-    """Count the bracket roots the automata take, on a fresh store."""
-    from charp import cartier
-    real, calls = cartier.bracket_root, []
-    monkeypatch.setattr(cartier, "bracket_root",
-                        lambda I, e: calls.append(e) or real(I, e))
-    monkeypatch.setattr(cartier, "_tau_cache", {})
-    return calls
 
 
 def cusp_fpt(p):
@@ -163,7 +154,7 @@ class TestExactThresholds:
         # the tails are closed under the chosen digits only; closing them
         # under every digit in [0, 5) took 10 roots
         R5 = ring(5)
-        calls = count_roots(monkeypatch)
+        calls = count_bracket_roots(monkeypatch)
         ch.fpt_search([], Ideal(R5, [R5.poly(expr)]), depth=2)
         assert 0 < len(calls) <= 7
 
