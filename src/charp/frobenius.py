@@ -10,7 +10,7 @@ base variables only.
 from __future__ import annotations
 
 from .ideals import Ideal
-from .rings import Polynomial, frob, order_key
+from .rings import Polynomial, frob, heap_key, order_key
 
 
 class FrobDecomposition:
@@ -130,14 +130,53 @@ def relative_trace(s: Polynomial, e: int):
     return dec.component(dec.top_index())
 
 
+def _subtract_multiple(r: dict, row: dict, c: int, p: int):
+    """r -= c * row in place, for term dicts over F_p."""
+    for t, v in row.items():
+        w = (r.get(t, 0) - c * v) % p
+        if w:
+            r[t] = w
+        else:
+            del r[t]
+
+
+def _row_echelon(polys):
+    """The reduced row echelon form over F_p of polys, read as vectors in the
+    monomial basis with the columns in term order: rows spanning the same
+    F_p-space, monic, with distinct leads, each lead in no other row."""
+    if not polys:
+        return []
+    ring = polys[0].ring
+    p, key = ring.p, heap_key(ring)
+    rows = {}  # lead monomial -> terms of a row
+    for f in polys:
+        r = dict(f.terms)
+        for m, row in rows.items():
+            c = r.get(m)
+            if c:
+                _subtract_multiple(r, row, c, p)
+        if r:
+            m = min(r, key=key)
+            inv = ring.modulus.inv(r[m])
+            if inv != 1:
+                r = {t: v * inv % p for t, v in r.items()}
+            for row in rows.values():
+                c = row.get(m)
+                if c:
+                    _subtract_multiple(row, r, c, p)
+            rows[m] = r
+    return [Polynomial(ring, r) for r in rows.values()]
+
+
 def bracket_root(I: Ideal, e: int) -> Ideal:
     """The p^e-th bracket root I^[1/p^e]: smallest J with I within J^[p^e].
 
     Generated by every decomposition component of every generator; this is
-    exact because F^e_* S is free over the fiber monomial basis.
+    exact because F^e_* S is free over the fiber monomial basis.  The
+    components are row-reduced over F_p first (``_row_echelon``): the same
+    span, so the same ideal, but no generator is a linear combination of
+    the others, which Buchberger would only reduce to 0.
     """
-    gens = set()
-    for g in I.gens:
-        dec = decompose(g, e, "absolute")
-        gens.update(dec.components.values())
-    return Ideal(I.ring, sorted(gens, key=lambda f: sorted(f.terms.items())))
+    comps = [c for g in I.gens
+             for c in decompose(g, e, "absolute").components.values()]
+    return Ideal(I.ring, _row_echelon(comps))

@@ -489,8 +489,11 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
     """The ideal quotient (I : J) = {f : f*J within I}, exact: the meet of
-    the quotients by J's generators, each by at most one elimination.  A
-    quotient equal to (1) is left out of the meet, as X meet (1) = X."""
+    the quotients by J's generators, each by at most one elimination.  The
+    quotient takes none when the generator's remainder modulo I is 0 (giving
+    (1)), a unit (giving I), or a term c x^m while I is monomial (giving I's
+    exponents less m, floored at 0; see ``_colon_single``).  A quotient
+    equal to (1) is left out of the meet, as X meet (1) = X."""
     if I.ring != J.ring:
         raise ValueError("ring mismatch")
     if J.is_zero():
@@ -517,7 +520,13 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
     of I that ``intersect`` uses: I's generators, or on Laurent rings its
     saturated basis, the remainder then stripped again.  A remainder of 0
     puts g in I, and (I : g) = (1) with no elimination; a unit remainder
-    gives I itself."""
+    gives I itself.
+
+    A monomial ideal I = (x^a_1, ..., x^a_r) and a term remainder c x^m
+    give (I : c x^m) = (x^max(a_1 - m, 0), ..., x^max(a_r - m, 0)) (Miller
+    and Sturmfels, *Combinatorial Commutative Algebra*, ch. 1), by exponent
+    subtraction with no elimination.  On Laurent rings a term is a unit,
+    so the unit branch takes it first and this rule is never reached."""
     if g.is_zero():
         raise ValueError("colon by zero generator")
     ring = I.ring
@@ -534,6 +543,11 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
         return Ideal._reduced(ring, [ring.one()])
     if g.is_unit():
         return Ideal._reduced(ring, I.groebner())
+    if g.is_monomial() and all(f.is_monomial() for f in I.gens):
+        (m, _), = g.terms.items()
+        return Ideal._reduced(ring, reduce_basis(
+            [ring.monomial([max(x - y, 0) for x, y in zip(a, m)])
+             for f in I.gens for a in f.terms]))
     monic = g.scale(ring.modulus.inv(g.lead()[1]))  # the basis of (g)
     meet = intersect(I, Ideal._reduced(ring, [monic]))
     quotients = [exact_div(f, g) for f in meet.gens]

@@ -343,7 +343,9 @@ def transform_chi_symbolic(N: Ideal, offsets, ideals) -> Ideal:
     full algebra: returns N' = (N^[p] : prod f_i^b_i) with the guarantee
     T_{p|b} chi_a^N = chi_a^N'.  ``colon`` reduces the divisor modulo the
     generators of N^[p] first; for N = (x, y), f = (x+y, xy) and b =
-    (2l, p-l-1) that leaves the one term binom(2l, l) x^(p-1) y^(p-1)."""
+    (2l, p-l-1) that leaves the one term binom(2l, l) x^(p-1) y^(p-1).  As
+    N^[p] = (x^p, y^p) is monomial, the colon by that term is exponent
+    subtraction, with no elimination: (x^p, y^p) : x^(p-1) y^(p-1) = (x, y)."""
     ring = N.ring
     p = ring.p
     fs = []

@@ -468,13 +468,14 @@ def peaks(capsys, monkeypatch, argv, family, T, depth):
 
 def test_hashes_stable_across_hash_seeds(tmp_path):
     # content hashes and JSON output must not depend on interpreter hash
-    # randomization
+    # randomization; the child imports charp from this checkout's src/
     import os
     import subprocess
     import sys
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
     outs = set()
     for seed in ("0", "1", "42"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-m", "charp.cli", "tau", "--p", "3",
              "--vars", "x,y", "--pair", "x+y:1/3", "--pair", "x*y:2/3",

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import charp as ch
 from charp import Ideal, poly_str
+from charp.frobenius import _row_echelon
 
 
 def ring(p=3, names=("x", "y"), laurent=False, n_base=0):
@@ -180,3 +181,53 @@ class TestBracketRoot:
         parts = ch.sum_ideal(ch.bracket_root(I(R, "x^3+y^3"), 1),
                              ch.bracket_root(I(R, "x^4*y^5"), 1))
         assert ch.ideal_eq(ch.bracket_root(a, 1), parts)
+
+
+# --- row-reduced roots against the set-built roots they replaced ------------------
+
+
+def set_built_root(I, e):
+    """The bracket root as it was built before the row reduction: the set of
+    all decomposition components, deduplicated and sorted."""
+    gens = set()
+    for g in I.gens:
+        gens.update(ch.decompose(g, e, "absolute").components.values())
+    return Ideal(I.ring, sorted(gens, key=lambda f: sorted(f.terms.items())))
+
+
+@st.composite
+def root_inputs(draw):
+    """An ideal of 1-3 generators of up to 6 terms in 2 or 3 variables, at
+    p = 2, 3 or 5, with exponents up to p^2 + p, and e = 1 or 2: few
+    quotient monomials, so the components share many."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = ring(p, ("x", "y", "z")[:draw(st.integers(2, 3))])
+    monos = st.tuples(*[st.integers(0, p * p + p)] * R.nvars)
+    polys = st.dictionaries(monos, st.integers(1, p - 1), min_size=1,
+                            max_size=6).map(lambda d: ch.Polynomial(R, d))
+    return (Ideal(R, draw(st.lists(polys, min_size=1, max_size=3))),
+            draw(st.integers(1, 2)))
+
+
+@given(root_inputs())
+@settings(max_examples=80, deadline=None)
+def test_row_reduced_root_matches_set_built_root(case):
+    a, e = case
+    root = ch.bracket_root(a, e)
+    assert root.groebner() == set_built_root(a, e).groebner()
+    # the generators are in reduced row echelon form: monic, with distinct
+    # leads, each lead in no other generator
+    leads = [g.lead() for g in root.gens]
+    assert all(c == 1 for _, c in leads)
+    assert len({m for m, _ in leads}) == len(leads)
+    assert not any(m in g.terms for m, _ in leads for g in root.gens
+                   if g.lead()[0] != m)
+
+
+def test_row_echelon_drops_linear_dependence():
+    # (x+y, x+3y, 3x+3y, 4x) at p = 5 spans the plane of x and y
+    R = ring(5)
+    rows = _row_echelon([R.poly(s) for s in ("x+y", "x+3*y", "3*x+3*y", "4*x")])
+    assert sorted(map(poly_str, rows)) == ["x", "y"]
+    assert _row_echelon([R.poly("x+y"), R.poly("2*x+2*y")]) == [R.poly("x+y")]
+    assert _row_echelon([]) == []

@@ -14,7 +14,7 @@ from charp.ideals import _ext_ring, _spoly, buchberger, reduce_basis
 from charp.rings import EXP_LIMIT, heap_key, order_key, poly_str
 from elimination_oracle import (oracle_colon, oracle_groebner,
                                 oracle_intersect)
-from work_counts import count_buchberger, count_groebner
+from work_counts import count_buchberger, count_groebner, patch_in_charp
 
 
 def ring(p=3, names=("x", "y"), laurent=False):
@@ -602,24 +602,31 @@ def test_colon_by_a_member_takes_no_run(monkeypatch):
 
 def test_transform_sweep_divides_by_one_term(monkeypatch):
     # (x+y)^(2l) (xy)^(p-l-1) mod (x^p, y^p) is binom(2l, l) x^(p-1) y^(p-1),
-    # the one term with both exponents below p; the parent eliminated with
-    # the whole product and reduced 127 S-pairs, 66 of them to 0
+    # the one term with both exponents below p, and (x^p, y^p) is monomial:
+    # the colon is exponent subtraction, with no run and no S-pair (the
+    # parent eliminated with the term: 22 runs, 44 S-pairs)
     from charp import ideals
-    divisors = []
-    real = ideals.exact_div
-    monkeypatch.setattr(ideals, "exact_div",
-                        lambda f, g: divisors.append(g) or real(f, g))
+    remainders = {}
+    real = ideals.normal_form
+
+    def spy(f, basis):
+        r = real(f, basis)
+        remainders[f] = r
+        return r
+
+    monkeypatch.setattr(ideals, "normal_form", spy)
     work = count_groebner(monkeypatch)
     for p in (3, 5, 7, 11, 13):
         R = ring(p)
         fam = [I(R, "x+y"), I(R, "x*y")]
         for l in range((p - 1) // 2 + 1):
-            del divisors[:]
+            remainders.clear()
             ch.transform_chi_symbolic(I(R, "x", "y"), (2 * l, p - l - 1), fam)
-            assert set(divisors) == {R.monomial((p - 1, p - 1),
-                                                comb(2 * l, l) % p)}, (p, l)
-    assert len(work.runs) == 22 and len(work.spairs) <= 44
-    assert not work.zero_reductions
+            divisor = ch.pow_poly(R.poly("x+y"), 2 * l) \
+                * ch.pow_poly(R.poly("x*y"), p - l - 1)
+            assert remainders[divisor] == R.monomial(
+                (p - 1, p - 1), comb(2 * l, l) % p), (p, l)
+    assert not work.runs and not work.spairs and not work.zero_reductions
 
 
 def test_laurent_results_keep_their_basis(monkeypatch):
@@ -636,29 +643,100 @@ def test_laurent_results_keep_their_basis(monkeypatch):
     assert out.basis_strings() == ("x^2 + y", "x*y + 2", "y^2 + x")
 
 
-def test_transform_sweep_takes_one_run_each(monkeypatch):
-    # (N^[p] : prod f_i^b_i) is one elimination; the parent took 66 runs
+def test_transform_sweep_takes_no_run(monkeypatch):
+    # (N^[p] : prod f_i^b_i) is exponent subtraction; the parent took one
+    # elimination per job
     runs = count_buchberger(monkeypatch)
     jobs = 0
     for p in (3, 5, 7, 11, 13):
         R = ring(p)
         fam = [I(R, "x+y"), I(R, "x*y")]
         for l in range((p - 1) // 2 + 1):
-            before = len(runs)
             out = ch.transform_chi_symbolic(I(R, "x", "y"), (2 * l, p - l - 1),
                                             fam)
             assert out.basis_strings() == ("x", "y")
-            assert len(runs) - before == 1
             jobs += 1
-    assert jobs == len(runs) == 22
+    assert jobs == 22 and not runs
 
 
 def test_principal_colon_takes_one_run(monkeypatch):
+    # x + y is its own remainder modulo (x^2, y^2) and not a term: one
+    # elimination.  (x+y)^2 leaves the term 2xy, whose colon takes none
     R = ring()
     runs = count_buchberger(monkeypatch)
+    out = ch.colon(I(R, "x^2", "y^2"), I(R, "x+y"))
+    assert out.basis_strings() == ("y^2", "x + 2*y")
+    assert len(runs) == 1
     out = ch.colon(I(R, "x^2", "y^2"), I(R, "(x+y)^2"))
     assert out.basis_strings() == ("x", "y")
     assert len(runs) == 1
+
+
+@st.composite
+def monomial_colons(draw):
+    """A monomial ideal of 0-4 generators with any nonzero coefficients,
+    in 2 or 3 variables at p = 2, 3 or 5, and a term c x^m; m = 0, x^m in
+    I and I = (0) all occur."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = ring(p, ("x", "y", "z")[:draw(st.integers(2, 3))])
+    terms = st.builds(R.monomial, st.tuples(*[st.integers(0, 3)] * R.nvars),
+                      st.integers(1, p - 1))
+    return Ideal(R, draw(st.lists(terms, max_size=4))), draw(terms)
+
+
+def assert_monomial_colon(a, term):
+    # (I : c x^m) by exponent subtraction: the oracle's basis, no run.  I's
+    # own basis is made first: m = 0 takes the unit branch, which returns it
+    a.groebner()
+    with pytest.MonkeyPatch.context() as mp:
+        runs = count_buchberger(mp)
+        out = ch.colon(a, Ideal(a.ring, [term]))
+        assert out._gb is not None and not runs
+    assert out.groebner() == oracle_groebner(oracle_colon(a, Ideal(a.ring,
+                                                                   [term])))
+    return out.basis_strings()
+
+
+@given(monomial_colons())
+@settings(max_examples=120, deadline=None)
+def test_monomial_colon_matches_oracle(case):
+    assert_monomial_colon(*case)
+
+
+@pytest.mark.parametrize("gens, term, want", [
+    (("2*x^3", "x*y^2"), "2*x^2", ("y^2", "x")),
+    (("2*x^3", "x*y^2"), "x^4*y", ("1",)),          # x^m in I
+    (("2*x^3", "x*y^2"), "2", ("x^3", "x*y^2")),    # m = 0: I itself
+    ((), "2*x*y", ()),                              # I = (0)
+    (("x^2*z", "2*y^3"), "x*y^2*z", ("x", "y")),
+])
+def test_monomial_colon_cases(gens, term, want):
+    R = ring(3, ("x", "y", "z"))
+    assert assert_monomial_colon(I(R, *gens), R.poly(term)) == want
+
+
+def test_monomial_colon_rule_not_reached_on_laurent_rings():
+    # a term is a unit of a Laurent ring: (I : x y^-1) is I, from the unit
+    # branch.  The rule would rebuild a basis with reduce_basis; with I's
+    # basis already cached, the Laurent colon calls it not at all, and the
+    # polynomial twin of the call does
+    calls = []
+
+    def spy(original):
+        return lambda G: calls.append(1) or original(G)
+
+    for laurent, term, rebuilt, want in ((True, "x*y^-1", 0, ("1",)),
+                                         (False, "x*y", 1, ("y^2", "x"))):
+        R = ring(3, laurent=laurent)
+        a = I(R, "x^2", "y^3")
+        a.groebner()
+        with pytest.MonkeyPatch.context() as mp:
+            patch_in_charp(mp, "reduce_basis", spy, "ideals")
+            runs = count_buchberger(mp)
+            del calls[:]
+            out = ch.colon(a, I(R, term))
+            assert len(calls) == rebuilt and not runs
+        assert out.basis_strings() == want
 
 
 def test_ext_ring_needs_grevlex():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import charp as ch
 from charp import CartierAlgebraSpec, Ideal, MixedPair
 from fpt_oracle import oracle_fpt_search
-from work_counts import count_bracket_roots
+from work_counts import count_bracket_roots, count_groebner
 
 
 def ring(p=3):
@@ -375,3 +375,30 @@ class TestJumpScaling:
     def test_out_of_range_is_vacuous(self, R):
         f = Ideal(R, [R.poly("x*y")])
         assert ch.jump_scaling_probe(f, F(1), 1, 3) == "vacuous"
+
+
+def test_threshold_workload_groebner_work(monkeypatch):
+    # the benchmark's thresholds jobs from an empty automaton store: its
+    # depth-6 searches at p = 3 and 5 and the 64-exponent cusp sweep.
+    # Built from the deduplicated components, the bracket roots made
+    # Buchberger reduce 14 S-pairs, 11 of them to 0, most from linearly
+    # dependent generators; row-reduced, one pair is left, (x y^3 + x^3,
+    # y^4 + x^2 y), whose S-polynomial is 0 as both are multiples of
+    # x^2 + y^3
+    from math import gcd
+    from charp import cartier
+    monkeypatch.setattr(cartier, "_tau_cache", {})
+    work = count_groebner(monkeypatch)
+    R3, R5 = ring(3), ring(5)
+    f1, f2 = Ideal(R3, [R3.poly("x+y")]), Ideal(R3, [R3.poly("x*y")])
+    for t1 in (F(1, 3), F(2, 3), F(1, 9), F(7, 9)):
+        ch.fpt_search([(f1, t1)], f2, depth=6)
+    for expr in ("x^2+y^3", "x*y*(x+y)", "x^3+x^2*y+y^3"):
+        ch.fpt_search([], Ideal(R5, [R5.poly(expr)]), depth=6)
+    cusp = Ideal(R3, [R3.poly("x^2+y^3")])
+    for b in (5, 7, 11, 13):
+        for a in range(1, 2 * b):
+            if gcd(a, b) == 1:
+                tau_at([], cusp, F(a, b)).groebner()
+    assert (len(work.runs), len(work.spairs), len(work.zero_reductions)) \
+        == (50, 1, 1)
