@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product as iproduct
-from math import gcd, lcm
+from itertools import product as iproduct
+from math import gcd, lcm, prod
 
-from .frobenius import bracket_root, relative_trace, trace
+from .frobenius import _row_echelon, bracket_root, relative_trace, trace
 from .ideals import BudgetExceeded, Ideal, ideal_eq, power, product, sum_ideal
 from .rings import Polynomial, RingCtx, pow_poly
 
@@ -73,7 +73,7 @@ class CartierAlgebraSpec:
 def cplus(I: Ideal, C: CartierAlgebraSpec) -> Ideal:
     """The degree-positive action C_+(I) = (G I)^[1/q] for the twist ideal
     G: one step of ``_digit_walk``, one root of the twisted ideal."""
-    return _digit_walk((), (), I, C)
+    return _digit_walk([t.twist for t in C.generators], I, C)
 
 
 def sigma(C: CartierAlgebraSpec, start: Ideal, budget: int = SIGMA_BUDGET) -> Ideal:
@@ -147,8 +147,9 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
     tau is the sum over e >= 1 of I_e = C_e(prod a_i^ceil(t_i q^e)), where
     q = p^e0 for the degree e0 of C, C_e is C_+ applied e times, and
     C_+(J) = (G J)^[1/q] for the twist ideal G (Blickle 2013).  Each such
-    C_e is a carry walk (``_ClassAutomaton.carry``) on the automaton of all
-    generators of a_1..a_n, whose states map carry vectors to classes.
+    C_e is a carry walk (``_ClassAutomaton.carry``) on the automaton of
+    a_1..a_n, whose states map carry vectors to classes, one root per
+    digit-sum vector and class.
 
     Let s = ceil(d/e0) for the p-depth d of the exponents, u_i = t_i q^s =
     w_i + v_i with w_i = floor(u_i), b = lcm(den(v_i)), r = ord_b(q) and
@@ -169,27 +170,26 @@ def tau_mixed(pair: MixedPair, C: CartierAlgebraSpec,
     sum 0, walks.  As a_i^0 = R, a non-principal a_i at t_i = 0 is left out.
 
     ``_automaton`` keeps the automaton for the process, so later calls on
-    the same generators and C look up what earlier calls computed.
+    the same ideals and C look up what earlier calls computed.
     """
     ring, e0 = pair.ring, C.degree()
     q = ring.p ** e0
     kept = [(a, t) for a, t in zip(pair.ideals, pair.exponents)
             if t or len(a.gens) == 1]
-    sizes, ts = tuple(len(a.gens) for a, _ in kept), [t for _, t in kept]
-    auto = _automaton([g for a, _ in kept for g in a.gens], C)
-    grows = C.fixes_unit()
-    m, state, s = _tau_state(auto, sizes, ts, grows, budget)
-    tau = auto.close(sizes, m, state)
+    auto = _automaton([a for a, _ in kept], C)
+    ts, grows = [t for _, t in kept], C.fixes_unit()
+    m, state, s = _tau_state(auto, ts, grows, budget)
+    tau = auto.close(m, state)
     for e in range(1, 1 if grows else s):
         tau = auto.plus(tau, auto.walk([_ceil_mul(t, q ** e) for t in ts], e,
-                                       auto.unit, sizes))
+                                       auto.unit))
     return auto.classes[tau]
 
 
-def _tau_state(auto, sizes, ts, grows: bool, budget: int = TAU_BUDGET):
+def _tau_state(auto, ts, grows: bool, budget: int = TAU_BUDGET):
     """(w // q^s, carry(w mod q^s, s, T), s) of ``tau_mixed``, which closes
-    the state at w // q^s, for the exponents ``ts`` of ideals of ``sizes``
-    generators on ``auto``, with ``grows`` = C.fixes_unit()."""
+    the state at w // q^s, for the exponents ``ts`` of the ideals of
+    ``auto``, with ``grows`` = C.fixes_unit()."""
     q, p = auto.q, auto.C.ring.p
     s = -(-max((_p_depth(t, p) for t in ts), default=0) // auto.C.degree())
     u = [(t.numerator * q ** s, t.denominator) for t in ts]  # t q^s = n/d
@@ -204,11 +204,11 @@ def _tau_state(auto, sizes, ts, grows: bool, budget: int = TAU_BUDGET):
     S = ()
     for e in range(lo, lo + (1 if grows else r)):  # the e digits of F_e
         F_e = tuple([n * q ** e // d for n, d in v])
-        S = auto.add(S, auto.carry(sizes, F_e, e, start))
+        S = auto.add(S, auto.carry(F_e, e, start))
     T, seen = S, set()
     for _ in range(budget):
         seen.add(T)
-        T = auto.carry(sizes, c, r, T)
+        T = auto.carry(c, r, T)
         if not grows:
             T = auto.add(S, T)
         if T in seen:  # classes are interned, so equal states are equal
@@ -217,42 +217,39 @@ def _tau_state(auto, sizes, ts, grows: bool, budget: int = TAU_BUDGET):
         raise BudgetExceeded(f"tau chain did not repeat within {budget} steps")
     Q = q ** s
     return [n // Q for n in whole], \
-        auto.carry(sizes, tuple([n % Q for n in whole]), s, T), s
+        auto.carry(tuple([n % Q for n in whole]), s, T), s
 
 
-def _digit_walk(fs, m, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
-    """One step of C_+ on prod f_i^m_i J: C_+(prod f_i^m_i J) =
-    (G prod f_i^m_i J)^[1/q] for the twist ideal G and q = p^e0, each twist
-    t starting its own product t prod f_i^m_i.  Products and longer walks
-    are ``_ClassAutomaton.walk``."""
-
-    def times(g):
-        for f, e in zip(fs, m):
-            g = g * pow_poly(f, e)
-        return [g * h for h in J.gens]
-
-    gens = [u for gen in C.generators for u in times(gen.twist)]
-    return bracket_root(Ideal(J.ring, gens), C.degree())
+def _digit_walk(products, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
+    """One step of C_+, the root (P J)^[1/q] for q = p^e0 and P the ideal
+    of ``products``, which carry the twists: P = G P' for the twist ideal G
+    gives C_+(P' J).  ``cplus`` is P = G; carry steps and longer walks are
+    ``_ClassAutomaton.step`` and ``walk``."""
+    return bracket_root(Ideal(J.ring, [g * h for g in products
+                                       for h in J.gens]), C.degree())
 
 
 def _carries(q: int, sizes, n, kappa):
-    """The digit vectors d in [0, q)^(sum of sizes) that take the carry
-    ``kappa`` past the digits ``n``, each with its new carry kappa':
-    |d_i| + kappa_i - n_i = q kappa'_i, |d_i| the sum of d over a_i."""
-    groups = [[(d, (sum(d) + k - x) // q) for d in iproduct(range(q), repeat=z)
-               if (sum(d) + k - x) % q == 0] for z, x, k in zip(sizes, n, kappa)]
+    """The digit-sum vectors s that take the carry ``kappa`` past the
+    digits ``n``, each with its new carry kappa': s_i + kappa_i - n_i =
+    q kappa'_i, s_i in [0, sizes_i (q - 1)] the sum |d_i| of a digit vector
+    d_i in [0, q)^sizes_i of a_i."""
+    groups = [[(x, (x + k - y) // q)
+               for x in range((y - k) % q, z * (q - 1) + 1, q)]
+              for z, y, k in zip(sizes, n, kappa)]
     for choice in iproduct(*groups):
-        yield sum((d for d, _ in choice), ()), tuple(k for _, k in choice)
+        yield tuple(x for x, _ in choice), tuple(k for _, k in choice)
 
 
-def _automaton(fs, C: CartierAlgebraSpec) -> "_ClassAutomaton":
-    """The shared ``_ClassAutomaton`` of the polynomials ``fs`` under C.
+def _automaton(ideals, C: CartierAlgebraSpec) -> "_ClassAutomaton":
+    """The shared ``_ClassAutomaton`` of the ideals a_1..a_n under C, keyed
+    by their generator tuples.
 
     ``_tau_cache`` is read here, as a module global, on every call, so that
     a stand-in dict sees each lookup.  Past TAU_CACHE_SIZE automata the
     oldest inserted is dropped; an automaton only memoises, so that changes
     the work of a later call but never its answer."""
-    key = (tuple(fs), C.cache_key())
+    key = (tuple(a.gens for a in ideals), C.cache_key())
     auto = _tau_cache.get(key)
     if auto is None:
         if len(_tau_cache) >= TAU_CACHE_SIZE:
@@ -262,35 +259,37 @@ def _automaton(fs, C: CartierAlgebraSpec) -> "_ClassAutomaton":
 
 
 class _ClassAutomaton:
-    """Ideal classes of the polynomials f_1..f_n under an algebra C, and the
-    moves between them, each memoised: the digit step (d, J) ->
-    C_+(prod f_i^d_i J) = ``_digit_walk(fs, d, J, C)``, the class sum,
-    the product (m, J) -> prod a_i^m_i J and the carry walk of a state.
+    """Ideal classes of ideals a_1..a_n, given as one generator tuple each
+    in ``gens``, under an algebra C, and the moves between them, each
+    memoised: the carry step (s, J) -> C_+(P_s J) = ``_digit_walk(G P_s,
+    J, C)`` for G the twist ideal and P_s the products g^d of the generators
+    over the digit vectors d in [0, q)^sizes with digit sums |d_i| = s_i,
+    the class sum, the product (m, J) -> prod a_i^m_i J and the carry walk.
     Classes are interned by their reduced Groebner basis, which each class
     Ideal keeps, so the memo keys are canonical, and two classes are equal
-    ideals iff their indices are equal.  The f's are the generators of
-    a_1..a_n in order, a_i taking the next sizes[i] (by default 1) of them;
-    ``sizes`` is an argument of each move, so pairs with the same
-    generators share one automaton.
+    ideals iff their indices are equal.  For principal a_i, s is the digit
+    vector and P_s the one product prod f_i^s_i.
 
     This is the only place where tau classes are stepped.  ``tau_mixed``,
     ``fpt_search`` and the digit table of ``constancy_raster`` and
     ``jumping_numbers`` take their automaton from ``_automaton``, one per
-    (f tuple, ``C.cache_key()``) for the process, so every call on the same
-    f and C reuses the roots of the calls before it.  Under the full algebra
-    the tau classes are finitely many on [0, 1)^n (Blickle-Mustata-Smith
-    2008; Perez 2013 for mixed ideals), so the closure that ``fpt_search``
-    takes of its tails under the digits it chooses stops."""
+    (generator tuples, ``C.cache_key()``) for the process, so every call on
+    the same ideals and C reuses the roots of the calls before it.  Under
+    the full algebra the tau classes are finitely many on [0, 1)^n
+    (Blickle-Mustata-Smith 2008; Perez 2013 for mixed ideals), so the
+    closure that ``fpt_search`` takes of its tails under the digits it
+    chooses stops."""
 
-    def __init__(self, fs, C: CartierAlgebraSpec):
-        self.fs, self.C = fs, C
+    def __init__(self, gens, C: CartierAlgebraSpec):
+        self.gens, self.C = gens, C
         self.q = C.ring.p ** C.degree()
         self.classes = []  # class index -> Ideal of its reduced basis
         self._index = {}   # reduced basis -> class index
-        self._steps = {}   # (digit vector, class index) -> class index
+        self._steps = {}   # (digit-sum vector, class index) -> class index
+        self._digits = {}  # digit-sum vector s -> G P_s, row-reduced
         self._sums = {}    # (class index, class index) -> class index
-        self._products = {}  # (sizes, exponent vector, class index) -> class
-        self._moves = {}   # (sizes, m mod q^k, k, state) -> state
+        self._products = {}  # (exponent vector, class index) -> class
+        self._moves = {}   # (m mod q^k, k, state) -> state
         self.unit = self.intern(Ideal(C.ring, [C.ring.one()]))
 
     def intern(self, I: Ideal) -> int:
@@ -301,70 +300,86 @@ class _ClassAutomaton:
             self.classes.append(Ideal._reduced(I.ring, gb))
         return cid
 
-    def step(self, d, cid: int) -> int:
-        out = self._steps.get((d, cid))
+    def step(self, s, cid: int) -> int:
+        """The class of C_+(P_s J) for J the class ``cid``."""
+        out = self._steps.get((s, cid))
         if out is None:
-            out = self._steps[d, cid] = self.intern(
-                _digit_walk(self.fs, d, self.classes[cid], self.C))
+            out = self._steps[s, cid] = self.intern(
+                _digit_walk(self.digits(s), self.classes[cid], self.C))
         return out
 
-    def walk(self, m, k: int, cid: int, sizes=None) -> int:
+    def digits(self, s):
+        """G P_s, row-reduced over F_p (``_row_echelon``): the products
+        t g^d over the twists t and d in [0, q)^sizes with |d_i| = s_i,
+        which take no class."""
+        out = self._digits.get(s)
+        if out is None:
+            out = [t.twist for t in self.C.generators]
+            for gens, x in zip(self.gens, s):
+                out = [prod(map(pow_poly, gens, d), start=f) for f in out
+                       for d in iproduct(range(min(x, self.q - 1) + 1),
+                                         repeat=len(gens)) if sum(d) == x]
+            out = self._digits[s] = _row_echelon(out)
+        return out
+
+    def walk(self, m, k: int, cid: int) -> int:
         """The class of C_k(prod a_i^m_i J) for J the class ``cid``: the
         carry walk over the k lowest base-q digits of m (q = p^e0), closed
         at m_i // q^k.  For k = 0 this is the plain product."""
-        sizes, Q = sizes or (1,) * len(self.fs), self.q ** k
-        state = self.carry(sizes, tuple([x % Q for x in m]), k,
-                           (((0,) * len(sizes), cid),))
-        return self.close(sizes, [x // Q for x in m], state)
+        Q = self.q ** k
+        state = self.carry(tuple([x % Q for x in m]), k,
+                           (((0,) * len(self.gens), cid),))
+        return self.close([x // Q for x in m], state)
 
-    def carry(self, sizes, m, k: int, state):
+    def carry(self, m, k: int, state):
         """The state after the k base-q digits of m (m_i < q^k), lowest
         first, from ``state``, a sorted tuple of (carry kappa, class X).
         After j digits of N, X_kappa = C_j(sum of g^alpha J) over the parts
         alpha below q^j of the exponents with |alpha_i| = N_i - kappa_i, for
-        g the f's.  As a_i^N is generated by the g^alpha with |alpha_i| = N
-        (Takagi 2006), C_+ is additive and (g^(q a) B)^[1/q] = g^a B^[1/q]
-        (Blickle-Mustata-Smith 2008), each digit vector d of alpha is one
-        step, moving kappa as ``_carries`` says; classes landing on one
-        carry are summed, and ``close`` multiplies in the rest."""
+        g the generators.  As a_i^N is generated by the g^alpha with
+        |alpha_i| = N (Takagi 2006), C_+ is additive and (g^(q a) B)^[1/q] =
+        g^a B^[1/q] (Blickle-Mustata-Smith 2008), the digit vectors d of
+        alpha with one digit-sum vector s move kappa alike, as ``_carries``
+        says, and share one step; classes landing on one carry are summed,
+        and ``close`` multiplies in the rest."""
         if k == 0:
             return state
-        key = (sizes, m, k, state)
+        key = (m, k, state)
         out = self._moves.get(key)
         if out is None and k > 1:
             out = state
             for j in range(k):
                 out = self.carry(
-                    sizes, tuple([x // self.q ** j % self.q for x in m]), 1, out)
+                    tuple([x // self.q ** j % self.q for x in m]), 1, out)
             self._moves[key] = out
         elif out is None:
             acc = {}
             for kappa, cid in state:
-                for d, to in _carries(self.q, sizes, key[1], kappa):
-                    got = self.step(d, cid)
+                for s, to in _carries(self.q, map(len, self.gens), m, kappa):
+                    got = self.step(s, cid)
                     acc[to] = self.plus(acc[to], got) if to in acc else got
             out = self._moves[key] = tuple(sorted(acc.items()))
         return out
 
-    def close(self, sizes, m, state) -> int:
+    def close(self, m, state) -> int:
         """The class of the sum of prod a_i^(m_i - kappa_i) X_kappa over the
         entries of ``state`` with no negative exponent."""
         out = None
         for kappa, cid in state:
             e = tuple([x - k for x, k in zip(m, kappa)])
             if min(e, default=0) >= 0:
-                got = self.product(sizes, e, cid)
+                got = self.product(e, cid)
                 out = got if out is None else self.plus(out, got)
         return self.intern(Ideal(self.C.ring, [])) if out is None else out
 
-    def product(self, sizes, m, cid: int) -> int:
+    def product(self, m, cid: int) -> int:
         """The class of prod a_i^m_i J for J the class ``cid``."""
-        key = (sizes, m, cid)
+        key = (m, cid)
         out = self._products.get(key) if any(m) else cid
         if out is None:
-            J, gens = self.classes[cid], iter(self.fs)
-            for z, e in zip(sizes, m):
-                J = product(power(Ideal(J.ring, islice(gens, z)), e), J)
+            J = self.classes[cid]
+            for gens, e in zip(self.gens, m):
+                J = product(power(Ideal(J.ring, gens), e), J)
             out = self._products[key] = self.intern(J)
         return out
 

@@ -232,12 +232,12 @@ def _digit_recursion(ideals, grid: RasterGrid, C: CartierAlgebraSpec,
     degree 1 with C_+(R) = R: the first len(``fixed``) a_i at the exponents
     r = ``fixed``, the others at m/p^k in the cell m.
 
-    The table walks carry states on the automaton of all generators of the
-    a_i.  With r_0 = r and r_j = frac(r p^j), level 0 is the state that
-    ``tau_mixed`` closes at (r_k, 0) (``_tau_state``), not its class, as r_k
-    may keep p in its denominator; k = 0 closes it at (floor r, m).  Level j
-    holds, for m in [0, p^j)^n capped at the grid side, a state closing at
-    0 to tau at (r_(k-j), m/p^j).  Walks take digits lowest first, so for
+    The table walks carry states on the automaton of the a_i.  With r_0 = r
+    and r_j = frac(r p^j), level 0 is the state that ``tau_mixed`` closes at
+    (r_k, 0) (``_tau_state``), not its class, as r_k may keep p in its
+    denominator; k = 0 closes it at (floor r, m).  Level j holds, for m in
+    [0, p^j)^n capped at the grid side, a state closing at 0 to tau at
+    (r_(k-j), m/p^j).  Walks take digits lowest first, so for
     m = d p^(j-1) + m', m' < p^(j-1), level j walks the state at m' by
     D = (floor(p r_(k-j)), d).  Only at level k, on the whole grid, can D
     reach p: it walks D mod p and closes at D // p.
@@ -250,14 +250,13 @@ def _digit_recursion(ideals, grid: RasterGrid, C: CartierAlgebraSpec,
     lookup.  Level k, each class id replaced by its hash, is ``grid.cells``.
     """
     p, k, n, side = grid.p, grid.k, grid.n, grid.side
-    sizes = tuple(len(a.gens) for a in ideals)
-    auto = _automaton([g for a in ideals for g in a.gens], C)
+    auto = _automaton(ideals, C)
     rs = [tuple(fixed)]
     for _ in range(k):
         rs.append(tuple(x * p - int(x * p) for x in rs[-1]))
-    m0, tail, _ = _tau_state(auto, sizes, rs[k] + (Fraction(0),) * n, True)
+    m0, tail, _ = _tau_state(auto, rs[k] + (Fraction(0),) * n, True)
     ids = {tail: 0}  # state -> its int id, in the order interned
-    table = [auto.close(sizes, m0[:len(fixed)] + list(m), tail)
+    table = [auto.close(m0[:len(fixed)] + list(m), tail)
              for m in iproduct(range(side + 1), repeat=n)] if k == 0 else [0]
     top = 0
     for j in range(1, k + 1):
@@ -267,11 +266,10 @@ def _digit_recursion(ideals, grid: RasterGrid, C: CartierAlgebraSpec,
         states, present = list(ids), set(table)
 
         def move(d, sid):
-            out = auto.carry(sizes, tuple(x % p for x in lead + d), 1,
-                             states[sid])
+            out = auto.carry(tuple(x % p for x in lead + d), 1, states[sid])
             if j < k:
                 return ids.setdefault(out, len(ids))
-            return auto.close(sizes, [x // p for x in lead + d], out)
+            return auto.close([x // p for x in lead + d], out)
 
         step = {d: {s: move(d, s) for s in present}.__getitem__
                 for d in iproduct(range(top // q + 1), repeat=n)}
@@ -375,8 +373,8 @@ def three_lines_staircase(p: int, depth: int):
     with all leading base-p digits even; elsewhere the boundary follows the
     diagonal t2 = 1 - t1/2 at this resolution.
     """
-    if p < 3:
-        raise ValueError("staircase requires an odd prime")
+    if p < 3 or depth < 0:
+        raise ValueError("staircase requires an odd prime and depth >= 0")
 
     def build(k):
         """Vertices at depth k as integer pairs over 2 p^k."""
@@ -425,6 +423,8 @@ def staircase_partial_sum(p: int, K: int) -> Fraction:
     """Partial sum of the staircase length series:
     sum_{k=1..K} (3/2) p^-k ((p+1)/2)^(k-1) (p-1)/2; the full series sums
     to 3/2."""
+    if K < 0:
+        raise ValueError(f"the number of terms must be >= 0, got {K}")
     total = Fraction(0)
     for k in range(1, K + 1):
         total += (Fraction(3, 2) * Fraction(1, p ** k)
@@ -438,15 +438,16 @@ def staircase_partial_sum(p: int, K: int) -> Fraction:
 def hausdorff_distance(A, B) -> Fraction:
     """Exact max-norm Hausdorff distance between two finite point sets whose
     coordinates are rationals.  Uses a chessboard distance transform when both
-    sets live on a common 2D lattice and are large; otherwise brute force."""
+    sets live on a common 2D lattice whose bounding box has no more points
+    than the |A| |B| pairs brute force compares; otherwise brute force."""
     A, B = list(A), list(B)
     if not A or not B:
         raise ValueError("Hausdorff distance needs nonempty sets")
     L = lcm(*{c.denominator for pt in A + B for c in map(Fraction, pt)})
     Ai = [tuple(int(Fraction(c) * L) for c in pt) for pt in A]
     Bi = [tuple(int(Fraction(c) * L) for c in pt) for pt in B]
-    n = len(Ai[0])
-    if n == 2 and len(Ai) * len(Bi) > 4_000_000:
+    box = [max(c) - min(c) + 1 for c in zip(*Ai, *Bi)]
+    if len(box) == 2 and box[0] * box[1] <= len(Ai) * len(Bi):
         d = max(_directed_chamfer(Ai, Bi), _directed_chamfer(Bi, Ai))
     else:
         d = max(_directed_brute(Ai, Bi), _directed_brute(Bi, Ai))
@@ -470,47 +471,31 @@ def _directed_brute(A, B) -> int:
 
 def _directed_chamfer(A, B) -> int:
     """sup_{a in A} min_{b in B} Chebyshev(a, b) on a 2D integer lattice,
-    by an exact two-pass chessboard distance transform."""
-    pts = A + B
-    x0 = min(p[0] for p in pts)
-    x1 = max(p[0] for p in pts)
-    y0 = min(p[1] for p in pts)
-    y1 = max(p[1] for p in pts)
+    by an exact chessboard distance transform: one sweep, in which each cell
+    takes one more than its left and three upper neighbours if that is less,
+    run on the grid and then on the grid turned by 180 degrees."""
+    x0, y0 = (min(c) for c in zip(*A, *B))
+    x1, y1 = (max(c) for c in zip(*A, *B))
     W, H = x1 - x0 + 1, y1 - y0 + 1
-    INF = W + H + 1
-    dist = [[INF] * W for _ in range(H)]
+    dist = [[W + H + 1] * W for _ in range(H)]
     for (x, y) in B:
         dist[y - y0][x - x0] = 0
-    for r in range(H):
-        row = dist[r]
-        up = dist[r - 1] if r > 0 else None
-        for c in range(W):
-            d = row[c]
-            if c > 0 and row[c - 1] + 1 < d:
-                d = row[c - 1] + 1
-            if up is not None:
-                if up[c] + 1 < d:
-                    d = up[c] + 1
-                if c > 0 and up[c - 1] + 1 < d:
-                    d = up[c - 1] + 1
-                if c < W - 1 and up[c + 1] + 1 < d:
-                    d = up[c + 1] + 1
-            row[c] = d
-    for r in range(H - 1, -1, -1):
-        row = dist[r]
-        down = dist[r + 1] if r < H - 1 else None
-        for c in range(W - 1, -1, -1):
-            d = row[c]
-            if c < W - 1 and row[c + 1] + 1 < d:
-                d = row[c + 1] + 1
-            if down is not None:
-                if down[c] + 1 < d:
-                    d = down[c] + 1
-                if c > 0 and down[c - 1] + 1 < d:
-                    d = down[c - 1] + 1
-                if c < W - 1 and down[c + 1] + 1 < d:
-                    d = down[c + 1] + 1
-            row[c] = d
+    for _ in range(2):
+        for r, row in enumerate(dist):
+            up = dist[r - 1] if r > 0 else None
+            for c in range(W):
+                d = row[c]
+                if c > 0 and row[c - 1] + 1 < d:
+                    d = row[c - 1] + 1
+                if up is not None:
+                    if up[c] + 1 < d:
+                        d = up[c] + 1
+                    if c > 0 and up[c - 1] + 1 < d:
+                        d = up[c - 1] + 1
+                    if c < W - 1 and up[c + 1] + 1 < d:
+                        d = up[c + 1] + 1
+                row[c] = d
+        dist = [row[::-1] for row in reversed(dist)]
     return max(dist[y - y0][x - x0] for (x, y) in A)
 
 

@@ -71,13 +71,13 @@ def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
     tau(... free^1) lies in free.
     """
     ideals = tuple(I for I, _ in fixed) + (free,)
-    if any(len(a.gens) != 1 for a in ideals):
-        raise ValueError("fpt_search needs principal ideals")
+    if any(len(a.gens) != 1 for a in ideals) or depth < 0:
+        raise ValueError("fpt_search needs principal ideals and depth >= 0")
     if free.is_unit():
         raise ThresholdError("the free ideal is the unit ideal")
     p = free.ring.p
     C = CartierAlgebraSpec.full_algebra(free.ring)
-    auto = _automaton([a.gens[0] for a in ideals], C)
+    auto = _automaton(ideals, C)
     r = tuple(Fraction(t) for _, t in fixed)
     tails, moves, x = {}, {}, r  # r_0, r_1, ... is eventually periodic
     while x not in tails:

@@ -15,7 +15,7 @@ from charp.thresholds import ThresholdError, ThresholdResult
 
 def oracle_closure(auto, cids) -> frozenset:
     """The classes reached from ``cids`` by digits in [0, p)^n."""
-    digits = list(iproduct(range(auto.C.ring.p), repeat=len(auto.fs)))
+    digits = list(iproduct(range(auto.C.ring.p), repeat=len(auto.gens)))
     seen = frontier = set(cids)
     while frontier:
         frontier = {auto.step(d, c) for c in frontier for d in digits} - seen
@@ -31,7 +31,7 @@ def oracle_fpt_search(fixed, free, depth: int) -> ThresholdResult:
         raise ThresholdError("the free ideal is the unit ideal")
     p = free.ring.p
     C = CartierAlgebraSpec.full_algebra(free.ring)
-    auto = _automaton([a.gens[0] for a in ideals], C)
+    auto = _automaton(ideals, C)
     r = tuple(Fraction(t) for _, t in fixed)
     tails, x = {}, r  # r_0, r_1, ... is eventually periodic
     while x not in tails:

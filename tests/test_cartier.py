@@ -439,7 +439,7 @@ def max_decompose_terms(monkeypatch):
 def walk(fs, m, k, J, C):
     """C_k(prod f_i^m_i J) through ``_ClassAutomaton.walk`` on a fresh
     automaton."""
-    auto = _ClassAutomaton(tuple(fs), C)
+    auto = _ClassAutomaton(tuple((f,) for f in fs), C)
     return auto.classes[auto.walk(m, k, auto.intern(J))]
 
 
@@ -476,9 +476,9 @@ class TestDigitWalk:
         # a walk over two digits (4 = 1 + 1 * 3) is the automaton's walk
         f, J = R.poly("x+y"), I(R, "1")
         with pytest.raises(TypeError):
-            cartier._digit_walk([f], [4], 2, J, full)
-        twice = cartier._digit_walk([f], [1], cartier._digit_walk(
-            [f], [1], J, full), full)
+            cartier._digit_walk([f], 2, J, full)
+        twice = cartier._digit_walk([f], cartier._digit_walk([f], J, full),
+                                    full)
         assert ch.ideal_eq(walk([f], [4], 2, J, full), twice)
 
     def test_fpt_search_stays_small(self, monkeypatch):
@@ -544,10 +544,10 @@ def count_products(monkeypatch):
     calls = []
     real = _ClassAutomaton.product
 
-    def product(self, sizes, m, cid):
-        if any(m) and (sizes, m, cid) not in self._products:
+    def product(self, m, cid):
+        if any(m) and (m, cid) not in self._products:
             calls.append(tuple(m))
-        return real(self, sizes, m, cid)
+        return real(self, m, cid)
 
     monkeypatch.setattr(_ClassAutomaton, "product", product)
     return calls
@@ -578,7 +578,8 @@ class TestMemoisedProducts:
     def test_matches_fresh_product(self, name, m, pick):
         auto = swept_automaton(name)
         c = pick % len(auto.classes)
-        want = oracle_digit_walk(auto.fs, [m], 0, auto.classes[c], auto.C)
+        fs = [f for f, in auto.gens]
+        want = oracle_digit_walk(fs, [m], 0, auto.classes[c], auto.C)
         cid = auto.walk([m], 0, c)
         assert auto.walk((m,), 0, c) == cid  # the memo answers the repeat
         assert auto.classes[cid].groebner() == want.groebner(), (m, c)
@@ -742,7 +743,7 @@ class TestStoreBound:
         first = [ch.tau_mixed(pair(R, (f, F(5, 7))), full) for f in fs]
         assert len(store) == cap
         # insertion order: the oldest automata were dropped
-        kept = [key[0][0] for key in store]
+        kept = [key[0][0][0] for key in store]
         assert kept == [R.poly(f) for f in fs[-cap:]]
         again = [ch.tau_mixed(pair(R, (f, F(5, 7))), full) for f in fs]
         assert len(store) == cap

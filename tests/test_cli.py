@@ -3,6 +3,7 @@ import json
 import pytest
 
 from charp.cli import COMMANDS, main
+from work_counts import count_automaton_moves
 
 
 def run(capsys, *argv):
@@ -72,6 +73,18 @@ class TestExitCodes:
                            "--depth", "2")
         assert code == 1
         assert "F-regular" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fpt", "--p", "3", "--vars", "x,y", "--free", "x*y", "--fixed",
+         "x+y:1/3", "--depth", "-1"],
+        ["staircase", "--p", "3", "--depth", "-1"],
+        ["staircase", "--p", "3", "--terms", "-2"],
+    ])
+    def test_negative_size_is_usage(self, capsys, argv):
+        # fpt used to end in a TypeError traceback, staircase --depth -1 in
+        # a RecursionError, and --terms -2 printed a sum of -2 terms
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and not out, (out, err)
 
     def test_svg_needs_two_parameters(self, capsys, tmp_path):
         code, _, err = run(capsys, "raster", "--p", "3", "--vars", "x,y",
@@ -358,24 +371,18 @@ class TestRasterBytes:
             "392b788be786de14a0c8b677aa663e08206dbb1ae5781f883f48d3612173a45d"
 
     def test_work_counts(self, capsys, tmp_path, monkeypatch):
-        # one carry move per (digit vector, state) and level, not one per
+        # one carry move per (digit-sum vector, state) and level, not one per
         # cell, and no Fraction coordinates; the store starts empty, as a
         # move that an earlier walk memoised takes no step
-        from charp import cartier, regions
-        monkeypatch.setattr(cartier, "_tau_cache", {})
-        calls = {"step": 0, "carry": 0, "coord": 0}
+        from charp import regions
+        calls = count_automaton_moves(monkeypatch)
+        real_coord, calls["coord"] = regions.RasterGrid.coord, 0
 
-        def counted(name, real):
-            def wrapper(*a):
-                calls[name] += 1
-                return real(*a)
-            return wrapper
+        def coord(*a):
+            calls["coord"] += 1
+            return real_coord(*a)
 
-        for name in ("step", "carry"):
-            monkeypatch.setattr(cartier._ClassAutomaton, name, counted(
-                name, getattr(cartier._ClassAutomaton, name)))
-        monkeypatch.setattr(regions.RasterGrid, "coord",
-                            counted("coord", regions.RasterGrid.coord))
+        monkeypatch.setattr(regions.RasterGrid, "coord", coord)
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *BENCH_RASTER)[0] == 0
         assert 0 < calls["step"] <= 100 and 0 < calls["carry"] <= 100

@@ -196,6 +196,25 @@ class TestDigitRecursion:
         assert ras.class_count() == 5
         assert 0 < len(calls) <= 40
 
+    @pytest.mark.parametrize("p,polys,T,k,roots,csv", [
+        (3, ("x,y", "x^2,y^3"), 1, 4, 400, "749041bfea81"),
+        (3, ("x^3,x*y,y^3", "x,y^2"), 2, 3, 1229, "ea2e6a38bf67"),
+        (5, ("x,y", "x^2,y^3"), 1, 3, 1296, "dc7f1b469e45"),
+        (3, ("x+y", "x*y"), 1, 4, 18, "52cec39bd9d7")])
+    def test_one_root_per_digit_sum_vector_and_class(self, monkeypatch, p,
+                                                     polys, T, k, roots, csv):
+        # from an empty store; one root per digit vector and class took
+        # 1,296, 8,532 and 10,000 on the non-principal families, with the
+        # same CSV bytes
+        from hashlib import sha256
+        from charp.regions import raster_csv
+        calls = count_bracket_roots(monkeypatch)
+        Rp = ring(p)
+        fam = [Ideal(Rp, [Rp.poly(g) for g in s.split(",")]) for s in polys]
+        ras = ch.constancy_raster(fam, T, k)
+        assert len(calls) == roots
+        assert sha256(raster_csv(ras).encode()).hexdigest()[:12] == csv
+
     @pytest.mark.parametrize("p,polys,T,k", oracle_cases())
     def test_matches_per_cell_tau(self, monkeypatch, p, polys, T, k):
         # the oracle is the one-shot identity tau = (prod f_i^m_i)^[1/p^k],
@@ -350,12 +369,22 @@ def dictcomp_digit_recursion(ideals, grid, C, fixed=()):
     class step per cell, as tau(f^s) = C_+(f^D_1 tau(f^(r_1))) for the top
     digit D_1, integer part included.  The last level is laid out as
     ``grid.cells`` in sorted index order."""
-    from charp.cartier import _ClassAutomaton
+    from charp.cartier import _ClassAutomaton, _digit_walk
     from charp.regions import _class_hash
     from itertools import product as iproduct
-    fs = [a.gens[0] for a in ideals]
     p, k, n, side = grid.p, grid.k, grid.n, grid.side
-    auto = _ClassAutomaton(fs, C)
+    auto = _ClassAutomaton(tuple(a.gens for a in ideals), C)
+    steps = {}
+
+    def step(d, c):  # C_+(prod f_i^d_i J), the top digit d_i up to p
+        if (d, c) not in steps:
+            twisted = [t.twist for t in C.generators]
+            for a, x in zip(ideals, d):
+                twisted = [g * ch.pow_poly(a.gens[0], x) for g in twisted]
+            steps[d, c] = auto.intern(
+                _digit_walk(twisted, auto.classes[c], C))
+        return steps[d, c]
+
     rs = [tuple(fixed)]
     for _ in range(k):
         rs.append(tuple(x * p - int(x * p) for x in rs[-1]))
@@ -370,8 +399,8 @@ def dictcomp_digit_recursion(ideals, grid, C, fixed=()):
         q = p ** (j - 1)
         top = side if j == k else min(side, p ** j - 1)
         lead = tuple(int(x * p) for x in rs[k - j])
-        table = {m: auto.step(lead + tuple(x // q for x in m),
-                              table[tuple(x % q for x in m)])
+        table = {m: step(lead + tuple(x // q for x in m),
+                         table[tuple(x % q for x in m)])
                  for m in iproduct(range(top + 1), repeat=n)}
     hashes = {cid: _class_hash(grid, auto.classes[cid])
               for cid in sorted(set(table.values()))}
@@ -549,6 +578,11 @@ class TestStaircase:
         with pytest.raises(ValueError):
             ch.three_lines_staircase(2, 1)
 
+    def test_negative_depth_rejected(self):
+        # it used to recurse until RecursionError
+        with pytest.raises(ValueError, match="depth >= 0"):
+            ch.three_lines_staircase(3, -1)
+
     def test_vertices_separate_raster_classes(self, R, raster4):
         # every staircase(3,3) vertex has a unit-class cell just inside and a
         # non-unit class at its rounded-up cell
@@ -574,6 +608,12 @@ class TestLengthsAndSums:
             prev = s
         assert F(3, 2) - ch.staircase_partial_sum(3, 60) < F(1, 10 ** 9)
 
+    def test_negative_term_count_rejected(self):
+        # it used to return the empty sum 0
+        assert ch.staircase_partial_sum(3, 0) == 0
+        with pytest.raises(ValueError):
+            ch.staircase_partial_sum(3, -2)
+
     def test_diagonal_length(self):
         bl = ch.boundary_length(ch.three_lines_staircase(3, 0))
         assert bl.axis == 0
@@ -598,6 +638,41 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ch.hausdorff_distance(set(), {(F(0), F(0))})
+
+    @pytest.mark.parametrize("A,B,chamfer", [
+        # a 14,001 x 2,000,001 grid against 2,001^2 pairs: brute force
+        ([(F(i, 1000), F(0)) for i in range(2001)],
+         [(F(0), F(j, 7)) for j in range(2001)], False),
+        ([(F(0), F(0)), (F(1), F(0))], [(F(0), F(0)), (F(3), F(0))], True),
+        ([(F(0), F(0)), (F(1), F(0))], [(F(0), F(0)), (F(4), F(0))], False),
+        ([(F(0), F(0), F(0))] * 3, [(F(1), F(0), F(0))] * 3, False)])
+    def test_chamfer_only_on_a_grid_no_larger_than_the_pairs(
+            self, monkeypatch, A, B, chamfer):
+        # both paths stubbed, so no grid is built
+        from charp import regions
+        used = []
+        for name in ("_directed_chamfer", "_directed_brute"):
+            monkeypatch.setattr(regions, name, lambda X, Y, name=name:
+                                used.append(name) or 0)
+        assert ch.hausdorff_distance(A, B) == 0
+        want = "_directed_chamfer" if chamfer else "_directed_brute"
+        assert used == [want, want]
+
+    def test_criterion_10_sets_take_the_chamfer(self, monkeypatch, R,
+                                                three_lines_family):
+        # a 244 x 244 box against 42,187 x 44,530 pairs
+        from charp import regions
+        ras = ch.constancy_raster(three_lines_family, 1, 5)
+        A = [ras.coord(idx) for idx, h in ras.items() if h == unit_hash(R)]
+        B = [ras.coord((i, j)) for i in range(244) for j in range(244)
+             if F(i, 243) + 2 * F(j, 243) < 2]
+        assert (len(A), len(B)) == (42187, 44530)
+        used = []
+        monkeypatch.setattr(regions, "_directed_chamfer",
+                            lambda X, Y: used.append(len(X)) or 0)
+        monkeypatch.setattr(regions, "_directed_brute", None)
+        ch.hausdorff_distance(A, B)
+        assert used == [42187, 44530]
 
     def test_chamfer_matches_brute_force(self):
         from charp.regions import _directed_brute, _directed_chamfer

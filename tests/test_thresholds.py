@@ -384,10 +384,10 @@ def test_threshold_workload_groebner_work(monkeypatch):
     # Buchberger reduce 14 S-pairs, 11 of them to 0, most from linearly
     # dependent generators; row-reduced, one pair is left, (x y^3 + x^3,
     # y^4 + x^2 y), whose S-polynomial is 0 as both are multiples of
-    # x^2 + y^3
+    # x^2 + y^3.  The 39 bracket roots are one per digit vector and class,
+    # as every ideal here is principal
     from math import gcd
-    from charp import cartier
-    monkeypatch.setattr(cartier, "_tau_cache", {})
+    calls = count_bracket_roots(monkeypatch)
     work = count_groebner(monkeypatch)
     R3, R5 = ring(3), ring(5)
     f1, f2 = Ideal(R3, [R3.poly("x+y")]), Ideal(R3, [R3.poly("x*y")])
@@ -402,3 +402,4 @@ def test_threshold_workload_groebner_work(monkeypatch):
                 tau_at([], cusp, F(a, b)).groebner()
     assert (len(work.runs), len(work.spairs), len(work.zero_reductions)) \
         == (50, 1, 1)
+    assert len(calls) == 39

@@ -7,7 +7,9 @@ so a call counts whichever module makes it:
   reductions that give 0 (a ``normal_form`` of 0 inside ``buchberger``, as
   the benchmark's tracer counts them);
 - ``count_buchberger``: the runs alone;
-- ``count_bracket_roots``: bracket roots, from an empty automaton store.
+- ``count_bracket_roots``: bracket roots, from an empty automaton store;
+- ``count_automaton_moves``: calls of the class automaton's ``step`` and
+  ``carry``, memo hits included, from an empty automaton store.
 """
 
 import sys
@@ -87,4 +89,24 @@ def count_bracket_roots(monkeypatch):
     monkeypatch.setattr(cartier, "_tau_cache", {})
     calls = []
     wrap_in_charp(monkeypatch, "bracket_root", lambda I, e: calls.append(e))
+    return calls
+
+
+def count_automaton_moves(monkeypatch):
+    """Count the calls of ``_ClassAutomaton.step`` and ``carry``, from an
+    empty automaton store; returns a dict of the two counts."""
+    from charp import cartier
+    monkeypatch.setattr(cartier, "_tau_cache", {})
+    calls = {"step": 0, "carry": 0}
+
+    def counted(name):
+        real = getattr(cartier._ClassAutomaton, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cartier._ClassAutomaton, name, counted(name))
     return calls
