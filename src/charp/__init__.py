@@ -7,7 +7,7 @@ change-of-basis identity xi = det^(p-1), all in exact arithmetic.
 
 from .rings import (ExponentOverflow, ParseError, Polynomial, PrimeModulus,
                     RingCtx, frob, parse_poly, partial_derivative, poly_str,
-                    pow_poly, root_exact)
+                    pow_poly)
 from .ideals import (BudgetExceeded, Ideal, VerificationError, colon, exact_div,
                      frob_power, ideal_eq, intersect, power, product,
                      sum_ideal)
@@ -15,9 +15,9 @@ from .frobenius import FrobDecomposition, bracket_root, decompose, \
     relative_trace, trace
 from .cartier import (CartierAlgebraSpec, MixedPair, RelativeChart, TraceTwist,
                       cplus, pullback_cartier, scale_test_ideal, sigma,
-                      skoda_reduce, tau_mixed, theorem_b_check, theorem_b_sides)
-from .thresholds import (ThresholdError, ThresholdResult, breakpoints,
-                         fpt_search, jump_scaling_probe, jumping_numbers)
+                      tau_mixed, theorem_b_check, theorem_b_sides)
+from .thresholds import (ThresholdError, ThresholdResult, fpt_search,
+                         jump_scaling_probe, jumping_numbers)
 from .regions import (BoundaryLength, RasterGrid, RegionFunction, TOperator,
                       apply_T, boundary_length, chi_function, compose_T,
                       constancy_raster, hausdorff_distance, pfractal_span_rank,

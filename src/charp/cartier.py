@@ -112,11 +112,6 @@ class MixedPair:
     def ring(self):
         return self.ideals[0].ring
 
-    def with_exponent(self, i: int, t) -> "MixedPair":
-        exps = list(self.exponents)
-        exps[i] = Fraction(t)
-        return MixedPair(self.ideals, tuple(exps))
-
 
 def _ceil_mul(t: Fraction, P: int) -> int:
     """ceil(t * P) in exact integer arithmetic."""
@@ -264,7 +259,7 @@ class _ClassAutomaton:
     memoised: the carry step (s, J) -> C_+(P_s J) = ``_digit_walk(G P_s,
     J, C)`` for G the twist ideal and P_s the products g^d of the generators
     over the digit vectors d in [0, q)^sizes with digit sums |d_i| = s_i,
-    the class sum, the product (m, J) -> prod a_i^m_i J and the carry walk.
+    the class sum, the product (m, J) -> prod a_i^m_i J, carry and close.
     Classes are interned by their reduced Groebner basis, which each class
     Ideal keeps, so the memo keys are canonical, and two classes are equal
     ideals iff their indices are equal.  For principal a_i, s is the digit
@@ -276,9 +271,9 @@ class _ClassAutomaton:
     (generator tuples, ``C.cache_key()``) for the process, so every call on
     the same ideals and C reuses the roots of the calls before it.  Under
     the full algebra the tau classes are finitely many on [0, 1)^n
-    (Blickle-Mustata-Smith 2008; Perez 2013 for mixed ideals), so the
-    closure that ``fpt_search`` takes of its tails under the digits it
-    chooses stops."""
+    (Blickle-Mustata-Smith 2008; Perez 2013 for mixed ideals), and so are
+    the states, whose carries are bounded, so the ``closure`` that
+    ``fpt_search`` takes of its tails under the digits it chooses stops."""
 
     def __init__(self, gens, C: CartierAlgebraSpec):
         self.gens, self.C = gens, C
@@ -290,6 +285,7 @@ class _ClassAutomaton:
         self._sums = {}    # (class index, class index) -> class index
         self._products = {}  # (exponent vector, class index) -> class
         self._moves = {}   # (m mod q^k, k, state) -> state
+        self._closes = {}  # (m, state) -> class index
         self.unit = self.intern(Ideal(C.ring, [C.ring.one()]))
 
     def intern(self, I: Ideal) -> int:
@@ -361,16 +357,35 @@ class _ClassAutomaton:
             out = self._moves[key] = tuple(sorted(acc.items()))
         return out
 
+    def closure(self, start, digits) -> set:
+        """The states reached from the states ``start`` by the moves
+        carry(d, 1, .) over the digit vectors d in ``digits``, ``start``
+        included."""
+        seen = frontier = set(start)
+        while frontier:
+            frontier = {self.carry(d, 1, X) for X in frontier
+                        for d in digits} - seen
+            seen = seen | frontier
+        return seen
+
+    def preimage(self, U, d, on) -> frozenset:
+        """The states X in ``on`` with carry(d, 1, X) in ``U``."""
+        return frozenset(X for X in on if self.carry(d, 1, X) in U)
+
     def close(self, m, state) -> int:
         """The class of the sum of prod a_i^(m_i - kappa_i) X_kappa over the
         entries of ``state`` with no negative exponent."""
-        out = None
-        for kappa, cid in state:
-            e = tuple([x - k for x, k in zip(m, kappa)])
-            if min(e, default=0) >= 0:
-                got = self.product(e, cid)
-                out = got if out is None else self.plus(out, got)
-        return self.intern(Ideal(self.C.ring, [])) if out is None else out
+        key = (tuple(m), state)
+        out = self._closes.get(key)
+        if out is None:
+            for kappa, cid in state:
+                e = tuple([x - k for x, k in zip(m, kappa)])
+                if min(e, default=0) >= 0:
+                    got = self.product(e, cid)
+                    out = got if out is None else self.plus(out, got)
+            self._closes[key] = out = self.intern(Ideal(self.C.ring, [])) \
+                if out is None else out
+        return out
 
     def product(self, m, cid: int) -> int:
         """The class of prod a_i^m_i J for J the class ``cid``."""
@@ -398,18 +413,6 @@ class _ClassAutomaton:
         for kappa, cid in y:
             acc[kappa] = self.plus(acc[kappa], cid) if kappa in acc else cid
         return tuple(sorted(acc.items()))
-
-
-def skoda_reduce(pair: MixedPair, i: int):
-    """Skoda: tau(..., a_i^t, ...) = a_i * tau(..., a_i^(t-1), ...) once
-    t_i is at least the number of generators of a_i.  Returns the reduced
-    pair and the multiplier ideal a_i."""
-    t = pair.exponents[i]
-    n_gens = len(pair.ideals[i].gens)
-    if t < n_gens:
-        raise ValueError(f"Skoda needs t_i >= {n_gens} (number of generators), "
-                         f"got t_i = {t}")
-    return pair.with_exponent(i, t - 1), pair.ideals[i]
 
 
 def scale_test_ideal(tau: Ideal, C: CartierAlgebraSpec) -> Ideal:

@@ -448,18 +448,6 @@ def partial_derivative(f: Polynomial, var: int) -> Polynomial:
     return Polynomial(f.ring, res)
 
 
-def root_exact(f: Polynomial, e: int) -> Polynomial:
-    """Inverse of frob where it exists: every exponent must be divisible by p^e."""
-    q = f.ring.p ** e
-    res = {}
-    for m, c in f.terms.items():
-        if any(x % q for x in m):
-            raise ValueError(f"{poly_str(f)} is not a p^{e}-th power "
-                             f"(exponent {m} not divisible by {q})")
-        res[tuple(x // q for x in m)] = c
-    return Polynomial(f.ring, res)
-
-
 # --- printing ----------------------------------------------------------------
 
 

@@ -1,14 +1,13 @@
 """F-pure thresholds and F-jumping numbers under the full Cartier algebra.
 
-With D_j the j-th base-p digit vector of an exponent vector s (the integer
-part joins D_1) and r_j = s p^j - floor(s p^j), tau(f^s) = C_+(tau(f^(p s)))
-and Skoda give, for principal f and step(d, J) = (prod f_i^d_i J)^[1/p],
+With D_j the j-th base-p digit vector of frac(s), r_j = frac(s p^j) and
+T_j the carry state of tau(a^(r_j)) (``cartier._ClassAutomaton.carry``),
 
-    tau(f^s) = step(D_1, step(D_2, ... step(D_j, tau(f^(r_j))))).
+    tau(a^s) = close(floor(s), carry(D_1, 1, ... carry(D_j, 1, T_j))).
 
-``fpt_search`` reads exact thresholds of principal ideals off this identity
-on the finite automaton of tau classes; ``jumping_numbers`` reads a grid off
-the raster's digit table, which walks the same digits on carry states.
+``fpt_search`` reads exact thresholds of any ideals off this identity on
+the finite set of states it reaches; ``jumping_numbers`` reads a grid off
+the raster's digit table, which walks the same digits.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .cartier import (CartierAlgebraSpec, MixedPair, _automaton,
+from .cartier import (CartierAlgebraSpec, MixedPair, _automaton, _tau_state,
                       scale_test_ideal, tau_mixed)
 from .ideals import Ideal, VerificationError, ideal_eq
 from .regions import RasterGrid, _digit_recursion
@@ -52,57 +51,73 @@ class _TauProbe:
 
 
 def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
-    """The mixed F-pure threshold c of the free exponent, for principal
-    ideals, with ``fixed`` a list of (Ideal, exponent) pairs held constant.
-    The slice must be F-regular at free exponent 0.
+    """The mixed F-pure threshold c of the free exponent, for any ideals,
+    with ``fixed`` a list of (Ideal, exponent) pairs held constant.  The
+    slice must be F-regular at free exponent 0.
 
-    Free digits d_1..d_j keep tau = (1) iff the tail class T_j (``tau_mixed``
-    at the fixed remainders r_j and free exponent 0) lies in
-    U_j = {c : step(D_j, c) in U_(j-1)}, U_0 = {(1)}.  The largest such digit
-    at each position spells c, as those prefixes are the largest a/p^j below
-    c.  U_j is kept on V, the closure under the digit vectors chosen so far
-    of the tails and of Q = {step((floor(p r), d), T_frac(p r))} over the
-    remainders r and d in [1, p); V grows with each new digit vector, and
-    U_0..U_j are then recomputed on it.  Every class a digit test asks
-    about lies in Q, so the digit after position j depends only on
-    (U_j meet V, r_j).  Once that pair repeats, at i < j, V is closed under
-    every digit chosen since i, so by induction the digits after i repeat
-    with period j - i, V stops growing, and c is exact.  c <= 1, as
-    tau(... free^1) lies in free.
+    On the levels of ``regions._digit_recursion``, tau at (r, N + 0.d_1...
+    d_j) closes at (floor r, N) the state carry(D_1, 1, ... carry(D_j, 1,
+    T_j)), for D_i = (floor(p r_(i-1)), d_i), r_0 = frac(r), r_i =
+    frac(p r_(i-1)) and the tail T_j, the ``_tau_state`` at (r_j, 0).  By
+    mixed Skoda tau lies in the free ideal from the exponent g = #gens(free)
+    on, so c <= g, and N is the largest n < g with tau = (1) at (r, n).
+    Free digits d_1..d_j keep tau = (1) iff carry(D_j, 1, T_j) lies in
+    U_(j-1), for U_0 the states closing at (floor r, N) to (1) and U_j the
+    ``preimage`` of U_(j-1) under D_j; the largest such digits spell c.
+    The U_j are kept on V, the ``closure`` under the digit vectors chosen so
+    far of the tails and of Q = {carry((floor(p r), d), 1, T_frac(p r))}
+    over the remainders r and d in [1, p), and redone when V grows.  As Q
+    holds every state a digit test asks about, the digit after position j
+    depends only on (U_j meet V, r_j).  Once that pair repeats, at i < j, V
+    is closed under every digit chosen since i, so the digits repeat with
+    period j - i from i on, and c is exact.
     """
-    ideals = tuple(I for I, _ in fixed) + (free,)
-    if any(len(a.gens) != 1 for a in ideals) or depth < 0:
-        raise ValueError("fpt_search needs principal ideals and depth >= 0")
+    if depth < 0:
+        raise ValueError("fpt_search needs depth >= 0")
     if free.is_unit():
         raise ThresholdError("the free ideal is the unit ideal")
+    pair = MixedPair.of(list(fixed) + [(free, 0)])  # checks the exponents
     p = free.ring.p
-    C = CartierAlgebraSpec.full_algebra(free.ring)
-    auto = _automaton(ideals, C)
-    r = tuple(Fraction(t) for _, t in fixed)
-    tails, moves, x = {}, {}, r  # r_0, r_1, ... is eventually periodic
+    auto = _automaton(pair.ideals, CartierAlgebraSpec.full_algebra(free.ring))
+    whole = [int(t) for t in pair.exponents[:-1]]
+    dens = [t.denominator for t in pair.exponents]
+    r = tuple(t.numerator % t.denominator for t in pair.exponents[:-1])
+    tails, moves, x = {}, {}, r  # r_j = x / dens, eventually periodic
     while x not in tails:
-        pair = MixedPair(ideals, x + (Fraction(0),))
-        tails[x] = auto.intern(tau_mixed(pair, C))
-        digits = tuple(int(y * p) for y in x)
-        moves[x] = digits, tuple(y * p - d for y, d in zip(x, digits))
+        t = tuple(map(Fraction, x + (0,), dens))
+        tails[x] = _tau_state(auto, t, True)[1]
+        moves[x] = (tuple(y * p // b for y, b in zip(x, dens)),
+                    tuple(y * p % b for y, b in zip(x, dens)))
         x = moves[x][1]
-    transcript = [(Fraction(0), auto.classes[tails[r]].content_hash())]
-    if tails[r] != auto.unit:
+    transcript, N = [], -1
+    for n in range(max(len(free.gens), 1)):  # tau at (r, g) lies in free
+        cid = auto.close(whole + [n], tails[r])
+        transcript.append((Fraction(n), auto.classes[cid].content_hash()))
+        if cid != auto.unit:
+            break
+        N = n
+    if N < 0:
         raise ThresholdError("slice is not F-regular at free exponent 0")
-    V = set(tails.values()) | {auto.step(D + (d,), tails[y])
+    whole.append(N)
+
+    def units(V):  # U_0 on V
+        return frozenset(X for X in V if auto.close(whole, X) == auto.unit)
+
+    V = set(tails.values()) | {auto.carry(D + (d,), 1, tails[y])
                                for D, y in moves.values() for d in range(1, p)}
     closed = set()  # the digit vectors V is closed under
-    rs, Us, chosen, values = [r], [frozenset([auto.unit])], [], [Fraction(0)]
+    rs, Us, chosen, values = [r], [units(V)], [], [Fraction(N)]
     while len(chosen) < depth or (Us[-1], r) not in zip(Us[:-1], rs):
         j = len(chosen) + 1
         fixed_digits, r = moves[r]
         best = 0
         for d in range(1, p):
-            cid = auto.step(fixed_digits + (d,), tails[r])
-            ok = cid in Us[-1]
-            if j <= depth:  # record tau = step(D_1, ... step(D_j, T_j))
+            X = auto.carry(fixed_digits + (d,), 1, tails[r])
+            ok = X in Us[-1]
+            if j <= depth:  # record tau at (r, values[-1] + d / p^j)
                 for D in reversed(chosen):
-                    cid = auto.step(D, cid)
+                    X = auto.carry(D, 1, X)
+                cid = auto.close(whole, X)
                 transcript.append((values[-1] + Fraction(d, p ** j),
                                    auto.classes[cid].content_hash()))
             if not ok:
@@ -111,16 +126,12 @@ def fpt_search(fixed, free: Ideal, depth: int) -> ThresholdResult:
         chosen.append(fixed_digits + (best,))
         rs.append(r)
         values.append(values[-1] + Fraction(best, p ** j))
-        if chosen[-1] not in closed:  # V grows: close it, redo U_1.. on it
+        if chosen[-1] not in closed:  # V grows: close it, redo U_0.. on it
             closed.add(chosen[-1])
-            frontier = V
-            while frontier:
-                frontier = {auto.step(D, c) for c in frontier
-                            for D in closed} - V
-                V |= frontier
-            del Us[1:]
+            V = auto.closure(V, closed)
+            Us = [units(V)]
         for D in chosen[len(Us) - 1:]:
-            Us.append(frozenset(c for c in V if auto.step(D, c) in Us[-1]))
+            Us.append(auto.preimage(Us[-1], D, V))
     i = list(zip(Us, rs)).index((Us[-1], r))
     q = p ** (len(chosen) - i)  # the digits after position i repeat
     candidate = values[i] + (values[-1] - values[i]) * q / (q - 1)
@@ -151,11 +162,6 @@ def jumping_numbers(fixed, free: Ideal, T, depth: int):
         runs.append((Fraction(start, P), Fraction(end - 1, P), h))
         start = end
     return runs
-
-
-def breakpoints(runs):
-    """The left endpoints of every run after the first."""
-    return [start for start, _, _ in runs[1:]]
 
 
 def avoidance_windows(candidate, p: int, max_e: int = 4):

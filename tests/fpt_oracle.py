@@ -3,7 +3,10 @@
 It decides every digit on the closure S of the tails under all digit
 vectors in [0, p)^n, so it steps every class of S by p^n digits before the
 search starts, where ``fpt_search`` closes only under the digits it
-chooses.  ``oracle_closure`` is the replaced ``_ClassAutomaton.closure``.
+chooses.  It walks classes with ``_ClassAutomaton.step``, so it takes
+principal ideals only, whose single-entry carry states are those classes;
+``oracle_closure`` is the class closure that ``_ClassAutomaton.closure``
+must match on such states.
 """
 
 from fractions import Fraction

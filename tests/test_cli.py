@@ -261,10 +261,29 @@ class TestNonPrincipalIdeals:
         assert code == 0
         assert "extended tau  = {t, u}" in out and "AGREE" in out
 
-    def test_fpt_stays_principal(self, capsys):
-        code, _, err = run(capsys, "fpt", "--p", "3", "--vars", "x,y",
-                           "--free", "x,y")
-        assert code == 1 and "fpt_search needs principal ideals" in err
+    def test_fpt_of_the_maximal_ideal(self, capsys):
+        # Howald: fpt((x, y)) = 2, the Skoda bound #gens
+        argv = ["fpt", "--p", "3", "--vars", "x,y", "--free", "x,y"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "candidate = 2" in out.splitlines()
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["result"]["candidate"] == "2"
+
+    def test_fpt_of_the_zero_ideal(self, capsys):
+        # tau is (1) at 0 and the zero ideal from 1/9 on, as ``jumps`` says
+        code, out, _ = run(capsys, "fpt", "--p", "3", "--vars", "x,y",
+                           "--free", "0")
+        assert code == 0 and "candidate = 0" in out.splitlines()
+        code, out, _ = run(capsys, "jumps", "--p", "3", "--vars", "x,y",
+                           "--free", "0", "--T", "1", "--depth", "2")
+        assert code == 0
+        assert [row.split(",")[:2] for row in out.splitlines()[1:]] == \
+            [["0", "0"], ["1/9", "1"]]
+
+    def test_fpt_of_a_zero_fixed_ideal_is_refused(self, capsys):
+        code, out, err = run(capsys, "fpt", "--p", "3", "--vars", "x,y",
+                             "--fixed", "0:1/2", "--free", "x,y")
+        assert code == 1 and not out and "not F-regular" in err
 
 
 class TestDecompose:

@@ -240,16 +240,6 @@ class TestRingAxioms:
         check()
 
 
-def test_root_exact():
-    R = ring()
-    assert poly_str(ch.root_exact(R.poly("x^3+y^3"), 1)) == "x + y"
-    assert poly_str(ch.root_exact(R.poly("2*x^9"), 2)) == "2*x"
-    with pytest.raises(ValueError):
-        ch.root_exact(R.poly("x^2"), 1)
-    f = R.poly("x^2*y + 2*x + 1")
-    assert ch.root_exact(ch.frob(f, 2), 2) == f
-
-
 def test_ring_mismatch_rejected():
     a = ring(3).poly("x")
     b = ring(5).poly("x")

@@ -1,11 +1,13 @@
+import time
 from fractions import Fraction as F
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import charp as ch
 from charp import CartierAlgebraSpec, Ideal, MixedPair
-from fpt_oracle import oracle_fpt_search
+from fpt_oracle import oracle_closure, oracle_fpt_search
 from work_counts import count_bracket_roots, count_groebner
 
 
@@ -169,9 +171,14 @@ class TestExactThresholds:
         assert not unit_at([(f1, F(1, 2))], f2, F(3, 4))
         assert unit_at([(f1, F(1, 2))], f2, F(3, 4) - F(1, 5 ** 6))
 
-    def test_non_principal_rejected(self, R):
-        with pytest.raises(ValueError, match="principal"):
-            ch.fpt_search([], Ideal(R, [R.var("x"), R.var("y")]), depth=2)
+    @pytest.mark.parametrize("p,expected", [(2, F(1, 2)), (3, F(2, 3))])
+    def test_cusp_at_small_primes(self, p, expected):
+        # Hernandez: fpt(x^2+y^3) is 1/2 at p = 2 and 2/3 at p = 3, where
+        # ``cusp_fpt`` does not apply
+        Rp = ring(p)
+        res = ch.fpt_search([], ideal(Rp, "x^2+y^3"), depth=3)
+        assert res.candidate == expected
+        assert res.lo < expected <= res.hi
 
     def test_unit_free_ideal_has_no_threshold(self, R):
         with pytest.raises(ch.ThresholdError):
@@ -200,6 +207,72 @@ class TestExactThresholds:
             assert not unit_at([], free, t)
             assert unit_at([], free, max(res.lo, t - F(1, p ** (depth + 2))))
             assert unit_at([], free, res.lo) and not unit_at([], free, res.hi)
+
+
+class TestNonPrincipalThresholds:
+    # mixed Howald (Hara-Yoshida 2003) for monomial ideals: (fixed ideal,
+    # exponent, free ideal, threshold), the fixed ideal None for none
+    HOWALD = [(None, 0, ("x", "y"), F(2)), (None, 0, ("x", "y^2"), F(3, 2)),
+              (None, 0, ("x^2", "y^3"), F(5, 6)),
+              (None, 0, ("x^2", "x*y", "y^2"), F(1)),
+              (("x",), F(1, 2), ("x", "y"), F(3, 2)),
+              (("x", "y"), F(1), ("x",), F(1))]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("case", range(len(HOWALD)))
+    def test_howald(self, p, case):
+        gens, t, free, expected = self.HOWALD[case]
+        Rp = ring(p)
+        fixed = [] if gens is None else [(ideal(Rp, *gens), t)]
+        started = time.perf_counter()
+        res = search_outcome(ch.fpt_search, fixed, ideal(Rp, *free), 3)
+        assert time.perf_counter() - started < 2
+        assert res.candidate == expected
+        assert res.lo < expected <= res.hi
+
+    def test_integer_part_is_tested_below_the_skoda_bound(self, R):
+        # tau((x, y)^n) is (1) at n = 0 and 1; Skoda puts n = 2 in (x, y)
+        res = ch.fpt_search([], ideal(R, "x", "y"), 2)
+        unit = Ideal(R, [R.one()]).content_hash()
+        assert res.transcript[:2] == ((F(0), unit), (F(1), unit))
+        assert all(t > 1 for t, _ in res.transcript[2:])
+
+    def test_zero_free_ideal(self, R):
+        res = ch.fpt_search([], Ideal(R, [R.poly("0")]), 2)
+        assert (res.lo, res.hi, res.candidate) == (0, F(1, 9), 0)
+        assert starts(ch.jumping_numbers([], Ideal(R, []), 1, 2)) == [F(1, 9)]
+
+    def test_zero_fixed_ideal_is_not_f_regular(self, R):
+        with pytest.raises(ch.ThresholdError, match="not F-regular"):
+            ch.fpt_search([(Ideal(R, []), F(1, 2))], ideal(R, "x", "y"), 2)
+
+    @given(p=st.sampled_from([2, 3, 5]),
+           gens=st.lists(st.lists(st.tuples(st.integers(0, 3),
+                                            st.integers(0, 3)),
+                                  min_size=1, max_size=2, unique=True),
+                         min_size=2, max_size=2),
+           depth=st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_first_break_of_the_jumping_numbers(self, p, gens, depth):
+        # c <= 2 for two generators, so the runs on [0, 2] leave (1) at
+        # the grid point ceil(c p^depth) / p^depth, which the bracket holds
+        Rp = ring(p)
+        free = Ideal(Rp, [Rp.poly(" + ".join(f"x^{a}*y^{b}" for a, b in g))
+                          for g in gens])
+        if free.is_unit():
+            return
+        res = search_outcome(ch.fpt_search, [], free, depth)
+        P = p ** depth
+        first = starts(ch.jumping_numbers([], free, 2, depth))[0]
+        assert first == F(-(-res.candidate.numerator * P
+                            // res.candidate.denominator), P)
+        assert res.lo < first <= res.hi
+
+
+def starts(runs):
+    """The left endpoints of every run of ``jumping_numbers`` after the
+    first: its breakpoints."""
+    return [start for start, _, _ in runs[1:]]
 
 
 def search_outcome(search, fixed, free, depth):
@@ -250,6 +323,37 @@ class TestAgainstAllDigitOracle:
         got = search_outcome(ch.fpt_search, fixed, free, depth)
         assert got == search_outcome(oracle_fpt_search, fixed, free, depth)
 
+    @given(p=st.sampled_from([2, 3, 5, 7]),
+           mons=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                         min_size=2, max_size=2, unique=True),
+           c=st.integers(1, 6),
+           fixed=st.sampled_from([None, "x+y", "x^2+y^3", "x*y"]),
+           t1=st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(5, 6)]))
+    @settings(max_examples=30, deadline=None)
+    def test_closure_matches_oracle(self, p, mons, c, fixed, t1):
+        # on principal ideals a state with one entry, at carry 0, is its
+        # class, and a digit move on it is the class step
+        from charp import cartier
+        Rp = ring(p)
+        (a, b), (d, e) = mons
+        free = ideal(Rp, f"x^{a}*y^{b} + {c % (p - 1) + 1}*x^{d}*y^{e}")
+        fixed = [] if fixed is None else [(ideal(Rp, fixed), t1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cartier, "_tau_cache", {})
+            auto = cartier._automaton([I for I, _ in fixed] + [free],
+                                      CartierAlgebraSpec.full_algebra(Rp))
+            start = {auto.unit, auto.intern(free),
+                     auto.intern(tau_at(fixed, free, F(1, 2)))}
+            S = oracle_closure(auto, start)
+            zero = (0,) * len(auto.gens)
+            digits = list(iproduct(range(p), repeat=len(auto.gens)))
+            V = auto.closure({((zero, cid),) for cid in start}, digits)
+            assert V == {((zero, cid),) for cid in S}
+            U = set(sorted(S)[::2])
+            for D in digits:
+                assert auto.preimage({((zero, cid),) for cid in U}, D, V) \
+                    == {((zero, cid),) for cid in S if auto.step(D, cid) in U}
+
 
 class TestJumpingNumbers:
     def test_monomial_family(self, R):
@@ -265,7 +369,7 @@ class TestJumpingNumbers:
     def test_smooth_divisor_breakpoint_at_one(self, R):
         f = Ideal(R, [R.poly("x+y")])
         runs = ch.jumping_numbers([], f, 1, 3)
-        assert ch.breakpoints(runs) == [F(1)]
+        assert starts(runs) == [F(1)]
 
     def test_degenerate_range(self, R):
         f = Ideal(R, [R.poly("x*y")])
@@ -278,7 +382,7 @@ class TestJumpingNumbers:
         f1 = Ideal(R, [R.poly("x+y")])
         f2 = Ideal(R, [R.poly("x*y")])
         runs = ch.jumping_numbers([(f1, F(1, 3))], f2, 1, 2)
-        assert F(2, 3) in ch.breakpoints(runs)
+        assert F(2, 3) in starts(runs)
 
     def test_refinement_never_merges_classes(self, R):
         f = Ideal(R, [R.poly("x+y")])
@@ -294,7 +398,7 @@ class TestJumpingNumbers:
                             lambda I, e: calls.append(e) or real(I, e))
         monkeypatch.setattr(cartier, "_tau_cache", {})
         runs = ch.jumping_numbers([], Ideal(R, [R.poly("x^2+y^3")]), 1, 5)
-        assert ch.breakpoints(runs) == [F(2, 3), F(1)]
+        assert starts(runs) == [F(2, 3), F(1)]
         assert 0 < len(calls) <= 20
 
     @pytest.mark.parametrize("p", [2, 3, 5])
