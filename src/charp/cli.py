@@ -400,20 +400,18 @@ COMMANDS = ("tau", "fpt", "jumps", "raster", "decompose", "bracket-root",
 
 def build_parser(only=None) -> _Parser:
     """The charp parser.  Every name in COMMANDS is a subcommand; given
-    ``only``, just that one gets its arguments and -h, which leaves the help
-    and the errors of a run of ``only`` as they are and skips the rest."""
+    ``only``, just that one is registered, which leaves the help and the
+    errors of a run whose first argument is ``only`` as they are and skips
+    the rest."""
     # argparse builds a HelpFormatter for every add_argument, and each asks
     # the terminal for its size unless given a width: ask once, as it does
     fmt = partial(argparse.HelpFormatter,
                   width=shutil.get_terminal_size().columns - 2)
     top = _Parser(prog="charp", description=__doc__, formatter_class=fmt)
     sub = top.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, formatter_class=fmt,
-                                    add_help=only in (None, name))
-               for name in COMMANDS}
-
-    def command(name):
-        return parsers[name] if only in (None, name) else None
+    parsers = {name: sub.add_parser(name, formatter_class=fmt)
+               for name in (COMMANDS if only is None else (only,))}
+    command = parsers.get
 
     def common(sp, vars_flag=True, laurent=True, manifest=False):
         sp.add_argument("--p", type=int, required=True)
@@ -524,7 +522,7 @@ def main(argv=None) -> int:
     started = time.time()
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(next((a for a in argv if a in COMMANDS), None))
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         args._started, args._argv = started, argv

@@ -156,19 +156,19 @@ def buchberger(gens, budget=S_PAIR_BUDGET):
     A pair of two monomials is treated like a pair with coprime leads: its
     S-polynomial is 0, so, like the product criterion's pairs, it has a
     standard representation.  It is never reduced, but it stays in the
-    update to prune other pairs by criteria M and F.
+    update to prune other pairs by criteria M and F.  Principal and
+    monomial ideals never get here: ``Ideal.groebner`` writes their reduced
+    bases down (``_closed_form``), and every elimination system holds a
+    binomial.
     """
     G = [g for g in gens if g]
     if not G:
         return []
     ring = G[0].ring
-    # units and monomial ideals need no pairs
-    for g in G:
+    for g in G:  # a unit needs no pairs
         if g.is_constant():
             return [ring.one()]
     G = list(dict.fromkeys(G))
-    if all(g.is_monomial() for g in G):
-        return G
     key = order_key(ring)
     basis, leads, monomial = [], [], []
     active = []   # indices of the reducers: no later lead divides their lead
@@ -239,6 +239,28 @@ def _prune_redundant(G):
         if not dominated:
             out.append(g)
     return out
+
+
+def _closed_form(ring: RingCtx, gens):
+    """The reduced basis of (gens) on a polynomial ring when it is known in
+    closed form (Cox, Little and O'Shea, *Ideals, Varieties, and
+    Algorithms*, 2.4): (1) if a generator is constant; (g / lc g) for one
+    generator g; and the distinct minimal monomials, monic and largest
+    first as ``reduce_basis`` sorts them, for monomial generators.  None
+    for any other list."""
+    if any(g.is_constant() for g in gens):
+        return (ring.one(),)
+    if len(gens) == 1:
+        g, = gens
+        return (g.scale(ring.modulus.inv(g.lead()[1])),)
+    if not all(g.is_monomial() for g in gens):
+        return None
+    minimal = []  # a proper divisor has a smaller degree, so comes first
+    for m in sorted({m for g in gens for m in g.terms}, key=sum):
+        if not any(_divides(k, m) for k in minimal):
+            minimal.append(m)
+    minimal.sort(key=heap_key(ring))
+    return tuple(Polynomial(ring, {m: 1}) for m in minimal)
 
 
 def reduce_basis(G):
@@ -345,7 +367,9 @@ class Ideal:
 
         For Laurent rings this is the reduced basis of the saturated
         polynomial representative; its elements generate the same Laurent
-        ideal.
+        ideal.  On polynomial rings a principal or monomial ideal's basis is
+        written down in closed form (``_closed_form``), with no Buchberger
+        run; other ideals take one run and ``reduce_basis``.
         """
         if self._gb is None:
             if not self.gens:
@@ -357,7 +381,8 @@ class Ideal:
                 self._gb = tuple(Polynomial(self.ring, dict(g.terms))
                                  for g in sat)
             else:
-                self._gb = reduce_basis(buchberger(list(self.gens)))
+                self._gb = (_closed_form(self.ring, self.gens)
+                            or reduce_basis(buchberger(list(self.gens))))
         return self._gb
 
     # --- predicates ---------------------------------------------------------------
@@ -464,10 +489,18 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     saturated representatives, itself saturated, so it is the reduced basis
     of the Laurent meet.  (1 - t) goes on the side with fewer terms, as it
     doubles every term it multiplies; the reduced basis is unique, so the
-    side does not change the result."""
+    side does not change the result.
+
+    On polynomial rings two monomial ideals meet in the ideal of the
+    pairwise lcms of their generators (Cox, Little and O'Shea, 4.3), whose
+    reduced basis ``_closed_form`` writes down: no elimination."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     ring = a.ring
+    if not ring.laurent and all(g.is_monomial() for g in a.gens + b.gens):
+        return Ideal._reduced(ring, _closed_form(ring, [
+            Polynomial(ring, {tuple(map(max, m, n)): 1})
+            for f in a.gens for m in f.terms for g in b.gens for n in g.terms]))
     if ring.laurent:
         # work with the saturated polynomial representatives
         a = Ideal(ring, list(a.groebner()))
@@ -493,7 +526,8 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     quotient takes none when the generator's remainder modulo I is 0 (giving
     (1)), a unit (giving I), or a term c x^m while I is monomial (giving I's
     exponents less m, floored at 0; see ``_colon_single``).  A quotient
-    equal to (1) is left out of the meet, as X meet (1) = X."""
+    equal to (1) is left out of the meet, as X meet (1) = X, and two
+    monomial quotients meet by lcms, with no elimination (``intersect``)."""
     if I.ring != J.ring:
         raise ValueError("ring mismatch")
     if J.is_zero():
@@ -525,8 +559,9 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
     A monomial ideal I = (x^a_1, ..., x^a_r) and a term remainder c x^m
     give (I : c x^m) = (x^max(a_1 - m, 0), ..., x^max(a_r - m, 0)) (Miller
     and Sturmfels, *Combinatorial Commutative Algebra*, ch. 1), by exponent
-    subtraction with no elimination.  On Laurent rings a term is a unit,
-    so the unit branch takes it first and this rule is never reached."""
+    subtraction with no elimination; ``_closed_form`` writes down its
+    reduced basis.  On Laurent rings a term is a unit, so the unit branch
+    takes it first and this rule is never reached."""
     if g.is_zero():
         raise ValueError("colon by zero generator")
     ring = I.ring
@@ -545,9 +580,9 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
         return Ideal._reduced(ring, I.groebner())
     if g.is_monomial() and all(f.is_monomial() for f in I.gens):
         (m, _), = g.terms.items()
-        return Ideal._reduced(ring, reduce_basis(
-            [ring.monomial([max(x - y, 0) for x, y in zip(a, m)])
-             for f in I.gens for a in f.terms]))
+        return Ideal._reduced(ring, _closed_form(ring, [
+            Polynomial(ring, {tuple(max(x - y, 0) for x, y in zip(a, m)): 1})
+            for f in I.gens for a in f.terms]))
     monic = g.scale(ring.modulus.inv(g.lead()[1]))  # the basis of (g)
     meet = intersect(I, Ideal._reduced(ring, [monic]))
     quotients = [exact_div(f, g) for f in meet.gens]

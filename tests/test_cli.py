@@ -647,10 +647,11 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [["--help"]] + [
         [name, *tail] for name in COMMANDS
-        for tail in (["--help"], ["--no-such-flag"], ["--p", "x"])])
+        for tail in (["--help"], ["--no-such-flag"], ["--p", "x"])]
+        + [["tua", "--vars", "raster"]])
     def test_one_command_parser_matches_full(self, monkeypatch, capsys,
                                              argv):
-        # main builds only the invoked subcommand's arguments; the help
+        # main registers only the invoked subcommand's parser; the help
         # bytes, the exit code and the message must be those of the parser
         # with every subcommand built
         from charp import cli
@@ -673,3 +674,6 @@ class TestParser:
         assert one == outcome()
         assert one[0] == (0 if "--help" in argv else 1)
         assert built == [argv[0] if argv[0] in COMMANDS else None]
+        if argv[0] == "tua":  # a misspelt command is offered every command
+            assert "invalid choice: 'tua'" in one[2]
+            assert all(repr(name) in one[2] for name in COMMANDS)

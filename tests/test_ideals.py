@@ -376,6 +376,64 @@ def test_monomial_pairs_need_no_reduction(order):
     check()
 
 
+@st.composite
+def closed_form_lists(draw):
+    """1-4 generators in 2 or 3 variables at p = 2, 3, 5, under either
+    order: one polynomial; monomials drawn from a small pool of exponents,
+    so exponents repeat with other coefficients; a constant among any of
+    those; or a list of polynomials, mixed with any monomials."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    R = ch.RingCtx(("x", "y", "z")[:n], ch.PrimeModulus(p),
+                   order=draw(st.sampled_from(ORDERS)))
+    monos = st.sampled_from([m for m in product(range(4), repeat=n)
+                             if sum(m) <= 3])
+    coeffs = st.integers(1, p - 1)
+    polys = st.dictionaries(monos, coeffs, min_size=1, max_size=3).map(
+        lambda d: ch.Polynomial(R, d))
+    pool = draw(st.lists(monos, min_size=1, max_size=3))
+    terms = st.builds(lambda m, c: ch.Polynomial(R, {m: c}),
+                      st.sampled_from(pool), coeffs)
+    gens = draw(st.one_of(polys.map(lambda f: [f]),
+                          st.lists(terms, min_size=1, max_size=4),
+                          st.lists(polys, min_size=2, max_size=4)))
+    if draw(st.booleans()) and len(gens) < 4:
+        gens.insert(draw(st.integers(0, len(gens))), R.const(draw(coeffs)))
+    return R, gens
+
+
+@given(closed_form_lists())
+@settings(max_examples=150, deadline=None)
+def test_closed_form_matches_buchberger(system):
+    # a principal or monomial ideal, or one with a constant generator, has
+    # its reduced basis written down with no run; any other takes one.  The
+    # basis is Buchberger's, in reduce_basis's order, and the textbook's
+    R, gens = system
+    closed = (len(gens) == 1 or any(g.is_constant() for g in gens)
+              or all(g.is_monomial() for g in gens))
+    want = reduce_basis(buchberger(gens))
+    with pytest.MonkeyPatch.context() as mp:
+        work = count_groebner(mp)
+        out = Ideal(R, gens).groebner()
+        assert len(work.runs) == (0 if closed else 1)
+    assert out == want
+    assert {frozenset(g.terms.items()) for g in out} \
+        == Textbook(R).reduced_basis(gens)
+
+
+@pytest.mark.parametrize("gens, want", [
+    (("2*x^2*y + y^3 + 2",), ("x^2*y + 2*y^3 + 1",)),
+    (("2",), ("1",)),
+    (("2*x^2", "x*y", "x^2", "2*x*y^2", "y^3"), ("y^3", "x^2", "x*y")),
+    (("x^2 + y", "2"), ("1",)),
+])
+def test_closed_form_cases(monkeypatch, gens, want):
+    R = ring()
+    work = count_groebner(monkeypatch)
+    assert I(R, *gens).basis_strings() == want
+    assert not work.runs
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_heap_key_reverses_order_key(order):
     R = ch.RingCtx(("x", "y", "z"), ch.PrimeModulus(3), order=order)
@@ -717,13 +775,13 @@ def test_monomial_colon_cases(gens, term, want):
 
 def test_monomial_colon_rule_not_reached_on_laurent_rings():
     # a term is a unit of a Laurent ring: (I : x y^-1) is I, from the unit
-    # branch.  The rule would rebuild a basis with reduce_basis; with I's
-    # basis already cached, the Laurent colon calls it not at all, and the
-    # polynomial twin of the call does
+    # branch.  The rule would write its basis down with _closed_form; with
+    # I's basis already cached, the Laurent colon calls it not at all, and
+    # the polynomial twin of the call does
     calls = []
 
     def spy(original):
-        return lambda G: calls.append(1) or original(G)
+        return lambda ring, gens: calls.append(1) or original(ring, gens)
 
     for laurent, term, rebuilt, want in ((True, "x*y^-1", 0, ("1",)),
                                          (False, "x*y", 1, ("y^2", "x"))):
@@ -731,12 +789,49 @@ def test_monomial_colon_rule_not_reached_on_laurent_rings():
         a = I(R, "x^2", "y^3")
         a.groebner()
         with pytest.MonkeyPatch.context() as mp:
-            patch_in_charp(mp, "reduce_basis", spy, "ideals")
+            patch_in_charp(mp, "_closed_form", spy, "ideals")
             runs = count_buchberger(mp)
             del calls[:]
             out = ch.colon(a, I(R, term))
             assert len(calls) == rebuilt and not runs
         assert out.basis_strings() == want
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two monomial ideals of 0-3 generators each, with any coefficients, in
+    2 or 3 variables at p = 2, 3 or 5.  Exponents come from a small pool
+    that holds 0, so generators repeat and constants occur."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = ring(p, ("x", "y", "z")[:draw(st.integers(2, 3))])
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * R.nvars),
+                         min_size=1, max_size=4))
+    terms = st.builds(R.monomial, st.sampled_from(pool + [(0,) * R.nvars]),
+                      st.integers(1, p - 1))
+    return tuple(Ideal(R, draw(st.lists(terms, max_size=3))) for _ in "ab")
+
+
+@given(monomial_pairs())
+@settings(max_examples=120, deadline=None)
+def test_monomial_meet_matches_elimination(pair):
+    # two monomial ideals meet in the ideal of the pairwise lcms: the
+    # elimination's basis, with no run
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        runs = count_buchberger(mp)
+        out = ch.intersect(a, b)
+        assert out._gb is not None and not runs
+    assert out.groebner() == oracle_groebner(oracle_intersect(a, b))
+
+
+def test_monomial_colon_meet_takes_no_run(monkeypatch):
+    # (x^3, y^3) : x = (x^2, y^3) and : y = (x^3, y^2), met by lcms with
+    # no elimination
+    R = ring()
+    runs = count_buchberger(monkeypatch)
+    out = ch.colon(I(R, "x^3", "y^3"), I(R, "x", "y"))
+    assert out.basis_strings() == ("x^2*y^2", "x^3", "y^3")
+    assert not runs
 
 
 def test_ext_ring_needs_grevlex():
