@@ -24,9 +24,9 @@ from .regions import (BoundaryLength, RasterGrid, RegionFunction, TOperator,
                       raster_csv, raster_csv_pieces, rho_function,
                       staircase_partial_sum, three_lines_staircase,
                       transform_chi_symbolic)
-from .basischange import (FrobJacobian, IdentityReport, PolyMatrix,
-                          admissible_matrices, combinatorial_identity_check,
-                          det_mod_p, dual_generator_ratio, dual_ratio_direct,
+from .basischange import (IdentityReport, PolyMatrix, admissible_matrices,
+                          combinatorial_identity_check, det_mod_p,
+                          dual_generator_ratio, dual_ratio_direct,
                           falling_factorial_claim_holds, frobenius_jacobian,
                           jacobian, validate_basis, verify_det_identity,
                           xi_operator, xi_operator_poly)

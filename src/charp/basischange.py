@@ -77,69 +77,43 @@ def jacobian(new_basis, ring: RingCtx) -> PolyMatrix:
     return PolyMatrix(ring, rows)
 
 
-class FrobJacobian:
-    """The q^n x q^n change-of-basis matrix between Frobenius monomial bases.
-
-    Column j holds the decomposition of y^j over the x-monomial basis; entries
-    are recorded as multiplication operators on F^e_* S, i.e. as
-    sum_j frob(s_j, e) * r_j (which is frob(component, e) on absolute charts).
-    """
-
-    __slots__ = ("ring", "e", "indices", "entries")
-
-    def __init__(self, ring, e, indices, entries):
-        self.ring = ring
-        self.e = e
-        self.indices = indices
-        self.entries = entries
-
-    @property
-    def size(self):
-        return len(self.indices)
-
-    def matrix(self) -> PolyMatrix:
-        return PolyMatrix(self.ring, self.entries)
+def _level(ring: RingCtx, e: int) -> int:
+    """q = p^e for a level e >= 1; any other e is a usage error."""
+    if e < 1:
+        raise ValueError("e must be positive")
+    return ring.p ** e
 
 
-def _operator_poly(dec, idx) -> Polynomial:
-    ring = dec.ring
-    comp = dec.component(idx)
-    if dec.mode == "absolute":
-        return frob(comp, dec.e) if comp and not comp.is_zero() else ring.zero()
-    out = ring.zero()
-    for s, r in comp:
-        out = out + frob(s, dec.e) * r
-    return out
+def _basis_powers(new_basis, ring: RingCtx, e: int) -> dict:
+    """{j: y^j} for the candidate fiber basis y and every j in [0, q)^n,
+    q = p^e and n the fiber arity, in lexicographic order of j."""
+    n = len(ring.fiber_indices)
+    if len(new_basis) != n:
+        raise ValueError("candidate basis size must match the fiber arity")
+    one = ring.one()
+    return {j: math.prod(map(pow_poly, new_basis, j), start=one)
+            for j in iproduct(range(_level(ring, e)), repeat=n)}
 
 
-def frobenius_jacobian(new_basis, ring: RingCtx, e: int = 1) -> FrobJacobian:
-    """Decompose each monomial y^j of the candidate basis over the chart's own
-    fiber monomials; the recomposition identity is enforced."""
-    q = ring.p ** e
-    nf = len(ring.fiber_indices)
-    size = q ** nf
+def frobenius_jacobian(new_basis, ring: RingCtx, e: int = 1) -> PolyMatrix:
+    """The q^n x q^n change-of-basis matrix between the Frobenius monomial
+    bases: entry (i, j) is ``decompose(y^j).operator(i)``, the component of
+    y^j at the chart's own fiber monomial x^i as a multiplication operator on
+    F^e_* S.  Rows and columns follow ``_basis_powers``; every decomposition
+    must recompose to its y^j."""
+    size = _level(ring, e) ** len(ring.fiber_indices)
     if size > FROBJAC_SIZE_BUDGET:
         raise BudgetExceeded(f"Frobenius jacobian of size {size} exceeds "
                              f"the budget {FROBJAC_SIZE_BUDGET}")
     mode = "absolute" if ring.n_base == 0 else "relative"
-    indices = list(iproduct(range(q), repeat=nf))
-    columns = {}
-    nb = ring.n_base
-    for j in indices:
-        yj = ring.one()
-        for y, power in zip(new_basis, j):
-            yj = yj * pow_poly(y, power)
-        dec = decompose(yj, e, mode)
-        col = {i: _operator_poly(dec, i) for i in indices}
-        recomposed = ring.zero()
-        for i in indices:
-            recomposed = recomposed + col[i].mul_monomial((0,) * nb + i)
-        if recomposed != yj:
-            raise VerificationError("Frobenius jacobian recomposition failed; "
-                                    "this is an internal error")
-        columns[j] = col
-    entries = [[columns[j][i] for j in indices] for i in indices]
-    return FrobJacobian(ring, e, indices, entries)
+    powers = _basis_powers(new_basis, ring, e)
+    columns = [decompose(yj, e, mode) for yj in powers.values()]
+    if any(dec.recompose() != yj
+           for dec, yj in zip(columns, powers.values())):
+        raise VerificationError("Frobenius jacobian recomposition failed; "
+                                "this is an internal error")
+    return PolyMatrix(ring, [[dec.operator(i) for dec in columns]
+                             for i in powers])
 
 
 def _is_unit_operator(det: Polynomial, ring: RingCtx, q: int) -> bool:
@@ -154,18 +128,17 @@ def _is_unit_operator(det: Polynomial, ring: RingCtx, q: int) -> bool:
     return all(m[i] % q == 0 for i in ring.fiber_indices)
 
 
-def validate_basis(candidate, ring: RingCtx, e: int = 1):
+def validate_basis(candidate, ring: RingCtx):
     """(is_d_basis, is_p_basis) for a candidate fiber basis.
 
     d-basis: det of the jacobian is a unit.  p-basis: the Frobenius jacobian
-    is invertible over S (x) F^e_* R.  The two answers must agree (they are
-    equivalent for regular charts); disagreement is a fatal internal error.
+    at e = 1 is invertible over S (x) F_* R.  The two answers must agree
+    (they are equivalent for regular charts); disagreement is a fatal
+    internal error.
     """
-    J = jacobian(candidate, ring)
-    is_d = J.det().is_unit()
-    q = ring.p ** e
-    Xi = frobenius_jacobian(candidate, ring, e)
-    is_p = _is_unit_operator(Xi.matrix().det(), ring, q)
+    is_d = jacobian(candidate, ring).det().is_unit()
+    Xi = frobenius_jacobian(candidate, ring)
+    is_p = _is_unit_operator(Xi.det(), ring, ring.p)
     if is_d != is_p:
         raise VerificationError(
             f"d-basis/p-basis disagreement for {[poly_str(c) for c in candidate]}: "
@@ -176,45 +149,40 @@ def validate_basis(candidate, ring: RingCtx, e: int = 1):
 def dual_generator_ratio(new_basis, ring: RingCtx, e: int = 1) -> Polynomial:
     """The unit xi with (F_* x^(q-1))^dual = (F_* y^(q-1))^dual . F_* xi.
 
-    Extracted from the top row of the base-change relation at e = 1; larger e
-    reuses the e = 1 machinery through the cocycle
-    xi_{e+1} = xi_1 * frob(xi_e, 1).  The identity xi = det(J)^(q-1) is
-    asserted before returning.
+    Extracted from the top row of the base-change relation at e = 1
+    (``dual_ratio_direct``, which refuses charts with base variables);
+    larger e reuses it through the cocycle xi_{e+1} = xi_1 * frob(xi_e, 1).
+    The identity xi = det(J)^(q-1) is asserted before returning.
     """
-    if ring.n_base != 0:
-        raise ValueError("dual generator ratio is defined on absolute charts")
-    is_d, is_p = validate_basis(new_basis, ring, 1)
+    q = _level(ring, e)
+    is_d, is_p = validate_basis(new_basis, ring)
     if not (is_d and is_p):
         raise ValueError("candidate is not a p-basis")
     xi_1 = dual_ratio_direct(new_basis, ring, 1)
     xi = xi_1
     for _ in range(e - 1):
         xi = xi_1 * frob(xi, 1)
-    det = jacobian(new_basis, ring).det()
-    expected = pow_poly(det, ring.p ** e - 1)
+    expected = pow_poly(jacobian(new_basis, ring).det(), q - 1)
     if xi != expected:
         raise VerificationError("xi != det(J)^(q-1); this is an internal error")
     return xi
 
 
 def dual_ratio_direct(new_basis, ring: RingCtx, e: int) -> Polynomial:
-    """Level-e extraction done in one shot.  ``dual_generator_ratio`` uses it
-    at e = 1; at e >= 2 it cross-checks that function's cocycle route."""
+    """Level-e extraction done in one shot: the sum over j in [0, q)^n of
+    the top component of y^j, as an operator, times y^(q-1-j), both powers
+    read from ``_basis_powers``.  Defined on absolute charts only.
+    ``dual_generator_ratio`` uses it at e = 1; at e >= 2 it cross-checks
+    that function's cocycle route."""
+    if ring.n_base != 0:
+        raise ValueError("dual generator ratio is defined on absolute charts")
+    powers = _basis_powers(new_basis, ring, e)
     q = ring.p ** e
-    n = ring.nvars
-    top = (q - 1,) * n
+    top = (q - 1,) * ring.nvars
     xi = ring.zero()
-    for j in iproduct(range(q), repeat=n):
-        yj = ring.one()
-        for y, power in zip(new_basis, j):
-            yj = yj * pow_poly(y, power)
-        comp = decompose(yj, e, "absolute").component(top)
-        if comp.is_zero():
-            continue
-        rest = ring.one()
-        for y, power in zip(new_basis, j):
-            rest = rest * pow_poly(y, q - 1 - power)
-        xi = xi + frob(comp, e) * rest
+    for j, yj in powers.items():
+        xi = xi + decompose(yj, e).operator(top) \
+            * powers[tuple(q - 1 - k for k in j)]
     return xi
 
 

@@ -452,13 +452,6 @@ class RelativeChart:
         wedge = "^".join(f"d{x}" for x in self.ring.fiber_names)
         return wedge or "1"
 
-    def validate(self):
-        from .basischange import validate_basis
-        fiber = [self.ring.var(x) for x in self.ring.fiber_names]
-        is_d, is_p = validate_basis(fiber, self.ring)
-        if not (is_d and is_p):
-            raise ValueError("fiber variables do not form a d/p-basis")
-
     def to_base(self, f: Polynomial) -> Polynomial:
         nb = self.ring.n_base
         terms = {}

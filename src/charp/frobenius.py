@@ -41,21 +41,21 @@ class FrobDecomposition:
             else len(self.ring.fiber_indices)
         return (q - 1,) * width
 
+    def operator(self, idx) -> Polynomial:
+        """The component at idx as a multiplication operator on F^e_* S:
+        F^e(component) in absolute mode, the sum of F^e(s) * r over its
+        (s, r) pairs in relative mode."""
+        comp = self.component(idx)
+        if self.mode == "absolute":
+            return frob(comp, self.e)
+        return sum((frob(s, self.e) * r for s, r in comp), self.ring.zero())
+
     def recompose(self) -> Polynomial:
-        """Reassemble the input; used as the round-trip invariant."""
-        ring = self.ring
-        total = ring.zero()
-        nb = 0 if self.mode == "absolute" else ring.n_base
-        for idx, comp in self.components.items():
-            mono = (0,) * nb + idx
-            if self.mode == "absolute":
-                total = total + frob(comp, self.e).mul_monomial(mono)
-            else:
-                part = ring.zero()
-                for s, r in comp:
-                    part = part + frob(s, self.e) * r
-                total = total + part.mul_monomial(mono)
-        return total
+        """The sum of ``operator(idx)`` * x^idx, which is the input again;
+        used as the round-trip invariant."""
+        pad = (0,) * (0 if self.mode == "absolute" else self.ring.n_base)
+        return sum((self.operator(idx).mul_monomial(pad + idx)
+                    for idx in self.components), self.ring.zero())
 
 
 def decompose(g: Polynomial, e: int, mode: str = "absolute") -> FrobDecomposition:

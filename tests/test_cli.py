@@ -255,6 +255,25 @@ class TestNonPrincipalIdeals:
         assert [row.split(",")[0] for row in out.splitlines()[1:]] == \
             ["0", "1", "2"]
 
+    @pytest.mark.parametrize("argv, digest, result", [
+        (["--new", "x+y^2,y", "--e", "2"], "6f76506a140955e9",
+         {"d_basis": True, "det": "1", "p_basis": True, "xi": "1",
+          "xi_size": 81}),
+        (["--new", "x^3,y"], "446ead3ab02db5bb",
+         {"d_basis": False, "det": "0", "p_basis": False}),
+    ])
+    def test_basis_change_json_pins(self, capsys, argv, digest, result):
+        code, out, _ = run(capsys, "basis-change", "--p", "3", "--old", "x,y",
+                           *argv, "--json")
+        doc = json.loads(out)
+        assert code == 0 and (doc["hash"], doc["result"]) == (digest, result)
+
+    def test_basis_change_over_the_size_budget(self, capsys):
+        code, out, err = run(capsys, "basis-change", "--p", "3", "--old",
+                             "x,y,z", "--new", "x,y,z", "--e", "2")
+        assert code == 1 and not out
+        assert "size 729 exceeds the budget 81" in err
+
     def test_pullback_check(self, capsys):
         code, out, _ = run(capsys, "pullback-check", "--p", "3", "--base",
                            "t,u", "--fiber", "x", "--pair", "t,u^2:3/2")

@@ -1,3 +1,4 @@
+from itertools import product as iproduct
 from random import Random
 
 import pytest
@@ -57,11 +58,25 @@ def small_polys(p=3):
         lambda d: ch.Polynomial(R, dict(d)))
 
 
+def summed_operators(dec):
+    """The sum of ``operator(idx)`` * x^idx over every fiber index in
+    [0, q)^n, absent components included."""
+    ring = dec.ring
+    q = ring.p ** dec.e
+    pad = (0,) * (0 if dec.mode == "absolute" else ring.n_base)
+    total = ring.zero()
+    for idx in iproduct(range(q), repeat=len(dec.top_index())):
+        total = total + dec.operator(idx).mul_monomial(pad + idx)
+    return total
+
+
 class TestRecomposition:
     @given(small_polys(), st.integers(1, 2))
     @settings(max_examples=40, deadline=None)
     def test_absolute(self, f, e):
-        assert ch.decompose(f, e).recompose() == f
+        dec = ch.decompose(f, e)
+        assert dec.recompose() == f
+        assert summed_operators(dec) == f
 
     @given(st.integers(1, 2))
     @settings(max_examples=5, deadline=None)
@@ -72,12 +87,24 @@ class TestRecomposition:
             terms = {(rng.randrange(6), rng.randrange(9)): rng.randrange(1, 3)
                      for _ in range(4)}
             f = ch.Polynomial(S, terms)
-            assert ch.decompose(f, e, "relative").recompose() == f
+            dec = ch.decompose(f, e, "relative")
+            assert dec.recompose() == f
+            assert summed_operators(dec) == f
 
     def test_laurent_recompose(self):
         L = ring(names=("x", "y"), laurent=True)
         f = L.poly("x^-5*y^2 + 2*x*y^-7 + 1")
-        assert ch.decompose(f, 2).recompose() == f
+        dec = ch.decompose(f, 2)
+        assert dec.recompose() == f
+        assert summed_operators(dec) == f
+
+    def test_operator_of_a_relative_component(self):
+        # (x + t^2)^2 = x^2 + 2 t^2 x + t^4: the x^1 component is
+        # 1 (x) F_*(2 t^2), read as the operator 2 t^2
+        S = ring(names=("t", "x"), n_base=1)
+        dec = ch.decompose(ch.pow_poly(S.poly("x + t^2"), 2), 1, "relative")
+        assert [poly_str(dec.operator((i,))) for i in range(3)] == \
+            ["t^4", "2*t^2", "1"]
 
 
 class TestTrace:
