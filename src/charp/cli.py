@@ -9,22 +9,23 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import sys
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
 
 from .basischange import (admissible_matrices, combinatorial_identity_check,
-                          dual_generator_ratio, frobenius_jacobian, jacobian,
-                          poly_str, validate_basis, verify_det_identity)
+                          dual_generator_ratio, jacobian, poly_str,
+                          validate_basis, verify_det_identity)
 from .cartier import (CartierAlgebraSpec, MixedPair, RelativeChart, sigma,
                       tau_mixed, theorem_b_sides)
 from .frobenius import bracket_root, decompose
 from .ideals import Ideal, ideal_eq
 from .regions import boundary_length, constancy_raster, raster_csv_pieces, \
-    raster_rows, three_lines_staircase, staircase_partial_sum
+    three_lines_staircase, staircase_partial_sum
 from .rings import PrimeModulus, RingCtx
 from .thresholds import fpt_search, jumping_numbers
 
@@ -102,6 +103,26 @@ def _emit(args, command, payload, human_lines):
             print(line)
 
 
+def _manifest_path(args, first):
+    """Where the run manifest goes: ``--manifest``, or the first artifact's
+    path with ``.manifest.json`` appended, or nowhere without either."""
+    return args.manifest or (first + ".manifest.json" if first else None)
+
+
+def _check_outputs(args, *artifacts):
+    """Refuse a command whose files (the artifact paths given, in order,
+    and the manifest) resolve to one file, before any work: the second
+    write would replace the first."""
+    paths = [path for path in artifacts if path]
+    paths.append(_manifest_path(args, paths[0] if paths else None))
+    seen = {}
+    for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"{seen[real]} and {path} are the same file")
+        seen[real] = path
+
+
 def _write_manifest(args, artifacts):
     core = {
         "command": " ".join(args._argv),
@@ -115,8 +136,7 @@ def _write_manifest(args, artifacts):
     manifest = dict(core)
     manifest["manifest_hash"] = _hash_text(json.dumps(core, sort_keys=True))
     manifest["wall_clock_s"] = round(time.time() - args._started, 3)
-    path = args.manifest or (next(iter(artifacts)) + ".manifest.json"
-                             if artifacts else None)
+    path = _manifest_path(args, next(iter(artifacts), None))
     if path:
         with open(path, "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)
@@ -155,6 +175,7 @@ def _cmd_jumps(args):
     ring = _ring(args)
     free = Ideal(ring, [ring.poly(g) for g in args.free.split(",")])
     fixed = _parse_pairs(ring, args.fixed or [])
+    _check_outputs(args, args.out)
     runs = jumping_numbers(fixed, free, _fraction(args.T), args.depth)
     lines = ["t_start,t_end,class_hash"]
     lines += [f"{a},{b},{h}" for a, b, h in runs]
@@ -173,6 +194,7 @@ def _cmd_raster(args):
     pairs = _parse_pairs(ring, args.pair)
     if args.svg and len(pairs) != 2:
         raise UsageError("--svg requires a two-parameter raster")
+    _check_outputs(args, args.out, args.svg)
     ideals = [I for I, _ in pairs]
     if args.staircase:
         _check_staircase(args, ring, ideals)
@@ -210,17 +232,27 @@ def _check_staircase(args, ring, ideals):
 
 def _raster_svg(ras, overlay=False, size=600):
     """Cells colored by class hash over a size x size viewport, as pieces of
-    text (one per column of cells, from ``raster_rows``); the unit box maps
-    to the full viewport with t2 pointing up.  A cell's rect is the x
-    attribute of its t1 index, the y attribute of its t2 index and the fill
-    of its class, each formatted once."""
-    side = ras.side
-    step = size / (side + 1)
-    xs = [f'<rect x="{i * step:.2f}" y="' for i in range(side + 1)]
-    ys = [f'{size - (j + 1) * step:.2f}" width="{step:.2f}" '
-          f'height="{step:.2f}" fill="#' for j in range(side + 1)]
-    ends = {h: f'{h[:6]}"/>\n' for h in ras.ideals}  # one per class
-    body = raster_rows(ras, xs, ys.__getitem__, ends)
+    text, one per column of cells; the unit box maps to the full viewport
+    with t2 pointing up.  Each maximal run of n cells of one class up column
+    i, from cell (i, j), is one rect of height n steps, so a one-cell run is
+    the rect of that cell alone; the rects come in the order of ``cells``."""
+    w = ras.side + 1
+    step = size / w
+    width = f'" width="{step:.2f}" height="'
+    cells = ras.cells
+
+    def columns():
+        for i in range(w):
+            lead = f'<rect x="{i * step:.2f}" y="'
+            parts, top = [], 0
+            for h, run in groupby(cells[i * w:(i + 1) * w]):
+                n = len(list(run))
+                top += n
+                parts.append(f'{lead}{size - top * step:.2f}{width}'
+                             f'{n * step:.2f}" fill="#{h[:6]}"/>\n')
+            yield "".join(parts)
+
+    body = columns()
     if overlay:
         body = chain(body, [_polyline(three_lines_staircase(ras.p, ras.k),
                                       size / float(ras.T), size)])
@@ -357,12 +389,14 @@ def _cmd_basis_change(args):
              f"d-basis = {is_d}, p-basis = {is_p}"]
     payload = {"det": poly_str(det), "d_basis": is_d, "p_basis": is_p}
     if is_d:
-        Xi = frobenius_jacobian(new, ring, args.e)
+        # xi needs only level 1; the q^n x q^n Frobenius jacobian at level
+        # e is not built just to print its size
         xi = dual_generator_ratio(new, ring, args.e)
-        lines.append(f"Xi is {Xi.size}x{Xi.size}")
+        size = (args.p ** args.e) ** len(new)
+        lines.append(f"Xi is {size}x{size}")
         lines.append(f"xi = {poly_str(xi)}")
         payload["xi"] = poly_str(xi)
-        payload["xi_size"] = Xi.size
+        payload["xi_size"] = size
         lines.append("verdict = xi equals det(J)^(q-1)")
     else:
         lines.append("verdict = not a d/p-basis")
@@ -371,6 +405,7 @@ def _cmd_basis_change(args):
 
 
 def _cmd_staircase(args):
+    _check_outputs(args, args.svg)
     verts = three_lines_staircase(args.p, args.depth)
     bl = boundary_length(verts)
     partial = staircase_partial_sum(args.p, args.terms)

@@ -9,8 +9,9 @@ Regions are always compared as finite cell sets at a declared mesh: a cell
 grid at mesh exponent k has lattice points m/p^k, 0 <= m <= T*p^k, per axis.
 A ``RasterGrid`` keeps its classes as one flat list over those points in
 ``itertools.product`` order, the order the digit recursion fills and the
-CSV and SVG writers read row by row through ``raster_rows``; no writer
-builds a per-cell index, Fraction or string.
+CSV writer reads row by row through ``raster_rows`` (the SVG writer,
+``cli._raster_svg``, reads it a column at a time); no writer builds a
+per-cell index, Fraction or string.
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ class RasterGrid:
 
 
 def raster_rows(ras: RasterGrid, leads, label, tails):
-    """The text of the cells of ``ras``, one piece per grid row (the side + 1
-    cells that share their first n - 1 indices), in ``cells`` order; a row
-    of more than ROW_RUN cells, such as the single row of a one-parameter
-    raster, comes as runs of ROW_RUN cells along the last axis.
+    """The text of the cells of ``ras``, one line per cell, for the CSV
+    writer: one piece per grid row (the side + 1 cells that share their
+    first n - 1 indices), in ``cells`` order; a row of more than ROW_RUN
+    cells, such as the single row of a one-parameter raster, comes as runs
+    of ROW_RUN cells along the last axis.
 
     The cell (..., j) of class h is the line lead + label(j) + tails[h],
     where lead is the row's entry of ``leads`` and each tail ends in a

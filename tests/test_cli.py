@@ -3,6 +3,7 @@ import json
 import pytest
 
 from charp.cli import COMMANDS, main
+from svg_oracle import cell_fills, column_runs, per_cell_svg, rects
 from work_counts import count_automaton_moves
 
 
@@ -268,11 +269,24 @@ class TestNonPrincipalIdeals:
         doc = json.loads(out)
         assert code == 0 and (doc["hash"], doc["result"]) == (digest, result)
 
-    def test_basis_change_over_the_size_budget(self, capsys):
-        code, out, err = run(capsys, "basis-change", "--p", "3", "--old",
-                             "x,y,z", "--new", "x,y,z", "--e", "2")
-        assert code == 1 and not out
-        assert "size 729 exceeds the budget 81" in err
+    def test_basis_change_over_the_size_budget(self, capsys, monkeypatch):
+        # xi needs the Frobenius jacobian at level 1 only, so a level-e
+        # matrix over FROBJAC_SIZE_BUDGET is never built: its size is q^n
+        from charp import basischange
+        levels = []
+        real = basischange.frobenius_jacobian
+
+        def spy(new, ring, e=1):
+            levels.append(e)
+            return real(new, ring, e)
+
+        monkeypatch.setattr(basischange, "frobenius_jacobian", spy)
+        for argv in (["--old", "x,y", "--new", "x+y^2,y", "--e", "3"],
+                     ["--old", "x,y,z", "--new", "x,y,z", "--e", "2"]):
+            code, out, _ = run(capsys, "basis-change", "--p", "3", *argv)
+            assert code == 0
+            assert {"xi = 1", "Xi is 729x729"} <= set(out.splitlines())
+        assert levels and set(levels) == {1}
 
     def test_pullback_check(self, capsys):
         code, out, _ = run(capsys, "pullback-check", "--p", "3", "--base",
@@ -379,8 +393,9 @@ def sha256(path):
 
 
 class TestRasterBytes:
-    """The three-lines raster's bytes, pinned from the Fraction-based writer
-    and the per-cell digit table they replaced."""
+    """The three-lines raster's bytes: the CSV pinned from the Fraction-based
+    writer and the per-cell digit table it replaced, the run-length SVG from
+    a writer checked cell by cell against ``svg_oracle.per_cell_svg``."""
 
     def test_mesh_3_4(self, capsys, tmp_path, monkeypatch):
         # the benchmark's command line, so the manifest records the same
@@ -393,10 +408,10 @@ class TestRasterBytes:
         assert sha256(tmp_path / "regions.csv") == \
             "52cec39bd9d70fca993dc68b13e44baf8efd403809997fa961bb758c3d426e43"
         assert sha256(tmp_path / "regions.svg") == \
-            "bf20bfb92166f66ac5b4c53339b134b7c5db14380841a94dfb909191f939d6f1"
+            "5cc75f60e31350a8ad98ae6acd252aa6407e2020a8622da0a796a018dc5e2e69"
         manifest = json.loads((tmp_path / "regions.csv.manifest.json")
                               .read_text())
-        assert manifest["manifest_hash"] == "a9f590870e49f65d"
+        assert manifest["manifest_hash"] == "aa23e5951825130c"
 
     def test_mesh_3_5(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -406,7 +421,17 @@ class TestRasterBytes:
         assert sha256(tmp_path / "regions.csv") == \
             "762067b25530a1b6ea6a8a5b7a89a334ec0dfb417ed142799cbf6c0ecde69a11"
         assert sha256(tmp_path / "regions.svg") == \
-            "392b788be786de14a0c8b677aa663e08206dbb1ae5781f883f48d3612173a45d"
+            "b592eaf87d8978dd0b3a2d7de6c0f861ed0f4f59a8df96efbf75915323e6b490"
+        # one rect per run of equal classes up a column, 3 * 243 + 1 in all,
+        # painting every cell as the per-cell writer does
+        import charp as ch
+        R = ch.RingCtx(("x", "y"), ch.PrimeModulus(3))
+        ras = ch.constancy_raster([ch.Ideal(R, [R.poly("x+y")]),
+                                   ch.Ideal(R, [R.poly("x*y")])], 1, 5)
+        svg = (tmp_path / "regions.svg").read_text()
+        assert len(rects(svg)[0]) == column_runs(ras) == 730
+        assert cell_fills(svg, per_cell_svg(ras, True)) == \
+            [h[:6] for h in ras.cells]
 
     def test_work_counts(self, capsys, tmp_path, monkeypatch):
         # one carry move per (digit-sum vector, state) and level, not one per
@@ -461,11 +486,41 @@ class TestArtifacts:
             data = (tmp_path / path).read_bytes()
             assert digest == hashlib.blake2b(data, digest_size=8).hexdigest()
 
+    @pytest.mark.parametrize("argv", [
+        ["raster", "--p", "3", "--vars", "x,y", "--pair", "x+y:0", "--pair",
+         "x*y:0", "--T", "1", "--depth", "1", "--out", "same.csv", "--svg",
+         "same.csv"],
+        ["raster", "--p", "3", "--vars", "x,y", "--pair", "x+y:0", "--pair",
+         "x*y:0", "--T", "1", "--depth", "1", "--out", "r.csv", "--manifest",
+         "./r.csv"],
+        ["raster", "--p", "3", "--vars", "x,y", "--pair", "x+y:0", "--pair",
+         "x*y:0", "--T", "1", "--depth", "1", "--out", "r.csv", "--svg",
+         "r.csv.manifest.json"],
+        ["jumps", "--p", "3", "--vars", "x,y", "--free", "x*y", "--T", "1",
+         "--depth", "1", "--out", "j.csv", "--manifest", "j.csv"],
+        ["staircase", "--p", "3", "--depth", "1", "--svg", "s.svg",
+         "--manifest", "sub/../s.svg"],
+    ], ids=["raster-out-svg", "raster-out-manifest", "raster-default-manifest",
+            "jumps", "staircase"])
+    def test_two_outputs_in_one_file_are_refused(self, capsys, tmp_path,
+                                                 monkeypatch, argv):
+        # the second write would replace the first, and the manifest would
+        # list a hash that is not its file's: refused before any tau
+        from charp import cli
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for name in ("constancy_raster", "jumping_numbers"):
+            monkeypatch.setattr(cli, name, None)  # a call would raise
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "usage error" in err and "are the same file" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
     def test_raster_holds_no_whole_artifact(self, capsys, tmp_path,
                                             monkeypatch):
-        # the CSV and SVG are written row by row: at mesh 3^-5 (1.8 MB and
-        # 4.2 MB of text) the command's traced peak stays within 1 MB of
-        # the raster's own
+        # the CSV is written row by row and the SVG column by column: at
+        # mesh 3^-5 (1.8 MB of CSV, 54 KB of SVG) the command's traced peak
+        # stays within 1 MB of the raster's own
         monkeypatch.chdir(tmp_path)
         argv = list(BENCH_RASTER)
         argv[argv.index("--depth") + 1] = "5"

@@ -5,6 +5,7 @@ import pytest
 import charp as ch
 from charp import (CartierAlgebraSpec, Ideal, MixedPair, RegionFunction,
                    TOperator)
+from svg_oracle import cell_fills, column_runs, per_cell_svg, rects
 from work_counts import count_bracket_roots
 
 
@@ -451,30 +452,6 @@ def writer_raster(p, T, n, k, per_cell):
     return ras
 
 
-def per_cell_svg(ras, overlay=False, size=600):
-    """The SVG writer that ``cli._raster_svg`` replaced, kept as its oracle:
-    one f-string per cell, zipping the product of the x and y attributes with
-    ``cells``, and the whole document joined as one string."""
-    from itertools import product as iproduct
-    side = ras.side
-    step = size / (side + 1)
-    xs = [f'<rect x="{i * step:.2f}" y="' for i in range(side + 1)]
-    ys = [f'{size - (j + 1) * step:.2f}" width="{step:.2f}" '
-          f'height="{step:.2f}" fill="#' for j in range(side + 1)]
-    ends = {h: f'{h[:6]}"/>' for h in ras.ideals}
-    body = [f'{x}{y}{ends[h]}'
-            for (x, y), h in zip(iproduct(xs, ys), ras.cells)]
-    if overlay:
-        scale = size / float(ras.T)
-        pts = " ".join(f"{float(a) * scale:.2f},{size - float(b) * scale:.2f}"
-                       for a, b in ch.three_lines_staircase(ras.p, ras.k))
-        body.append(f'<polyline points="{pts}" fill="none" stroke="black" '
-                    f'stroke-width="2"/>')
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-            f'height="{size}" viewBox="0 0 {size} {size}">')
-    return "\n".join([head, *body, "</svg>"]) + "\n"
-
-
 class TestRasterWriter:
     @pytest.mark.parametrize("p,T,n,k,per_cell", writer_cases())
     def test_csv_matches_fraction_writer(self, p, T, n, k, per_cell):
@@ -485,11 +462,17 @@ class TestRasterWriter:
         c for c in writer_cases() if c.values[2] == 2] + [
         pytest.param(3, F(1), 2, 0, False, id="p3-T1-n2-k0-digits")])
     def test_svg_matches_per_cell_writer(self, p, T, n, k, per_cell):
+        # one rect per run of equal classes up a column, painting every
+        # cell as the per-cell writer does, with the same other lines
         from charp.cli import _raster_svg
         ras = writer_raster(p, T, n, k, per_cell)
         for overlay in (False, True) if p % 2 else (False,):
-            assert "".join(_raster_svg(ras, overlay)) == \
+            svg, ref = "".join(_raster_svg(ras, overlay)), \
                 per_cell_svg(ras, overlay)
+            assert cell_fills(svg, ref) == [h[:6] for h in ras.cells]
+            found, other = rects(svg)
+            assert len(found) == column_runs(ras)
+            assert other == rects(ref)[1]
 
     @pytest.mark.parametrize("p,T,n,k", [
         c.values[:4] for c in writer_cases() if not c.values[4]])
