@@ -154,10 +154,18 @@ def dual_generator_ratio(new_basis, ring: RingCtx, e: int = 1) -> Polynomial:
     larger e reuses it through the cocycle xi_{e+1} = xi_1 * frob(xi_e, 1).
     The identity xi = det(J)^(q-1) is asserted before returning.
     """
-    q = _level(ring, e)
+    _level(ring, e)  # a bad e is refused before the basis is validated
     is_d, is_p = validate_basis(new_basis, ring)
     if not (is_d and is_p):
         raise ValueError("candidate is not a p-basis")
+    return _validated_ratio(new_basis, ring, e)
+
+
+def _validated_ratio(new_basis, ring: RingCtx, e: int) -> Polynomial:
+    """``dual_generator_ratio`` for a candidate that ``validate_basis`` has
+    already found a p-basis, which ``charp basis-change`` validates once
+    itself."""
+    q = _level(ring, e)
     xi_1 = dual_ratio_direct(new_basis, ring, 1)
     xi = xi_1
     for _ in range(e - 1):

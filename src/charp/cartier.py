@@ -219,9 +219,10 @@ def _digit_walk(products, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
     """One step of C_+, the root (P J)^[1/q] for q = p^e0 and P the ideal
     of ``products``, which carry the twists: P = G P' for the twist ideal G
     gives C_+(P' J).  ``cplus`` is P = G; carry steps and longer walks are
-    ``_ClassAutomaton.step`` and ``walk``."""
-    return bracket_root(Ideal(J.ring, [g * h for g in products
-                                       for h in J.gens]), C.degree())
+    ``_ClassAutomaton.step`` and ``walk``.  The root is one ``bracket_root``
+    of the product P J given by its two factors, split term pair by term
+    pair, so no product g h is built and no ``decompose`` is called."""
+    return bracket_root(Ideal(J.ring, products), C.degree(), J)
 
 
 def _carries(q: int, sizes, n, kappa):
@@ -236,15 +237,31 @@ def _carries(q: int, sizes, n, kappa):
         yield tuple(x for x, _ in choice), tuple(k for _, k in choice)
 
 
+def _walked(a: Ideal) -> tuple:
+    """The generators the automaton walks for a: its reduced Groebner basis
+    when that has strictly fewer elements than ``a.gens``, else ``a.gens``.
+    Either is exact, as tau depends only on the ideal and a^N is generated
+    by the N-fold products of any generating set (Takagi 2006); the carry
+    walks grow with the generator count."""
+    if len(a.gens) > 1:
+        gb = a.groebner()
+        if len(gb) < len(a.gens):
+            return gb
+    return a.gens
+
+
 def _automaton(ideals, C: CartierAlgebraSpec) -> "_ClassAutomaton":
     """The shared ``_ClassAutomaton`` of the ideals a_1..a_n under C, keyed
-    by their generator tuples.
+    by the generator tuples it walks (``_walked``): a principal ideal, or
+    one whose reduced basis is no shorter, by its given generators, any
+    other by its reduced basis, so every presentation with more generators
+    than its reduced basis shares the automaton of that basis.
 
     ``_tau_cache`` is read here, as a module global, on every call, so that
     a stand-in dict sees each lookup.  Past TAU_CACHE_SIZE automata the
     oldest inserted is dropped; an automaton only memoises, so that changes
     the work of a later call but never its answer."""
-    key = (tuple(a.gens for a in ideals), C.cache_key())
+    key = (tuple(map(_walked, ideals)), C.cache_key())
     auto = _tau_cache.get(key)
     if auto is None:
         if len(_tau_cache) >= TAU_CACHE_SIZE:
@@ -315,7 +332,8 @@ class _ClassAutomaton:
                 out = [prod(map(pow_poly, gens, d), start=f) for f in out
                        for d in iproduct(range(min(x, self.q - 1) + 1),
                                          repeat=len(gens)) if sum(d) == x]
-            out = self._digits[s] = _row_echelon(out)
+            out = self._digits[s] = _row_echelon(
+                self.C.ring, [f.terms for f in out])
         return out
 
     def walk(self, m, k: int, cid: int) -> int:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby
 
-from .basischange import (admissible_matrices, combinatorial_identity_check,
-                          dual_generator_ratio, jacobian, poly_str,
+from .basischange import (_validated_ratio, admissible_matrices,
+                          combinatorial_identity_check, jacobian, poly_str,
                           validate_basis, verify_det_identity)
 from .cartier import (CartierAlgebraSpec, MixedPair, RelativeChart, sigma,
                       tau_mixed, theorem_b_sides)
@@ -389,9 +389,10 @@ def _cmd_basis_change(args):
              f"d-basis = {is_d}, p-basis = {is_p}"]
     payload = {"det": poly_str(det), "d_basis": is_d, "p_basis": is_p}
     if is_d:
-        # xi needs only level 1; the q^n x q^n Frobenius jacobian at level
-        # e is not built just to print its size
-        xi = dual_generator_ratio(new, ring, args.e)
+        # the basis is validated once, above; xi needs only level 1, and
+        # the q^n x q^n Frobenius jacobian at level e is not built just to
+        # print its size
+        xi = _validated_ratio(new, ring, args.e)
         size = (args.p ** args.e) ** len(new)
         lines.append(f"Xi is {size}x{size}")
         lines.append(f"xi = {poly_str(xi)}")

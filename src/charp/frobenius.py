@@ -9,6 +9,8 @@ base variables only.
 
 from __future__ import annotations
 
+from operator import add
+
 from .ideals import Ideal
 from .rings import Polynomial, frob, heap_key, order_key
 
@@ -58,12 +60,36 @@ class FrobDecomposition:
                     for idx in self.components), self.ring.zero())
 
 
+def _split(f: dict, h: dict, q: int, p: int) -> dict:
+    """The absolute components of the product of the term dicts f and h at
+    q = p^e, as {fiber index: {quotient: coefficient}}, one term pair at a
+    time: x^(a+b) = (x^floor((a+b)/q))^q x^((a+b) mod q).  The product is
+    never formed; terms that would meet on one monomial meet on one
+    (index, quotient).  The smaller factor is the outer loop, as in
+    ``Polynomial.__mul__``.  A component that cancels is left empty."""
+    if len(f) > len(h):
+        f, h = h, f
+    comps = {}
+    for m1, c1 in f.items():
+        for m2, c2 in h.items():
+            m = tuple(map(add, m1, m2))
+            bucket = comps.setdefault(tuple(map(q.__rmod__, m)), {})
+            quot = tuple(map(q.__rfloordiv__, m))
+            v = (bucket.get(quot, 0) + c1 * c2) % p
+            if v:
+                bucket[quot] = v
+            else:
+                del bucket[quot]
+    return comps
+
+
 def decompose(g: Polynomial, e: int, mode: str = "absolute") -> FrobDecomposition:
     """Split g along the fiber monomial basis of F^e_* S.
 
     In absolute mode every variable counts as a fiber variable (the chart is
-    taken over the prime field); relative mode respects the declared
-    base/fiber split of the ring.
+    taken over the prime field), and g is split as the product g * 1 by
+    ``_split``; relative mode respects the declared base/fiber split of the
+    ring.
     """
     if e < 1:
         raise ValueError("e must be positive")
@@ -72,16 +98,7 @@ def decompose(g: Polynomial, e: int, mode: str = "absolute") -> FrobDecompositio
     nb = 0 if mode == "absolute" else ring.n_base
     p = ring.p
     if mode == "absolute":
-        comps = {}
-        for m, c in g.terms.items():
-            idx = tuple(x % q for x in m)
-            quot = tuple(x // q for x in m)
-            bucket = comps.setdefault(idx, {})
-            v = (bucket.get(quot, 0) + c) % p
-            if v:
-                bucket[quot] = v
-            else:
-                del bucket[quot]
+        comps = _split(g.terms, {(0,) * ring.nvars: 1}, q, p)
         components = {idx: Polynomial(ring, terms)
                       for idx, terms in comps.items() if terms}
         return FrobDecomposition(ring, e, mode, components)
@@ -140,18 +157,16 @@ def _subtract_multiple(r: dict, row: dict, c: int, p: int):
             del r[t]
 
 
-def _row_echelon(polys):
-    """The reduced row echelon form over F_p of polys, read as vectors in the
-    monomial basis with the columns in term order: rows spanning the same
-    F_p-space, monic, with distinct leads, each lead in no other row."""
-    if not polys:
-        return []
-    ring = polys[0].ring
+def _row_echelon(ring, rows):
+    """The reduced row echelon form over F_p of ``rows``, term dicts read as
+    vectors in the monomial basis with the columns in term order: rows
+    spanning the same F_p-space, monic, with distinct leads, each lead in no
+    other row, as Polynomials of ``ring``."""
     p, key = ring.p, heap_key(ring)
-    rows = {}  # lead monomial -> terms of a row
-    for f in polys:
-        r = dict(f.terms)
-        for m, row in rows.items():
+    out = {}  # lead monomial -> terms of a row
+    for terms in rows:
+        r = dict(terms)
+        for m, row in out.items():
             c = r.get(m)
             if c:
                 _subtract_multiple(r, row, c, p)
@@ -160,23 +175,34 @@ def _row_echelon(polys):
             inv = ring.modulus.inv(r[m])
             if inv != 1:
                 r = {t: v * inv % p for t, v in r.items()}
-            for row in rows.values():
+            for row in out.values():
                 c = row.get(m)
                 if c:
                     _subtract_multiple(row, r, c, p)
-            rows[m] = r
-    return [Polynomial(ring, r) for r in rows.values()]
+            out[m] = r
+    return [Polynomial(ring, r) for r in out.values()]
 
 
-def bracket_root(I: Ideal, e: int) -> Ideal:
-    """The p^e-th bracket root I^[1/p^e]: smallest J with I within J^[p^e].
+def bracket_root(I: Ideal, e: int, J: Ideal | None = None) -> Ideal:
+    """The p^e-th bracket root I^[1/p^e], the smallest K with I within
+    K^[p^e]; given J, the root (I J)^[1/p^e] of the product.
 
-    Generated by every decomposition component of every generator; this is
-    exact because F^e_* S is free over the fiber monomial basis.  The
-    components are row-reduced over F_p first (``_row_echelon``): the same
-    span, so the same ideal, but no generator is a linear combination of
-    the others, which Buchberger would only reduce to 0.
+    Generated by every decomposition component of every generator f h, for
+    f in I and h in J (h = 1 without J); this is exact because F^e_* S is
+    free over the fiber monomial basis.  Each f h is split term pair by term
+    pair (``_split``), so no product is multiplied out.  The components are
+    row-reduced over F_p (``_row_echelon``): the same span, so the same
+    ideal, but no generator is a linear combination of the others, which
+    Buchberger would only reduce to 0.
     """
-    comps = [c for g in I.gens
-             for c in decompose(g, e, "absolute").components.values()]
-    return Ideal(I.ring, _row_echelon(comps))
+    ring = I.ring
+    if J is None:
+        hs = [{(0,) * ring.nvars: 1}]
+    elif J.ring != ring:
+        raise ValueError("ring mismatch")
+    else:
+        hs = [h.terms for h in J.gens]
+    q, p = ring.p ** e, ring.p
+    return Ideal(ring, _row_echelon(ring, [
+        c for f in I.gens for h in hs
+        for c in _split(f.terms, h, q, p).values() if c]))

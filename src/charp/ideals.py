@@ -77,10 +77,18 @@ def _divide(f: Polynomial, step) -> dict:
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Fully reduced remainder of f modulo the divisors (f if there are none)."""
+    """Fully reduced remainder of f modulo the divisors (f if there are none).
+
+    When every divisor is a monomial, dividing a term by one cancels it and
+    adds nothing, so the remainder is the terms of f that no divisor
+    divides, read off with no heap division."""
     divisors = [g.monic() for g in basis if g]
     if not divisors:
         return f
+    if not any(tail for _, tail in divisors):
+        return Polynomial(f.ring, {m: c for m, c in f.terms.items()
+                                   if not any(_divides(gm, m)
+                                              for gm, _ in divisors)})
 
     def step(m, c):
         for gm, tail in divisors:

@@ -374,9 +374,22 @@ def three_lines_staircase(p: int, depth: int):
     Flats sit at t2 = 1 - (b+1)/(2 p^j) over t1 in [b/p^j, (b+1)/p^j] for b odd
     with all leading base-p digits even; elsewhere the boundary follows the
     diagonal t2 = 1 - t1/2 at this resolution.
+
+    Each level puts (p+1)/2 copies of the level below and (p-1)/2 three-vertex
+    flats in a row, each flat sharing its end vertices with its neighbours,
+    so level k has n_k = (p+1)/2 n_(k-1) + (p-1)/2 vertices, n_0 = 2.  That
+    count is taken first: past RASTER_CELL_BUDGET vertices the staircase is
+    refused with ``BudgetExceeded``, before any vertex is built.
     """
     if p < 3 or depth < 0:
         raise ValueError("staircase requires an odd prime and depth >= 0")
+    count = 2
+    for _ in range(depth):
+        count = (p + 1) // 2 * count + (p - 1) // 2
+        if count > RASTER_CELL_BUDGET:
+            raise BudgetExceeded(
+                f"staircase at p = {p}, depth {depth} has more than "
+                f"{RASTER_CELL_BUDGET:,} vertices")
 
     def build(k):
         """Vertices at depth k as integer pairs over 2 p^k."""

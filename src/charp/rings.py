@@ -104,6 +104,18 @@ class RingCtx:
         # plain attributes, not fields: they take no part in eq and hash
         object.__setattr__(self, "_keys", keys)
 
+    def __eq__(self, other):
+        """Field by field, as the dataclass would compare, but at once when
+        both sides are one object, as the ring checks of every operation
+        mostly see."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.names, self.modulus, self.laurent, self.n_base,
+                self.order) == (other.names, other.modulus, other.laurent,
+                                other.n_base, other.order)
+
     @property
     def p(self) -> int:
         return self.modulus.p
@@ -159,6 +171,8 @@ class RingCtx:
             raise ValueError("exponent vector length mismatch")
         if not self.laurent and any(e < 0 for e in exps):
             raise ValueError(f"negative exponent {exps} in non-Laurent ring")
+        if max(map(abs, exps), default=0) >= EXP_LIMIT:
+            raise ExponentOverflow(f"exponent in {exps} exceeds the 64-bit range")
         c = self.modulus.normalize(coeff)
         if c == 0:
             return self.zero()
@@ -323,17 +337,33 @@ class Polynomial:
         return Polynomial(self.ring, {m: p - c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        """The product.  A factor 1 returns the other factor itself, and a
+        one-term factor c x^m shifts the other's exponents by m and scales
+        its coefficients by c, after the same overflow check as the double
+        loop over term pairs that every other product runs; both give the
+        double loop's terms in its order."""
         if isinstance(other, int):
             return self.scale(other)
         self._same_ring(other)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+            self, other = other, self
+        if len(a) == 1:
+            if self.is_one():
+                return other
+            if len(b) == 1 and other.is_one():
+                return self
         if max(map(add, self.max_abs_exponents(), other.max_abs_exponents()),
                default=0) >= EXP_LIMIT:
             raise ExponentOverflow("product exponent exceeds the 64-bit range")
         p = self.ring.p
+        if len(a) == 1:
+            (m, c), = a.items()
+            return Polynomial(self.ring, {tuple(map(add, t, m)): w
+                                          for t, v in b.items()
+                                          if (w := v * c % p)})
         res = {}
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = tuple(map(int.__add__, m1, m2))

@@ -14,7 +14,7 @@ from charp import cartier
 from charp.cartier import _ceil_mul, _ClassAutomaton, _p_depth, _pulled_action
 from chain_oracle import _tau_chain
 from work_counts import (count_bracket_roots, count_buchberger,
-                         wrap_in_charp)
+                         patch_in_charp)
 
 
 def ring(p=3, names=("x", "y")):
@@ -402,6 +402,54 @@ class TestNonPrincipalOracles:
         assert ch.ideal_eq(ch.tau_mixed(pr, full), want)
 
 
+class TestReducedGenerators:
+    """An ideal whose reduced basis is shorter than its generator list is
+    walked by that basis: one automaton for every presentation."""
+
+    def test_padding_leaves_answers_and_automaton(self, monkeypatch, R, full):
+        from charp.regions import raster_csv
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        # the reduced basis, in its own order, and the same ideal padded
+        # with members: y (x^2 + y) and y^3 (x^2 + 1)
+        a = Ideal(R, I(R, "x^2+y", "y^3").groebner())
+        padded = I(R, "x^2+y", "y^3", "x^2*y+y^2", "x^2*y^3+y^3")
+        assert len(padded.groebner()) == 2 < len(padded.gens)
+        f = I(R, "x+y")
+        for t in (F(1, 2), F(5, 4), F(7, 3)):
+            taus = [ch.tau_mixed(MixedPair.of([(b, t), (f, F(1, 3))]), full)
+                    for b in (a, padded)]
+            assert taus[0].groebner() == taus[1].groebner(), t
+        csvs = [raster_csv(ch.constancy_raster([b, f], 1, 2))
+                for b in (a, padded)]
+        assert csvs[0] == csvs[1]
+        fpts = [ch.fpt_search([(b, F(1, 3))], f, depth=3).candidate
+                for b in (a, padded)]
+        fpts += [ch.fpt_search([(f, F(1, 3))], b, depth=3).candidate
+                 for b in (a, padded)]
+        assert fpts[0] == fpts[1] and fpts[2] == fpts[3]
+        assert cartier._automaton([padded, f], full) \
+            is cartier._automaton([a, f], full)
+        assert len(cartier._tau_cache) == 2  # (a, f) and (f, a)
+
+    def test_principal_and_unshortened_ideals_keep_their_generators(self, R):
+        for gens in (("2*x+2*y",), ("x^2+y", "x*y^2"), ("y^3", "x^2")):
+            b = I(R, *gens)
+            assert cartier._walked(b) == b.gens
+
+    def test_three_generator_slice_at_p5(self, monkeypatch):
+        # walked by (y^3, x) and (y^2, x), the slice takes 0.01 s; by
+        # the given generators it took seconds
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        R5 = ring(5)
+        full5 = CartierAlgebraSpec.full_algebra(R5)
+        pr = MixedPair.of([(I(R5, "y^3+x", "x^3", "x^2+y^3"), F(1, 5)),
+                           (I(R5, "x^3", "y^2", "x"), F(5, 4)),
+                           (I(R5, "x+y"), 0)])
+        started = time.perf_counter()
+        assert ch.tau_mixed(pr, full5).is_unit()
+        assert time.perf_counter() - started < 1
+
+
 class TestTheoremBNonPrincipal:
     """The pullback comparison on F_p[u, v] -> F_p[u, v, z] for ideals with
     several generators."""
@@ -423,16 +471,22 @@ class TestTheoremBNonPrincipal:
 
 
 def max_decompose_terms(monkeypatch):
-    """Record the largest term count handed to decompose through any charp
-    module, with a fresh tau cache; returns a one-element list."""
+    """Record the largest term count of a product that a bracket root splits
+    (``frobenius._split``, which roots and ``decompose`` share), with a
+    fresh tau cache; returns a one-element list.  The split's components
+    hold the product's terms, each once."""
     from charp import cartier
     monkeypatch.setattr(cartier, "_tau_cache", {})
     most = [0]
 
-    def record(g, *args):
-        most[0] = max(most[0], len(g.terms))
+    def wrap(split):
+        def record(*args):
+            comps = split(*args)
+            most[0] = max(most[0], sum(map(len, comps.values())))
+            return comps
+        return record
 
-    wrap_in_charp(monkeypatch, "decompose", record)
+    patch_in_charp(monkeypatch, "_split", wrap)
     return most
 
 

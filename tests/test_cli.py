@@ -4,7 +4,7 @@ import pytest
 
 from charp.cli import COMMANDS, main
 from svg_oracle import cell_fills, column_runs, per_cell_svg, rects
-from work_counts import count_automaton_moves
+from work_counts import count_automaton_moves, patch_in_charp
 
 
 def run(capsys, *argv):
@@ -85,6 +85,14 @@ class TestExitCodes:
         # fpt used to end in a TypeError traceback, staircase --depth -1 in
         # a RecursionError, and --terms -2 printed a sum of -2 terms
         code, out, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and not out, (out, err)
+
+    def test_staircase_over_the_budget(self, capsys, monkeypatch):
+        # depth 30 used to build vertices until the host killed it
+        from charp import regions
+        monkeypatch.setattr(regions, "RASTER_CELL_BUDGET", 46)
+        code, out, err = run(capsys, "staircase", "--p", "3", "--depth", "4",
+                             "--terms", "5")
         assert code == 1 and err.startswith("error:") and not out, (out, err)
 
     def test_svg_needs_two_parameters(self, capsys, tmp_path):
@@ -287,6 +295,26 @@ class TestNonPrincipalIdeals:
             assert code == 0
             assert {"xi = 1", "Xi is 729x729"} <= set(out.splitlines())
         assert levels and set(levels) == {1}
+
+    def test_basis_change_validates_once(self, capsys, monkeypatch):
+        # the command validated the basis, then dual_generator_ratio did
+        # again: two validations and two level-1 Frobenius jacobians
+        calls = []
+
+        def spy(name):
+            def wrap(real):
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return real(*args, **kwargs)
+                return counted
+            return wrap
+
+        for name in ("validate_basis", "frobenius_jacobian"):
+            patch_in_charp(monkeypatch, name, spy(name), "basischange")
+        code, out, _ = run(capsys, "basis-change", "--p", "3", "--old", "x,y",
+                           "--new", "x+y^2,y", "--e", "2", "--json")
+        assert code == 0 and json.loads(out)["hash"] == "6f76506a140955e9"
+        assert sorted(calls) == ["frobenius_jacobian", "validate_basis"]
 
     def test_pullback_check(self, capsys):
         code, out, _ = run(capsys, "pullback-check", "--p", "3", "--base",

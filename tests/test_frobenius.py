@@ -254,7 +254,78 @@ def test_row_reduced_root_matches_set_built_root(case):
 def test_row_echelon_drops_linear_dependence():
     # (x+y, x+3y, 3x+3y, 4x) at p = 5 spans the plane of x and y
     R = ring(5)
-    rows = _row_echelon([R.poly(s) for s in ("x+y", "x+3*y", "3*x+3*y", "4*x")])
+    rows = _row_echelon(R, [R.poly(s).terms
+                            for s in ("x+y", "x+3*y", "3*x+3*y", "4*x")])
     assert sorted(map(poly_str, rows)) == ["x", "y"]
-    assert _row_echelon([R.poly("x+y"), R.poly("2*x+2*y")]) == [R.poly("x+y")]
-    assert _row_echelon([]) == []
+    assert _row_echelon(R, [R.poly("x+y").terms, R.poly("2*x+2*y").terms]) \
+        == [R.poly("x+y")]
+    assert _row_echelon(R, []) == []
+
+
+# --- the root of a product, split term pair by term pair -------------------------
+
+
+def product_components(f, h, q):
+    """Test-local: the product f h by the double loop over term pairs, then
+    each of its terms split at q as x^m = (x^(m // q))^q x^(m mod q)."""
+    p = f.ring.p
+    prod = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in h.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            prod[m] = (prod.get(m, 0) + c1 * c2) % p
+    comps = {}
+    for m, c in prod.items():
+        if c:
+            idx, quot = tuple(x % q for x in m), tuple(x // q for x in m)
+            comps.setdefault(idx, {})[quot] = c
+    return list(comps.values())
+
+
+@st.composite
+def product_roots(draw):
+    """Ideals I and J of 1-3 generators each, every generator the unit 1,
+    one term or up to five terms, on a polynomial or Laurent ring in two
+    variables at p in {2, 3, 5, 32003}, and e = 1 or 2."""
+    p = draw(st.sampled_from([2, 3, 5, 32003]))
+    laurent = draw(st.booleans())
+    R = ring(p, laurent=laurent)
+    top = min(p * p + p, 12)
+    monos = st.tuples(*[st.integers(-top if laurent else 0, top)] * 2)
+    coeffs = st.integers(1, p - 1)
+
+    def gens():
+        out = []
+        for kind in draw(st.lists(st.sampled_from(["one", "term", "general"]),
+                                  min_size=1, max_size=3)):
+            if kind == "one":
+                out.append(R.one())
+            else:
+                size = (1, 1) if kind == "term" else (1, 5)
+                out.append(ch.Polynomial(R, draw(st.dictionaries(
+                    monos, coeffs, min_size=size[0], max_size=size[1]))))
+        return Ideal(R, out)
+
+    return gens(), gens(), draw(st.integers(1, 2))
+
+
+@given(product_roots())
+@settings(max_examples=150, deadline=None)
+def test_product_root_spans_the_multiplied_out_root(case):
+    # (I J)^[1/q] from term pairs, from the products f h multiplied out,
+    # and from a test-local split of the products: one F_p-span, so one
+    # reduced row echelon form
+    a, b, e = case
+    R = a.ring
+    root = ch.bracket_root(a, e, b)
+    whole = ch.bracket_root(Ideal(R, [f * h for f in a.gens for h in b.gens]), e)
+    local = _row_echelon(R, [c for f in a.gens for h in b.gens
+                             for c in product_components(f, h, R.p ** e)])
+    assert set(root.gens) == set(whole.gens) == set(local)
+    assert set(ch.bracket_root(a, e).gens) == \
+        set(ch.bracket_root(a, e, Ideal(R, [R.one()])).gens)
+
+
+def test_product_root_needs_one_ring():
+    with pytest.raises(ValueError):
+        ch.bracket_root(I(ring(), "x"), 1, I(ring(5), "y"))

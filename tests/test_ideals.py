@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import charp as ch
 from charp import Ideal
-from charp.ideals import _ext_ring, _spoly, buchberger, reduce_basis
+from charp.ideals import (_divide, _ext_ring, _spoly, buchberger,
+                          normal_form, reduce_basis)
 from charp.rings import EXP_LIMIT, heap_key, order_key, poly_str
 from elimination_oracle import (oracle_colon, oracle_groebner,
                                 oracle_intersect)
@@ -838,3 +839,49 @@ def test_ext_ring_needs_grevlex():
     R = ch.RingCtx(("x", "y"), ch.PrimeModulus(3), order=("elim", 1))
     with pytest.raises(ValueError, match="grevlex"):
         _ext_ring(R, 1)
+
+
+def heap_division(f, basis):
+    """normal_form's heap division, which the monomial path skips: each
+    term that a divisor's lead divides is cancelled by that divisor."""
+    divisors = [g.monic() for g in basis if g]
+
+    def step(m, c):
+        for gm, tail in divisors:
+            if all(a <= b for a, b in zip(gm, m)):
+                return tuple(b - a for a, b in zip(gm, m)), tail
+        return None
+
+    return ch.Polynomial(f.ring, _divide(f, step))
+
+
+@st.composite
+def monomial_divisions(draw):
+    """A polynomial of up to six terms and 1-4 one-term divisors (a zero
+    divisor among them at times) on a polynomial or Laurent ring in two
+    variables at p in {2, 3, 5, 32003}, exponents in [-3, 5] on Laurent
+    rings and [0, 5] otherwise."""
+    p = draw(st.sampled_from([2, 3, 5, 32003]))
+    laurent = draw(st.booleans())
+    R = ring(p, laurent=laurent)
+    monos = st.tuples(*[st.integers(-3 if laurent else 0, 5)] * 2)
+    coeffs = st.integers(1, p - 1)
+    f = ch.Polynomial(R, draw(st.dictionaries(monos, coeffs, max_size=6)))
+    terms = st.dictionaries(monos, coeffs, min_size=1, max_size=1)
+    basis = [ch.Polynomial(R, d) for d in draw(st.lists(terms, min_size=1,
+                                                          max_size=4))]
+    if draw(st.booleans()):
+        basis.append(R.zero())
+    return f, basis
+
+
+@given(monomial_divisions())
+@settings(max_examples=200, deadline=None)
+def test_monomial_normal_form_matches_heap_division(case):
+    f, basis = case
+    leads = [next(iter(g.terms)) for g in basis if g]
+    got = normal_form(f, basis)
+    assert got == heap_division(f, basis)
+    assert got.terms == {m: c for m, c in f.terms.items()
+                         if not any(all(a <= b for a, b in zip(g, m))
+                                    for g in leads)}

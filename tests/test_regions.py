@@ -566,6 +566,23 @@ class TestStaircase:
         with pytest.raises(ValueError, match="depth >= 0"):
             ch.three_lines_staircase(3, -1)
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_vertex_count_recurrence(self, p):
+        # n_0 = 2, n_k = (p+1)/2 n_(k-1) + (p-1)/2: 3 2^k - 1 at p = 3
+        n = 2
+        for depth in range(4):
+            assert len(ch.three_lines_staircase(p, depth)) == n
+            n = (p + 1) // 2 * n + (p - 1) // 2
+
+    def test_over_the_budget_refused_before_building(self, monkeypatch):
+        from charp import regions
+        monkeypatch.setattr(regions, "RASTER_CELL_BUDGET", 46)
+        assert len(ch.three_lines_staircase(3, 3)) == 23
+        with pytest.raises(ch.BudgetExceeded, match="vertices"):
+            ch.three_lines_staircase(3, 4)  # 47 vertices
+        with pytest.raises(ch.BudgetExceeded):  # the count stops at once
+            ch.three_lines_staircase(3, 10 ** 6)
+
     def test_vertices_separate_raster_classes(self, R, raster4):
         # every staircase(3,3) vertex has a unit-class cell just inside and a
         # non-unit class at its rounded-up cell

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import charp as ch
 from charp import poly_str
+from charp.rings import EXP_LIMIT
 
 
 def ring(p=3, names=("x", "y"), laurent=False):
@@ -171,6 +172,15 @@ class TestOverflowBound:
         with pytest.raises(ch.ExponentOverflow):
             x.mul_monomial((-self.HALF, 0))
 
+    def test_monomial_out_of_range_refused(self):
+        # a product by 1 returns the other factor unchecked, so a monomial
+        # past the range is refused where it is built
+        for laurent, e in ((False, 2 ** 63), (True, -2 ** 63)):
+            R = ring(laurent=laurent)
+            with pytest.raises(ch.ExponentOverflow):
+                R.monomial((e, 0))
+            assert R.monomial((e - (1 if e > 0 else -1), 0))
+
     def test_zero_polynomial(self):
         R = ring()
         assert R.zero().max_abs_exponents() == (0, 0)
@@ -245,3 +255,75 @@ def test_ring_mismatch_rejected():
     b = ring(5).poly("x")
     with pytest.raises(ValueError):
         a + b
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two factors on one ring at p in {2, 3, 5, 32003}, polynomial or
+    Laurent (exponents in [-4, 4]), each the unit 1, one term, or up to
+    five terms."""
+    p = draw(st.sampled_from([2, 3, 5, 32003]))
+    laurent = draw(st.booleans())
+    R = ring(p, laurent=laurent)
+    lo = -4 if laurent else 0
+    monos = st.tuples(st.integers(lo, 4), st.integers(lo, 4))
+    coeffs = st.integers(1, p - 1)
+
+    def factor():
+        kind = draw(st.sampled_from(["one", "term", "general"]))
+        if kind == "one":
+            return R.one()
+        size = (1, 1) if kind == "term" else (0, 5)
+        return ch.Polynomial(R, draw(st.dictionaries(
+            monos, coeffs, min_size=size[0], max_size=size[1])))
+
+    return factor(), factor()
+
+
+class TestProductIdentities:
+    """Products by 1 return the other factor, one-term products shift
+    exponents; both against the double loop of ``naive_mul``."""
+
+    @given(factor_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_products_match_the_double_loop(self, case):
+        f, g = case
+        want = naive_mul(f.terms, g.terms, f.ring.p)
+        assert (f * g).terms == want and (g * f).terms == want
+        if f.is_one() and g:  # a factor comes back as it is (g, or f
+            # when g is 1 too); a zero factor takes the double loop
+            for h in (f * g, g * f):
+                assert h is g or h is f and g.is_one()
+
+    def test_unit_and_term_factors(self):
+        R = ring(5, laurent=True)
+        f = R.poly("x^-1 + 2*y + 3")
+        assert R.one() * f is f and f * R.one() is f
+        assert (R.poly("3*x*y^-2") * f).terms == \
+            {(0, -2): 3, (1, -1): 1, (1, -2): 4}
+        assert (R.const(2) * R.const(3)).terms == {(0, 0): 1}
+
+    @given(st.integers(0, 8), st.integers(0, 8), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_one_term_factor_near_the_limit(self, k, top, laurent):
+        # x^(EXP_LIMIT - 1 - k) times a factor whose largest x exponent is
+        # top overflows exactly when top > k; on Laurent rings the same
+        # holds for the negated exponents
+        R = ring(3, laurent=laurent)
+        s = -1 if laurent else 1
+        term = R.monomial((s * (EXP_LIMIT - 1 - k), 0), 2)
+        other = ch.Polynomial(R, {(s * top, 1): 1, (0, 0): 2})
+        if top > k:
+            with pytest.raises(ch.ExponentOverflow):
+                term * other
+            with pytest.raises(ch.ExponentOverflow):
+                other * term
+        else:
+            assert (term * other).terms == naive_mul(term.terms, other.terms, 3)
+
+    def test_ring_equality_is_by_fields(self):
+        a, b = ring(3), ring(3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != ring(5) and a != ring(3, laurent=True)
+        assert a != ring(3, ("x", "z")) and a != "ring"
+        assert (a.poly("x+y") * b.poly("x")).terms == {(2, 0): 1, (1, 1): 1}

@@ -395,7 +395,7 @@ class TestJumpingNumbers:
         from charp import cartier
         real, calls = cartier.bracket_root, []
         monkeypatch.setattr(cartier, "bracket_root",
-                            lambda I, e: calls.append(e) or real(I, e))
+                            lambda I, e, *J: calls.append(e) or real(I, e, *J))
         monkeypatch.setattr(cartier, "_tau_cache", {})
         runs = ch.jumping_numbers([], Ideal(R, [R.poly("x^2+y^3")]), 1, 5)
         assert starts(runs) == [F(2, 3), F(1)]

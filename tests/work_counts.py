@@ -88,7 +88,8 @@ def count_bracket_roots(monkeypatch):
     from charp import cartier
     monkeypatch.setattr(cartier, "_tau_cache", {})
     calls = []
-    wrap_in_charp(monkeypatch, "bracket_root", lambda I, e: calls.append(e))
+    wrap_in_charp(monkeypatch, "bracket_root",
+                  lambda I, e, *factor: calls.append(e))
     return calls
 
 
