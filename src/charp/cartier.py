@@ -15,7 +15,8 @@ from itertools import product as iproduct
 from math import gcd, lcm, prod
 
 from .frobenius import _row_echelon, bracket_root, relative_trace, trace
-from .ideals import BudgetExceeded, Ideal, ideal_eq, power, product, sum_ideal
+from .ideals import (BudgetExceeded, Ideal, _exponents, _monomial_ideal,
+                     ideal_eq, power, product, sum_ideal)
 from .rings import Polynomial, RingCtx, pow_poly
 
 SIGMA_BUDGET = 128
@@ -220,8 +221,7 @@ def _digit_walk(products, J: Ideal, C: CartierAlgebraSpec) -> Ideal:
     of ``products``, which carry the twists: P = G P' for the twist ideal G
     gives C_+(P' J).  ``cplus`` is P = G; carry steps and longer walks are
     ``_ClassAutomaton.step`` and ``walk``.  The root is one ``bracket_root``
-    of the product P J given by its two factors, split term pair by term
-    pair, so no product g h is built and no ``decompose`` is called."""
+    of the product P J given by its two factors, so no g h is built."""
     return bracket_root(Ideal(J.ring, products), C.degree(), J)
 
 
@@ -298,7 +298,7 @@ class _ClassAutomaton:
         self.classes = []  # class index -> Ideal of its reduced basis
         self._index = {}   # reduced basis -> class index
         self._steps = {}   # (digit-sum vector, class index) -> class index
-        self._digits = {}  # digit-sum vector s -> G P_s, row-reduced
+        self._digits = {}  # digit-sum vector s -> G P_s, trimmed
         self._sums = {}    # (class index, class index) -> class index
         self._products = {}  # (exponent vector, class index) -> class
         self._moves = {}   # (m mod q^k, k, state) -> state
@@ -322,18 +322,21 @@ class _ClassAutomaton:
         return out
 
     def digits(self, s):
-        """G P_s, row-reduced over F_p (``_row_echelon``): the products
-        t g^d over the twists t and d in [0, q)^sizes with |d_i| = s_i,
-        which take no class."""
+        """G P_s: the products t g^d over the twists t and d in [0, q)^sizes
+        with |d_i| = s_i, which take no class, trimmed after each factor to
+        their minimal terms or else row-reduced (``_row_echelon``)."""
         out = self._digits.get(s)
         if out is None:
+            ring = self.C.ring
             out = [t.twist for t in self.C.generators]
             for gens, x in zip(self.gens, s):
                 out = [prod(map(pow_poly, gens, d), start=f) for f in out
                        for d in iproduct(range(min(x, self.q - 1) + 1),
                                          repeat=len(gens)) if sum(d) == x]
-            out = self._digits[s] = _row_echelon(
-                self.C.ring, [f.terms for f in out])
+                vecs = _exponents(ring, out)
+                out = _row_echelon(ring, [f.terms for f in out]) \
+                    if vecs is None else _monomial_ideal(ring, vecs).gens
+            self._digits[s] = out
         return out
 
     def walk(self, m, k: int, cid: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .ideals import Ideal
+from .ideals import Ideal, _exponents, _monomial_ideal
 from .rings import Polynomial, frob, heap_key, order_key
 
 
@@ -193,16 +193,18 @@ def bracket_root(I: Ideal, e: int, J: Ideal | None = None) -> Ideal:
     pair (``_split``), so no product is multiplied out.  The components are
     row-reduced over F_p (``_row_echelon``): the same span, so the same
     ideal, but no generator is a linear combination of the others, which
-    Buchberger would only reduce to 0.
+    Buchberger would only reduce to 0.  Terms x^a, x^b of a polynomial
+    ring have the one component x^floor((a + b)/p^e): the floor root.
     """
     ring = I.ring
-    if J is None:
-        hs = [{(0,) * ring.nvars: 1}]
-    elif J.ring != ring:
+    if J is not None and J.ring != ring:
         raise ValueError("ring mismatch")
-    else:
-        hs = [h.terms for h in J.gens]
+    hs = (ring.one(),) if J is None else J.gens
     q, p = ring.p ** e, ring.p
+    A = _exponents(ring, I.gens)
+    if A is not None and (B := _exponents(ring, hs)) is not None:
+        return _monomial_ideal(ring, [tuple(x // q for x in map(add, a, b))
+                                      for a in A for b in B])
     return Ideal(ring, _row_echelon(ring, [
         c for f in I.gens for h in hs
-        for c in _split(f.terms, h, q, p).values() if c]))
+        for c in _split(f.terms, h.terms, q, p).values() if c]))

@@ -5,7 +5,11 @@ decided through the unique reduced Groebner basis for the ring's fixed term
 order.  Ideals of a Laurent ring are represented canonically by the
 saturation (with respect to the product of all variables) of the ideal
 obtained by clearing denominators; monomials are units there, so this loses
-nothing.
+nothing.  Monomial ideals of a polynomial ring are decided in one place, on
+the antichains of their minimal exponent vectors (``_monomial_ideal``):
+products add exponents, meets take lcms, and the quotient by x^m subtracts
+m, floored at 0 (Miller and Sturmfels, *Combinatorial Commutative Algebra*,
+ch. 1).
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ S_PAIR_BUDGET = 200_000
 """Default bound on the S-pairs one ``buchberger`` run actually reduces;
 pairs that the pair criteria prune do not count."""
 
+POWER_BUDGET = 10_000
+"""Bound on the minimal generators a monomial ``power`` keeps at any step."""
+
 
 class BudgetExceeded(RuntimeError):
     pass
@@ -36,6 +43,34 @@ class VerificationError(ArithmeticError):
 
 def _divides(a, b):
     return all(map(le, a, b))
+
+
+# --- monomial ideals on exponent antichains --------------------------------------
+
+
+def _exponents(ring: RingCtx, gens):
+    """The exponent vectors of ``gens`` if each is a term of a polynomial
+    ring (on a Laurent ring a term is a unit), else None."""
+    if ring.laurent or any(len(g.terms) != 1 for g in gens):
+        return None
+    return [m for g in gens for m in g.terms]
+
+
+def _minimal(vecs):
+    """The minimal exponent vectors of ``vecs`` under divisibility, each
+    once; by degree, as a proper divisor has a smaller degree."""
+    out = []
+    for m in sorted(set(vecs), key=sum):
+        if not any(_divides(k, m) for k in out):
+            out.append(m)
+    return out
+
+
+def _monomial_ideal(ring: RingCtx, vecs) -> Ideal:
+    """The ideal (x^v : v in vecs) with its reduced basis cached: the
+    minimal x^v, monic, sorted as ``reduce_basis`` sorts."""
+    return Ideal._reduced(ring, [Polynomial(ring, {m: 1}) for m in
+                                 sorted(_minimal(vecs), key=heap_key(ring))])
 
 
 def _divide(f: Polynomial, step) -> dict:
@@ -166,8 +201,8 @@ def buchberger(gens, budget=S_PAIR_BUDGET):
     standard representation.  It is never reduced, but it stays in the
     update to prune other pairs by criteria M and F.  Principal and
     monomial ideals never get here: ``Ideal.groebner`` writes their reduced
-    bases down (``_closed_form``), and every elimination system holds a
-    binomial.
+    bases down (``_closed_form``), their other operations stay on exponents
+    (``_monomial_ideal``), and every elimination system holds a binomial.
     """
     G = [g for g in gens if g]
     if not G:
@@ -230,61 +265,33 @@ def buchberger(gens, budget=S_PAIR_BUDGET):
     return [basis[k] for k in active]
 
 
-def _prune_redundant(G):
-    """Drop GB elements whose lead monomial is a multiple of another's;
-    valid only when G is already a Groebner basis."""
-    out = []
-    leads = [g.lead()[0] for g in G]
-    for i, g in enumerate(G):
-        mi = leads[i]
-        dominated = False
-        for j, mj in enumerate(leads):
-            if i == j:
-                continue
-            if _divides(mj, mi) and not (mj == mi and j > i):
-                dominated = True
-                break
-        if not dominated:
-            out.append(g)
-    return out
-
-
 def _closed_form(ring: RingCtx, gens):
     """The reduced basis of (gens) on a polynomial ring when it is known in
     closed form (Cox, Little and O'Shea, *Ideals, Varieties, and
-    Algorithms*, 2.4): (1) if a generator is constant; (g / lc g) for one
-    generator g; and the distinct minimal monomials, monic and largest
-    first as ``reduce_basis`` sorts them, for monomial generators.  None
-    for any other list."""
+    Algorithms*, 2.4): (1) if a generator is constant, (g / lc g) for one
+    generator g, ``_monomial_ideal`` for terms; else None."""
     if any(g.is_constant() for g in gens):
         return (ring.one(),)
     if len(gens) == 1:
         g, = gens
         return (g.scale(ring.modulus.inv(g.lead()[1])),)
-    if not all(g.is_monomial() for g in gens):
-        return None
-    minimal = []  # a proper divisor has a smaller degree, so comes first
-    for m in sorted({m for g in gens for m in g.terms}, key=sum):
-        if not any(_divides(k, m) for k in minimal):
-            minimal.append(m)
-    minimal.sort(key=heap_key(ring))
-    return tuple(Polynomial(ring, {m: 1}) for m in minimal)
+    vecs = _exponents(ring, gens)
+    return None if vecs is None else _monomial_ideal(ring, vecs).groebner()
 
 
 def reduce_basis(G):
-    """Unique reduced Groebner basis: minimal, monic, tails fully reduced."""
+    """Unique reduced Groebner basis of the Groebner basis G: one element
+    per minimal lead (``_minimal``), monic, reduced modulo the others."""
     if not G:
         return ()
     ring = G[0].ring
     hkey = heap_key(ring)
-    minimal = _prune_redundant(sorted(G, key=lambda g: hkey(g.lead()[0]),
-                                      reverse=True))
+    by_lead = {g.lead()[0]: g for g in G}
+    minimal = [by_lead[m] for m in _minimal(by_lead)]
     reduced = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others)
-        if r:
-            reduced.append(r.scale(ring.modulus.inv(r.lead()[1])))
+        r = normal_form(g, minimal[:i] + minimal[i + 1:])  # keeps lead g
+        reduced.append(r.scale(ring.modulus.inv(r.lead()[1])))
     reduced.sort(key=lambda g: hkey(g.lead()[0]))
     return tuple(reduced)
 
@@ -455,8 +462,8 @@ def product(a: Ideal, b: Ideal) -> Ideal:
 
 def power(I: Ideal, m: int) -> Ideal:
     """I^m, exactly.  Principal ideals use base-p splitting of the generator;
-    monomial ideals enumerate exponent sums; the general case multiplies out
-    with Groebner trimming between steps."""
+    monomial ideals square and multiply minimal exponent sums, bit by bit;
+    the general case multiplies out with Groebner trimming between steps."""
     if m < 0:
         raise ValueError("negative ideal power")
     if m == 0:
@@ -464,21 +471,18 @@ def power(I: Ideal, m: int) -> Ideal:
     gens = I.gens
     if len(gens) <= 1:
         return Ideal(I.ring, [pow_poly(g, m) for g in gens])
-    if all(g.is_monomial() for g in gens):
-        vecs = [next(iter(g.terms.items())) for g in gens]
-        if len(vecs) * m > 2_000_000:
-            raise BudgetExceeded("monomial ideal power too large")
-        sums = {(0,) * I.ring.nvars: 1}
-        for _ in range(m):
-            nxt = {}
-            for base, c0 in sums.items():
-                for vec, c in vecs:
-                    key = tuple(x + y for x, y in zip(base, vec))
-                    nxt[key] = (c0 * c) % I.ring.p
-            sums = nxt
-            if len(sums) > 2_000_000:
-                raise BudgetExceeded("monomial ideal power too large")
-        return Ideal(I.ring, [I.ring.monomial(k, c) for k, c in sums.items()])
+    vecs = _exponents(I.ring, gens)
+    if vecs is not None:
+        def times(A, B):
+            return _minimal(tuple(map(add, a, b)) for a in A for b in B)
+        acc = [(0,) * I.ring.nvars]
+        for bit in bin(m)[2:]:  # acc is I^j for j the bits read so far
+            acc = times(acc, acc)
+            if bit == "1":
+                acc = times(acc, vecs)
+            if len(acc) > POWER_BUDGET:
+                raise BudgetExceeded(f"power past {POWER_BUDGET:,} generators")
+        return _monomial_ideal(I.ring, acc)
     acc = Ideal(I.ring, [I.ring.one()])
     for _ in range(m):
         acc = Ideal._reduced(I.ring, product(acc, I).groebner())
@@ -497,18 +501,14 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     saturated representatives, itself saturated, so it is the reduced basis
     of the Laurent meet.  (1 - t) goes on the side with fewer terms, as it
     doubles every term it multiplies; the reduced basis is unique, so the
-    side does not change the result.
-
-    On polynomial rings two monomial ideals meet in the ideal of the
-    pairwise lcms of their generators (Cox, Little and O'Shea, 4.3), whose
-    reduced basis ``_closed_form`` writes down: no elimination."""
+    side does not change the result.  Monomial ideals meet by lcms."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     ring = a.ring
-    if not ring.laurent and all(g.is_monomial() for g in a.gens + b.gens):
-        return Ideal._reduced(ring, _closed_form(ring, [
-            Polynomial(ring, {tuple(map(max, m, n)): 1})
-            for f in a.gens for m in f.terms for g in b.gens for n in g.terms]))
+    A, B = _exponents(ring, a.gens), _exponents(ring, b.gens)
+    if A is not None and B is not None:
+        return _monomial_ideal(ring, [tuple(map(max, m, n))
+                                      for m in A for n in B])
     if ring.laurent:
         # work with the saturated polynomial representatives
         a = Ideal(ring, list(a.groebner()))
@@ -562,14 +562,9 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
     of I that ``intersect`` uses: I's generators, or on Laurent rings its
     saturated basis, the remainder then stripped again.  A remainder of 0
     puts g in I, and (I : g) = (1) with no elimination; a unit remainder
-    gives I itself.
-
-    A monomial ideal I = (x^a_1, ..., x^a_r) and a term remainder c x^m
-    give (I : c x^m) = (x^max(a_1 - m, 0), ..., x^max(a_r - m, 0)) (Miller
-    and Sturmfels, *Combinatorial Commutative Algebra*, ch. 1), by exponent
-    subtraction with no elimination; ``_closed_form`` writes down its
-    reduced basis.  On Laurent rings a term is a unit, so the unit branch
-    takes it first and this rule is never reached."""
+    gives I itself.  A term remainder c x^m of a monomial I subtracts m
+    from I's exponents, floored at 0, with no elimination; on Laurent rings
+    a term is a unit, so the unit branch takes it first."""
     if g.is_zero():
         raise ValueError("colon by zero generator")
     ring = I.ring
@@ -586,11 +581,11 @@ def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
         return Ideal._reduced(ring, [ring.one()])
     if g.is_unit():
         return Ideal._reduced(ring, I.groebner())
-    if g.is_monomial() and all(f.is_monomial() for f in I.gens):
-        (m, _), = g.terms.items()
-        return Ideal._reduced(ring, _closed_form(ring, [
-            Polynomial(ring, {tuple(max(x - y, 0) for x, y in zip(a, m)): 1})
-            for f in I.gens for a in f.terms]))
+    vecs = _exponents(ring, (g,) + I.gens)
+    if vecs is not None:
+        m, *A = vecs
+        return _monomial_ideal(ring, [tuple(max(x - y, 0) for x, y in zip(a, m))
+                                      for a in A])
     monic = g.scale(ring.modulus.inv(g.lead()[1]))  # the basis of (g)
     meet = intersect(I, Ideal._reduced(ring, [monic]))
     quotients = [exact_div(f, g) for f in meet.gens]

@@ -2,7 +2,6 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction as F
-from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -13,6 +12,7 @@ from charp import CartierAlgebraSpec, Ideal, MixedPair, TraceTwist, poly_str
 from charp import cartier
 from charp.cartier import _ceil_mul, _ClassAutomaton, _p_depth, _pulled_action
 from chain_oracle import _tau_chain
+from howald_oracle import howald
 from work_counts import (count_bracket_roots, count_buchberger,
                          patch_in_charp)
 
@@ -130,24 +130,6 @@ class TestTauMixed:
         assert tau.basis_strings() == ("x",)
 
 
-def howald(R, exps, t):
-    """Howald's formula for the monomial ideal with exponent vectors
-    ``exps`` in two variables: the x^v with v + (1, 1) strictly inside
-    t Newt(a).  Every n >= 0 gives a valid inequality <n, w> >= t min <n, e>
-    of t Newt(a); the coordinate normals and the normals of pairs of
-    generators include every facet, so v + 1 is inside iff all hold
-    strictly."""
-    normals = {(1, 0), (0, 1)} | {
-        (abs(b - d), abs(a - c)) for (a, b), (c, d) in combinations(exps, 2)
-        if (a - c) * (b - d) < 0}
-    need = [(n, t * min(n[0] * a + n[1] * b for a, b in exps))
-            for n in normals]
-    top = int(t * max(map(max, exps))) + 2
-    return Ideal(R, [R.monomial((i, j)) for i in range(top) for j in range(top)
-                     if all(n[0] * (i + 1) + n[1] * (j + 1) > v
-                            for n, v in need)])
-
-
 HOWALD_IDEALS = [((1, 0), (0, 1)), ((2, 0), (0, 3)), ((2, 0), (0, 5)),
                  ((1, 0), (0, 2)), ((3, 0), (1, 1), (0, 3)),
                  ((4, 0), (1, 2), (0, 3)), ((2, 0), (1, 1), (0, 2))]
@@ -172,7 +154,7 @@ class TestHowaldMonomial:
             started = time.perf_counter()
             tau = ch.tau_mixed(MixedPair.of([(a, t)]), full)
             assert time.perf_counter() - started < 1, t
-            assert ch.ideal_eq(tau, howald(R, exps, t)), t
+            assert ch.ideal_eq(tau, howald(R, (exps, t))), t
 
     @pytest.mark.parametrize("gens, t", [
         (("x^2", "y^5"), F(2, 3)),  # lct = 1/2 + 1/5 = 7/10
@@ -197,7 +179,7 @@ class TestHowaldMonomial:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20, peak
-        assert ch.ideal_eq(tau, howald(R, ((4, 0), (1, 2), (0, 3)), F(7, 5)))
+        assert ch.ideal_eq(tau, howald(R, (((4, 0), (1, 2), (0, 3)), F(7, 5))))
 
 
 def _order(q, b):

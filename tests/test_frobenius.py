@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import charp as ch
 from charp import Ideal, poly_str
-from charp.frobenius import _row_echelon
+from charp.frobenius import _row_echelon, _split
+from elimination_oracle import oracle_groebner
 
 
 def ring(p=3, names=("x", "y"), laurent=False, n_base=0):
@@ -313,17 +314,47 @@ def product_roots(draw):
 @settings(max_examples=150, deadline=None)
 def test_product_root_spans_the_multiplied_out_root(case):
     # (I J)^[1/q] from term pairs, from the products f h multiplied out,
-    # and from a test-local split of the products: one F_p-span, so one
-    # reduced row echelon form
+    # and from a test-local split of the products.  The first two take one
+    # path, so give one generator set; the local split is one F_p-span with
+    # them, and a monomial root keeps only its minimal generators, so it is
+    # compared as an ideal
     a, b, e = case
     R = a.ring
     root = ch.bracket_root(a, e, b)
     whole = ch.bracket_root(Ideal(R, [f * h for f in a.gens for h in b.gens]), e)
     local = _row_echelon(R, [c for f in a.gens for h in b.gens
                              for c in product_components(f, h, R.p ** e)])
-    assert set(root.gens) == set(whole.gens) == set(local)
+    assert set(root.gens) == set(whole.gens)
+    assert root.groebner() == Ideal(R, local).groebner()
     assert set(ch.bracket_root(a, e).gens) == \
         set(ch.bracket_root(a, e, Ideal(R, [R.one()])).gens)
+
+
+@st.composite
+def monomial_roots(draw):
+    """Monomial ideals I and J of 0-3 generators each, with any
+    coefficients, in 2 or 3 variables at p = 2, 3 or 5, exponents up to
+    p^2 + p, and e = 1 or 2; J is left out at times."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = ring(p, ("x", "y", "z")[:draw(st.integers(2, 3))])
+    terms = st.builds(R.monomial, st.tuples(*[st.integers(0, p * p + p)]
+                                            * R.nvars), st.integers(1, p - 1))
+    a, b = (Ideal(R, draw(st.lists(terms, max_size=3))) for _ in "ab")
+    return a, draw(st.sampled_from([b, None])), draw(st.integers(1, 2))
+
+
+@given(monomial_roots())
+@settings(max_examples=150, deadline=None)
+def test_monomial_root_is_the_floor_root(case):
+    # the floor roots x^floor((a + b)/q) against the row-reduced split of
+    # every term pair, whose reduced basis one Buchberger run gives
+    a, b, e = case
+    R = a.ring
+    hs = [R.one()] if b is None else b.gens
+    rows = [c for f in a.gens for h in hs
+            for c in _split(f.terms, h.terms, R.p ** e, R.p).values() if c]
+    want = oracle_groebner(Ideal(R, _row_echelon(R, rows)))
+    assert ch.bracket_root(a, e, b).groebner() == want
 
 
 def test_product_root_needs_one_ring():

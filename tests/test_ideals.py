@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import charp as ch
 from charp import Ideal
-from charp.ideals import (_divide, _ext_ring, _spoly, buchberger,
-                          normal_form, reduce_basis)
+from charp.ideals import (_divide, _eliminate, _ext_ring, _lift, _spoly,
+                          buchberger, exact_div, normal_form, reduce_basis)
 from charp.rings import EXP_LIMIT, heap_key, order_key, poly_str
 from elimination_oracle import (oracle_colon, oracle_groebner,
                                 oracle_intersect)
@@ -776,13 +776,13 @@ def test_monomial_colon_cases(gens, term, want):
 
 def test_monomial_colon_rule_not_reached_on_laurent_rings():
     # a term is a unit of a Laurent ring: (I : x y^-1) is I, from the unit
-    # branch.  The rule would write its basis down with _closed_form; with
+    # branch.  The rule would build its ideal with _monomial_ideal; with
     # I's basis already cached, the Laurent colon calls it not at all, and
     # the polynomial twin of the call does
     calls = []
 
     def spy(original):
-        return lambda ring, gens: calls.append(1) or original(ring, gens)
+        return lambda ring, vecs: calls.append(1) or original(ring, vecs)
 
     for laurent, term, rebuilt, want in ((True, "x*y^-1", 0, ("1",)),
                                          (False, "x*y", 1, ("y^2", "x"))):
@@ -790,7 +790,7 @@ def test_monomial_colon_rule_not_reached_on_laurent_rings():
         a = I(R, "x^2", "y^3")
         a.groebner()
         with pytest.MonkeyPatch.context() as mp:
-            patch_in_charp(mp, "_closed_form", spy, "ideals")
+            patch_in_charp(mp, "_monomial_ideal", spy, "ideals")
             runs = count_buchberger(mp)
             del calls[:]
             out = ch.colon(a, I(R, term))
@@ -833,6 +833,93 @@ def test_monomial_colon_meet_takes_no_run(monkeypatch):
     out = ch.colon(I(R, "x^3", "y^3"), I(R, "x", "y"))
     assert out.basis_strings() == ("x^2*y^2", "x^3", "y^3")
     assert not runs
+
+
+# --- each monomial rule against the general path it bypasses ----------------------
+
+
+def eliminated_meet(a, b):
+    """The reduced basis of a meet b from a direct ``_eliminate`` run on
+    t a + (1 - t) b, the path ``intersect`` takes for other ideals."""
+    R = a.ring
+    ext = _ext_ring(R, 1)
+    t, one = ext.var("@e0"), ext.one()
+    sys = [t * _lift(g, ext, 1) for g in a.gens]
+    sys += [(one - t) * _lift(g, ext, 1) for g in b.gens]
+    return _eliminate(sys, R, 1)
+
+
+def eliminated_colon(a, b):
+    """The reduced basis of (a : b): the meet, by ``eliminated_meet``, of
+    the quotients (a meet (g)) / g over b's generators g."""
+    out = None
+    for g in b.gens:
+        meet = eliminated_meet(a, Ideal(a.ring, [g]))
+        part = reduce_basis([exact_div(f, g) for f in meet])
+        out = part if out is None else eliminated_meet(Ideal(a.ring, out),
+                                                       Ideal(a.ring, part))
+    return out
+
+
+@given(monomial_pairs())
+@settings(max_examples=120, deadline=None)
+def test_monomial_meet_and_colon_match_a_direct_elimination(pair):
+    # lcms and floored exponent differences, with no run, against the
+    # eliminations they replace
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        runs = count_buchberger(mp)
+        meet = ch.intersect(a, b)
+        quotient = ch.colon(a, b) if b.gens else None
+        assert not runs
+    assert meet.groebner() == eliminated_meet(a, b)
+    if b.gens:
+        assert quotient.groebner() == eliminated_colon(a, b)
+
+
+@given(monomial_pairs(), st.integers(0, 6))
+@settings(max_examples=120, deadline=None)
+def test_monomial_power_matches_repeated_products(pair, m):
+    # squared and multiplied minimal exponent sums against m products, each
+    # trimmed to its reduced basis
+    a = pair[0]
+    R = a.ring
+    want = Ideal(R, [R.one()])
+    for _ in range(m):
+        want = Ideal(R, list(ch.product(want, a).groebner()))
+    assert ch.power(a, m).groebner() == want.groebner()
+
+
+def test_monomial_power_budget(monkeypatch):
+    # (x, y, z)^j has (j + 1)(j + 2)/2 minimal generators: 15 at j = 4 and
+    # 21 at j = 5, past a budget of 20 before any larger step is taken
+    monkeypatch.setattr(ch.ideals, "POWER_BUDGET", 20)
+    R = ring(3, ("x", "y", "z"))
+    a = I(R, "x", "y", "z")
+    assert len(ch.power(a, 4).groebner()) == 15
+    with pytest.raises(ch.BudgetExceeded, match="past 20 generators"):
+        ch.power(a, 5)
+
+
+@given(monomial_pairs())
+@settings(max_examples=120, deadline=None)
+def test_reduce_basis_keeps_the_minimal_leads_of_a_buchberger_basis(pair):
+    # binomials from two monomial ideals take a Buchberger run; each basis
+    # element f also gets a copy f + g, g below f, which shares its lead
+    a, b = pair
+    R = a.ring
+    gens = list(a.gens) + [g + h for g, h in zip(a.gens, b.gens) if g + h]
+    G = buchberger(gens)
+    key = heap_key(R)
+    G += [f + g for f in G for g in G if key(g.lead()[0]) > key(f.lead()[0])]
+    leads = {g.lead()[0] for g in G}
+    minimal = {m for m in leads if not any(
+        k != m and all(x <= y for x, y in zip(k, m)) for k in leads)}
+    out = reduce_basis(G)
+    assert [g.lead()[0] for g in out] == sorted(minimal, key=key)
+    assert all(g.lead()[1] == 1 for g in out)
+    assert {frozenset(g.terms.items()) for g in out} \
+        == Textbook(R).reduced_basis(gens)
 
 
 def test_ext_ring_needs_grevlex():

@@ -5,6 +5,7 @@ import pytest
 import charp as ch
 from charp import (CartierAlgebraSpec, Ideal, MixedPair, RegionFunction,
                    TOperator)
+from howald_oracle import howald
 from svg_oracle import cell_fills, column_runs, per_cell_svg, rects
 from work_counts import count_bracket_roots
 
@@ -201,7 +202,8 @@ class TestDigitRecursion:
         (3, ("x,y", "x^2,y^3"), 1, 4, 400, "749041bfea81"),
         (3, ("x^3,x*y,y^3", "x,y^2"), 2, 3, 1229, "ea2e6a38bf67"),
         (5, ("x,y", "x^2,y^3"), 1, 3, 1296, "dc7f1b469e45"),
-        (3, ("x+y", "x*y"), 1, 4, 18, "52cec39bd9d7")])
+        (3, ("x+y", "x*y"), 1, 4, 18, "52cec39bd9d7"),
+        (5, ("x^3,x*y,y^3", "x,y^2"), 2, 2, 3982, "0a13db03a0e0")])
     def test_one_root_per_digit_sum_vector_and_class(self, monkeypatch, p,
                                                      polys, T, k, roots, csv):
         # from an empty store; one root per digit vector and class took
@@ -215,6 +217,24 @@ class TestDigitRecursion:
         ras = ch.constancy_raster(fam, T, k)
         assert len(calls) == roots
         assert sha256(raster_csv(ras).encode()).hexdigest()[:12] == csv
+
+    @pytest.mark.parametrize("p,k,fam", [
+        (p, k, fam) for p, k in ((2, 3), (3, 2), (5, 1), (7, 1))
+        for fam in ("x,y;x^2,y^3", "x^3,x*y,y^3;x,y^2")]
+        + [(11, 1, "x,y;x^2,y^3")])
+    def test_monomial_family_matches_mixed_howald(self, monkeypatch, p, k,
+                                                  fam):
+        # every cell of a monomial family's raster on [0, 2]^2 is the mixed
+        # Howald ideal at its coordinates, which shares no code with tau
+        from charp import cartier
+        monkeypatch.setattr(cartier, "_tau_cache", {})
+        Rp = ring(p)
+        ideals = [[Rp.poly(g) for g in s.split(",")] for s in fam.split(";")]
+        exps = [[next(iter(g.terms)) for g in gens] for gens in ideals]
+        ras = ch.constancy_raster([Ideal(Rp, g) for g in ideals], 2, k)
+        for idx, h in ras.items():
+            want = howald(Rp, *zip(exps, ras.coord(idx)))
+            assert ras.ideals[h].groebner() == want.groebner(), idx
 
     @pytest.mark.parametrize("p,polys,T,k", oracle_cases())
     def test_matches_per_cell_tau(self, monkeypatch, p, polys, T, k):
