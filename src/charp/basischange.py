@@ -97,17 +97,17 @@ def _basis_powers(new_basis, ring: RingCtx, e: int) -> dict:
 
 def frobenius_jacobian(new_basis, ring: RingCtx, e: int = 1) -> PolyMatrix:
     """The q^n x q^n change-of-basis matrix between the Frobenius monomial
-    bases: entry (i, j) is ``decompose(y^j).operator(i)``, the component of
-    y^j at the chart's own fiber monomial x^i as a multiplication operator on
-    F^e_* S.  Rows and columns follow ``_basis_powers``; every decomposition
-    must recompose to its y^j."""
+    bases: entry (i, j) is ``decompose(y^j).operator(i)``, the operator on
+    F^e_* S that ``decompose`` stores for y^j at the chart's own fiber
+    monomial x^i, the fiber being the variables after ``n_base``.  Rows and
+    columns follow ``_basis_powers``; every decomposition must recompose to
+    its y^j."""
     size = _level(ring, e) ** len(ring.fiber_indices)
     if size > FROBJAC_SIZE_BUDGET:
         raise BudgetExceeded(f"Frobenius jacobian of size {size} exceeds "
                              f"the budget {FROBJAC_SIZE_BUDGET}")
-    mode = "absolute" if ring.n_base == 0 else "relative"
     powers = _basis_powers(new_basis, ring, e)
-    columns = [decompose(yj, e, mode) for yj in powers.values()]
+    columns = [decompose(yj, e) for yj in powers.values()]
     if any(dec.recompose() != yj
            for dec, yj in zip(columns, powers.values())):
         raise VerificationError("Frobenius jacobian recomposition failed; "

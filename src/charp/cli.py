@@ -286,17 +286,17 @@ def _cmd_decompose(args):
     ring = RingCtx(ordered, PrimeModulus(args.p), laurent=args.laurent,
                    n_base=len(base))
     f = ring.poly(args.poly)
-    mode = "relative" if base else "absolute"
-    dec = decompose(f, args.e, mode)
+    dec = decompose(f, args.e)
     lines = []
     payload = {}
     for idx in sorted(dec.components):
         label = "(" + ",".join(map(str, idx)) + ")"
-        if mode == "absolute":
-            text = poly_str(dec.components[idx])
-        else:
+        comp = dec.component(idx)
+        if base:
             text = " + ".join(f"({poly_str(s)}) (x) F*({poly_str(r)})"
-                              for s, r in dec.components[idx])
+                              for s, r in comp)
+        else:
+            text = poly_str(comp)
         lines.append(f"{label}: {text}")
         payload[label] = text
     _emit(args, "decompose", payload, lines)

@@ -1,72 +1,77 @@
-"""Frobenius decomposition along a (relative) p-basis, trace operators, bracket roots.
+"""Frobenius decomposition along the fiber p-basis, traces, bracket roots.
 
-Over a chart F_p[base][fiber] every g decomposes as g = sum_i g_i^q * x^i with
-fiber multi-indices i in [0, q-1]^n; the trace is the component at the top
-index (q-1, ..., q-1).  In relative mode the base variables are never rooted:
-components are sums s_j (x) F_* r_j with s_j in the full ring and r_j in the
-base variables only.
+Over a chart F_p[base][fiber], F^e_* S is free over the fiber monomials x^i,
+i in [0, q-1]^n, so every g is sum_i op_i * x^i with one operator op_i per
+index.  On a ring with no base every variable is a fiber variable and op_i
+is F^e of the root polynomial g_i, so g = sum_i g_i^q * x^i.  On a chart the
+base variables are never rooted, and op_i reads as the paper's pairs
+s_j (x) F^e_* r_j, with r_j in the base variables only.  The trace is the
+component at the top index (q-1, ..., q-1).
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from .ideals import Ideal, _exponents, _monomial_ideal
-from .rings import Polynomial, frob, heap_key, order_key
+from .rings import Polynomial, heap_key, order_key
 
 
 class FrobDecomposition:
-    """Components of g along the monomial basis of F^e_* S.
+    """Components of g along the fiber monomial basis of F^e_* S.
 
-    ``components`` maps a fiber multi-index to a Polynomial (absolute mode) or
-    to a tuple of (s, r) pairs (relative mode), with the F_p coefficient
-    always attached to the base factor r.
+    ``components`` maps a fiber multi-index i, over the variables after
+    ``ring.n_base``, to its operator op_i, so that g = sum_i op_i * x^i.
     """
 
-    __slots__ = ("ring", "e", "mode", "components")
+    __slots__ = ("ring", "e", "components")
 
-    def __init__(self, ring, e, mode, components):
+    def __init__(self, ring, e, components):
         self.ring = ring
         self.e = e
-        self.mode = mode
         self.components = components
 
     def component(self, idx):
-        idx = tuple(idx)
-        if self.mode == "absolute":
-            return self.components.get(idx, self.ring.zero())
-        return self.components.get(idx, ())
+        """The component at idx in the paper's form, read off its operator:
+        the root polynomial on a ring with no base, else the (s, r) pairs,
+        s a monomial in descending term order and r in the base variables,
+        carrying the F_p coefficient."""
+        op = self.operator(idx)
+        ring, q = self.ring, self.ring.p ** self.e
+        nb = ring.n_base
+        if not nb:
+            return Polynomial(ring, {tuple(x // q for x in m): c
+                                     for m, c in op.terms.items()})
+        pairs = {}
+        for m, c in op.terms.items():
+            r = tuple(x % q for x in m[:nb]) + (0,) * (len(m) - nb)
+            pairs.setdefault(tuple(x // q for x in m), {})[r] = c
+        return tuple((Polynomial(ring, {s: 1}), Polynomial(ring, pairs[s]))
+                     for s in sorted(pairs, key=order_key(ring), reverse=True))
 
     def top_index(self):
-        q = self.ring.p ** self.e
-        width = self.ring.nvars if self.mode == "absolute" \
-            else len(self.ring.fiber_indices)
-        return (q - 1,) * width
+        return (self.ring.p ** self.e - 1,) * len(self.ring.fiber_indices)
 
     def operator(self, idx) -> Polynomial:
-        """The component at idx as a multiplication operator on F^e_* S:
-        F^e(component) in absolute mode, the sum of F^e(s) * r over its
-        (s, r) pairs in relative mode."""
-        comp = self.component(idx)
-        if self.mode == "absolute":
-            return frob(comp, self.e)
-        return sum((frob(s, self.e) * r for s, r in comp), self.ring.zero())
+        """The component at idx as a multiplication operator on F^e_* S."""
+        return self.components.get(tuple(idx), self.ring.zero())
 
     def recompose(self) -> Polynomial:
         """The sum of ``operator(idx)`` * x^idx, which is the input again;
         used as the round-trip invariant."""
-        pad = (0,) * (0 if self.mode == "absolute" else self.ring.n_base)
-        return sum((self.operator(idx).mul_monomial(pad + idx)
-                    for idx in self.components), self.ring.zero())
+        pad = (0,) * self.ring.n_base
+        return sum((op.mul_monomial(pad + idx)
+                    for idx, op in self.components.items()), self.ring.zero())
 
 
 def _split(f: dict, h: dict, q: int, p: int) -> dict:
-    """The absolute components of the product of the term dicts f and h at
-    q = p^e, as {fiber index: {quotient: coefficient}}, one term pair at a
-    time: x^(a+b) = (x^floor((a+b)/q))^q x^((a+b) mod q).  The product is
-    never formed; terms that would meet on one monomial meet on one
-    (index, quotient).  The smaller factor is the outer loop, as in
-    ``Polynomial.__mul__``.  A component that cancels is left empty."""
+    """The components of the product of the term dicts f and h at q = p^e,
+    every variable a fiber variable, as {fiber index: {quotient:
+    coefficient}}, one term pair at a time: x^(a+b) = (x^floor((a+b)/q))^q
+    x^((a+b) mod q).  The product is never formed; terms that would meet on
+    one monomial meet on one (index, quotient).  The smaller factor is the
+    outer loop, as in ``Polynomial.__mul__``.  A component that cancels is
+    left empty."""
     if len(f) > len(h):
         f, h = h, f
     comps = {}
@@ -83,67 +88,40 @@ def _split(f: dict, h: dict, q: int, p: int) -> dict:
     return comps
 
 
-def decompose(g: Polynomial, e: int, mode: str = "absolute") -> FrobDecomposition:
-    """Split g along the fiber monomial basis of F^e_* S.
-
-    In absolute mode every variable counts as a fiber variable (the chart is
-    taken over the prime field), and g is split as the product g * 1 by
-    ``_split``; relative mode respects the declared base/fiber split of the
-    ring.
-    """
+def decompose(g: Polynomial, e: int) -> FrobDecomposition:
+    """Split g along the fiber monomial basis of F^e_* S, the fiber being
+    the variables after ``n_base``: the term c x^m goes to the fiber index
+    i = m mod q, whose operator gains c x^(m - i).  Distinct terms stay
+    distinct there, so no coefficients add."""
     if e < 1:
         raise ValueError("e must be positive")
     ring = g.ring
-    q = ring.p ** e
-    nb = 0 if mode == "absolute" else ring.n_base
-    p = ring.p
-    if mode == "absolute":
-        comps = _split(g.terms, {(0,) * ring.nvars: 1}, q, p)
-        components = {idx: Polynomial(ring, terms)
-                      for idx, terms in comps.items() if terms}
-        return FrobDecomposition(ring, e, mode, components)
-    if mode != "relative":
-        raise ValueError(f"unknown mode {mode!r}")
+    q, nb = ring.p ** e, ring.n_base
     comps = {}
     for m, c in g.terms.items():
-        base, fib = m[:nb], m[nb:]
-        idx = tuple(x % q for x in fib)
-        s_mono = tuple(x // q for x in base) + tuple(x // q for x in fib)
-        r_mono = tuple(x % q for x in base) + (0,) * (len(m) - nb)
-        bucket = comps.setdefault(idx, {})
-        rdict = bucket.setdefault(s_mono, {})
-        v = (rdict.get(r_mono, 0) + c) % p
-        if v:
-            rdict[r_mono] = v
-        else:
-            del rdict[r_mono]
-    key = order_key(ring)
-    components = {}
-    for idx, bucket in comps.items():
-        pairs = []
-        for s_mono in sorted(bucket, key=key, reverse=True):
-            rdict = bucket[s_mono]
-            if not rdict:
-                continue
-            s = Polynomial(ring, {s_mono: 1})
-            r = Polynomial(ring, dict(rdict))
-            pairs.append((s, r))
-        if pairs:
-            components[idx] = tuple(pairs)
-    return FrobDecomposition(ring, e, "relative", components)
+        idx = tuple(x % q for x in m[nb:])
+        comps.setdefault(idx, {})[m[:nb] + tuple(map(sub, m[nb:], idx))] = c
+    return FrobDecomposition(ring, e, {idx: Polynomial(ring, terms)
+                                       for idx, terms in comps.items()})
 
 
 def trace(g: Polynomial, e: int) -> Polynomial:
-    """The absolute trace Phi^e: the component dual to x^(q-1)...x^(q-1)."""
-    dec = decompose(g, e, "absolute")
-    return dec.component(dec.top_index())
+    """The absolute trace Phi^e over every variable, on a chart as well: the
+    root of the terms whose exponents are all q - 1 mod q, the component
+    dual to x^(q-1)...x^(q-1).  No decomposition is built."""
+    if e < 1:
+        raise ValueError("e must be positive")
+    q = g.ring.p ** e
+    return Polynomial(g.ring, {tuple(x // q for x in m): c
+                               for m, c in g.terms.items()
+                               if all(x % q == q - 1 for x in m)})
 
 
 def relative_trace(s: Polynomial, e: int):
     """Relative trace as (s_i, r_i) pairs: Phi^e(F^e_* s) = sum s_i (x) F^e_* r_i."""
     if s.ring.n_base == 0:
         raise ValueError("relative trace requires a declared base/fiber split")
-    dec = decompose(s, e, "relative")
+    dec = decompose(s, e)
     return dec.component(dec.top_index())
 
 

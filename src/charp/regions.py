@@ -24,7 +24,7 @@ from math import gcd, lcm
 from .cartier import (CartierAlgebraSpec, MixedPair, _automaton, _tau_state,
                       tau_mixed)
 from .ideals import BudgetExceeded, Ideal, VerificationError, colon, frob_power
-from .rings import pow_poly
+from .rings import _is_prime, pow_poly
 
 RASTER_CELL_BUDGET = 1_000_000  # lattice points (side + 1)^n in one raster
 ROW_RUN = 1024  # most cells in one piece of ``raster_rows``
@@ -38,6 +38,8 @@ class TOperator:
     offset: tuple
 
     def __post_init__(self):
+        if self.q < 1:
+            raise ValueError(f"q = {self.q} must be at least 1")
         for b in self.offset:
             if not 0 <= b <= self.q:
                 raise ValueError(f"offset {b} outside [0, {self.q}]")
@@ -367,6 +369,11 @@ def transform_chi_symbolic(N: Ideal, offsets, ideals) -> Ideal:
 # --- the three-lines staircase ----------------------------------------------------
 
 
+def _check_odd_prime(p: int):
+    if p == 2 or not _is_prime(p):
+        raise ValueError(f"staircase requires an odd prime, got p = {p}")
+
+
 def three_lines_staircase(p: int, depth: int):
     """Exact boundary polyline of the first constancy region for the pair
     (x+y, xy) down to lattice p^-depth.
@@ -381,8 +388,9 @@ def three_lines_staircase(p: int, depth: int):
     count is taken first: past RASTER_CELL_BUDGET vertices the staircase is
     refused with ``BudgetExceeded``, before any vertex is built.
     """
-    if p < 3 or depth < 0:
-        raise ValueError("staircase requires an odd prime and depth >= 0")
+    _check_odd_prime(p)
+    if depth < 0:
+        raise ValueError("staircase requires depth >= 0")
     count = 2
     for _ in range(depth):
         count = (p + 1) // 2 * count + (p - 1) // 2
@@ -438,6 +446,7 @@ def staircase_partial_sum(p: int, K: int) -> Fraction:
     """Partial sum of the staircase length series:
     sum_{k=1..K} (3/2) p^-k ((p+1)/2)^(k-1) (p-1)/2; the full series sums
     to 3/2."""
+    _check_odd_prime(p)
     if K < 0:
         raise ValueError(f"the number of terms must be >= 0, got {K}")
     total = Fraction(0)

@@ -182,11 +182,10 @@ def test_change_of_basis_refuses(fn, R, cand, e, message):
 
 
 def rebuilt_operator(dec, idx):
-    """The operator at idx, rebuilt here from the raw components."""
-    ring, comp = dec.ring, dec.components.get(idx)
-    if comp is None:
-        return ring.zero()
-    if dec.mode == "absolute":
+    """The operator at idx, rebuilt here from the paper's form of the
+    component: F^e of the root, or the sum of F^e(s) * r over the pairs."""
+    ring, comp = dec.ring, dec.component(idx)
+    if not ring.n_base:
         return ch.frob(comp, dec.e)
     out = ring.zero()
     for s, r in comp:
@@ -237,7 +236,6 @@ class TestOperatorForm:
     def test_frobenius_jacobian_columns(self, chart):
         R, e, cand = chart
         q = R.p ** e
-        mode = "relative" if R.n_base else "absolute"
         pad = (0,) * R.n_base
         FJ = ch.frobenius_jacobian(cand, R, e)
         indices = list(iproduct(range(q), repeat=len(cand)))
@@ -246,7 +244,7 @@ class TestOperatorForm:
             yj = R.one()
             for y, k in zip(cand, j):
                 yj = yj * ch.pow_poly(y, k)
-            dec = ch.decompose(yj, e, mode)
+            dec = ch.decompose(yj, e)
             total = R.zero()
             for row, i in enumerate(indices):
                 entry = FJ.rows[row][col]

@@ -452,11 +452,11 @@ class TestTheoremBNonPrincipal:
         assert ch.theorem_b_check(C, pr, chart)
 
 
-def max_decompose_terms(monkeypatch):
+def max_split_terms(monkeypatch):
     """Record the largest term count of a product that a bracket root splits
-    (``frobenius._split``, which roots and ``decompose`` share), with a
-    fresh tau cache; returns a one-element list.  The split's components
-    hold the product's terms, each once."""
+    (``frobenius._split``, which only bracket roots use), with a fresh tau
+    cache; returns a one-element list.  The split's components hold the
+    product's terms, each once."""
     from charp import cartier
     monkeypatch.setattr(cartier, "_tau_cache", {})
     most = [0]
@@ -518,14 +518,14 @@ class TestDigitWalk:
         assert ch.ideal_eq(walk([f], [4], 2, J, full), twice)
 
     def test_fpt_search_stays_small(self, monkeypatch):
-        most = max_decompose_terms(monkeypatch)
+        most = max_split_terms(monkeypatch)
         R5 = ring(5)
         res = ch.fpt_search([], I(R5, "x^3+x^2*y+y^3"), depth=6)
         assert res.candidate == F(3, 5)
         assert 0 < most[0] <= 50  # the one-shot root takes 22,681
 
     def test_psi_steps_stay_small(self, monkeypatch, R, full):
-        most = max_decompose_terms(monkeypatch)
+        most = max_split_terms(monkeypatch)
         for b in (5, 7, 11, 13):
             for a in range(1, 2 * b):
                 ch.tau_mixed(pair(R, ("x^2+y^3", F(a, b))), full)

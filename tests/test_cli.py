@@ -80,10 +80,13 @@ class TestExitCodes:
          "x+y:1/3", "--depth", "-1"],
         ["staircase", "--p", "3", "--depth", "-1"],
         ["staircase", "--p", "3", "--terms", "-2"],
+        ["staircase", "--p", "9", "--depth", "2"],
+        ["staircase", "--p", "1", "--depth", "2"],
     ])
     def test_negative_size_is_usage(self, capsys, argv):
         # fpt used to end in a TypeError traceback, staircase --depth -1 in
-        # a RecursionError, and --terms -2 printed a sum of -2 terms
+        # a RecursionError, --terms -2 printed a sum of -2 terms, and
+        # --p 9 printed a staircase for a non-prime
         code, out, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:") and not out, (out, err)
 

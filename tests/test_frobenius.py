@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import charp as ch
 from charp import Ideal, poly_str
 from charp.frobenius import _row_echelon, _split
+from charp.rings import order_key
 from elimination_oracle import oracle_groebner
 
 
@@ -34,7 +35,7 @@ class TestDecompose:
 
     def test_relative_pair(self):
         S = ring(names=("t", "x"), n_base=1)
-        dec = ch.decompose(S.poly("t*x^5"), 1, "relative")
+        dec = ch.decompose(S.poly("t*x^5"), 1)
         assert set(dec.components) == {(2,)}
         pairs = dec.component((2,))
         assert [(poly_str(s), poly_str(r)) for s, r in pairs] == [("x", "t")]
@@ -64,7 +65,7 @@ def summed_operators(dec):
     [0, q)^n, absent components included."""
     ring = dec.ring
     q = ring.p ** dec.e
-    pad = (0,) * (0 if dec.mode == "absolute" else ring.n_base)
+    pad = (0,) * ring.n_base
     total = ring.zero()
     for idx in iproduct(range(q), repeat=len(dec.top_index())):
         total = total + dec.operator(idx).mul_monomial(pad + idx)
@@ -88,7 +89,7 @@ class TestRecomposition:
             terms = {(rng.randrange(6), rng.randrange(9)): rng.randrange(1, 3)
                      for _ in range(4)}
             f = ch.Polynomial(S, terms)
-            dec = ch.decompose(f, e, "relative")
+            dec = ch.decompose(f, e)
             assert dec.recompose() == f
             assert summed_operators(dec) == f
 
@@ -103,9 +104,101 @@ class TestRecomposition:
         # (x + t^2)^2 = x^2 + 2 t^2 x + t^4: the x^1 component is
         # 1 (x) F_*(2 t^2), read as the operator 2 t^2
         S = ring(names=("t", "x"), n_base=1)
-        dec = ch.decompose(ch.pow_poly(S.poly("x + t^2"), 2), 1, "relative")
+        dec = ch.decompose(ch.pow_poly(S.poly("x + t^2"), 2), 1)
         assert [poly_str(dec.operator((i,))) for i in range(3)] == \
             ["t^4", "2*t^2", "1"]
+
+
+# --- the split against the absolute and relative splits it replaced -------------
+
+
+def reference_split(g, e, relative):
+    """Test-local: the two splits ``decompose`` made while it took a mode,
+    as {fiber index: component}.  Absolute: every variable is a fiber
+    variable, and g * 1 is split by ``_split`` into root polynomials.
+    Relative: the base variables are kept, and each component is a tuple of
+    (s, r) pairs, s a monomial in descending term order and r the base
+    remainder, carrying the coefficient."""
+    ring = g.ring
+    q, p = ring.p ** e, ring.p
+    if not relative:
+        comps = _split(g.terms, {(0,) * ring.nvars: 1}, q, p)
+        return {idx: ch.Polynomial(ring, terms)
+                for idx, terms in comps.items() if terms}
+    nb = ring.n_base
+    comps = {}
+    for m, c in g.terms.items():
+        idx = tuple(x % q for x in m[nb:])
+        s_mono = tuple(x // q for x in m)
+        r_mono = tuple(x % q for x in m[:nb]) + (0,) * (len(m) - nb)
+        rdict = comps.setdefault(idx, {}).setdefault(s_mono, {})
+        v = (rdict.get(r_mono, 0) + c) % p
+        if v:
+            rdict[r_mono] = v
+        else:
+            del rdict[r_mono]
+    out, key = {}, order_key(ring)
+    for idx, bucket in comps.items():
+        pairs = tuple((ch.Polynomial(ring, {s: 1}), ch.Polynomial(ring, r))
+                      for s, r in sorted(bucket.items(), reverse=True,
+                                         key=lambda sr: key(sr[0])) if r)
+        if pairs:
+            out[idx] = pairs
+    return out
+
+
+def reference_operator(comp, e, ring):
+    """F^e of a root polynomial, or the sum of F^e(s) * r over (s, r) pairs."""
+    if isinstance(comp, ch.Polynomial):
+        return ch.frob(comp, e)
+    return sum((ch.frob(s, e) * r for s, r in comp), ring.zero())
+
+
+@st.composite
+def split_inputs(draw):
+    """A polynomial of up to 8 terms on a polynomial or Laurent ring with
+    0-2 base variables before 1-2 fiber variables, at p = 2, 3 or 5, and
+    e = 1 or 2.  Some terms have every exponent q - 1 mod q, so that the
+    traces are not all zero."""
+    p, e = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 2))
+    q, nb, laurent = p ** e, draw(st.integers(0, 2)), draw(st.booleans())
+    R = ring(p, ("t", "u")[:nb] + ("x", "y")[:draw(st.integers(1, 2))],
+             laurent, nb)
+    low = -2 if laurent else 0
+    anywhere = st.integers(low * q, 3 * q)
+    at_top = st.integers(low, 2).map(lambda k: k * q + q - 1)
+    monos = st.one_of(st.tuples(*[anywhere] * R.nvars),
+                      st.tuples(*[at_top] * R.nvars))
+    terms = draw(st.dictionaries(monos, st.integers(1, p - 1), max_size=8))
+    return ch.Polynomial(R, terms), e
+
+
+@given(split_inputs())
+@settings(max_examples=200, deadline=None)
+def test_split_matches_the_absolute_and_relative_splits(case):
+    # one split along the ring's own fiber gives the absolute split on a
+    # ring with no base and the relative split on a chart; the trace stays
+    # absolute over every variable on a chart as well
+    g, e = case
+    R = g.ring
+    relative = R.n_base > 0
+    dec = ch.decompose(g, e)
+    want = reference_split(g, e, relative)
+    assert set(dec.components) == set(want)
+    for idx, comp in want.items():
+        assert dec.component(idx) == comp
+        assert dec.operator(idx) == reference_operator(comp, e, R)
+    top = dec.top_index()
+    assert dec.component(top) == want.get(top, () if relative else R.zero())
+    assert dec.recompose() == g
+    q = R.p ** e
+    assert ch.trace(g, e) == reference_split(g, e, False).get(
+        (q - 1,) * R.nvars, R.zero())
+    if relative:
+        assert ch.relative_trace(g, e) == want.get(top, ())
+    else:
+        with pytest.raises(ValueError):
+            ch.relative_trace(g, e)
 
 
 class TestTrace:
@@ -219,7 +312,8 @@ def set_built_root(I, e):
     all decomposition components, deduplicated and sorted."""
     gens = set()
     for g in I.gens:
-        gens.update(ch.decompose(g, e, "absolute").components.values())
+        dec = ch.decompose(g, e)
+        gens.update(map(dec.component, dec.components))
     return Ideal(I.ring, sorted(gens, key=lambda f: sorted(f.terms.items())))
 
 

@@ -82,6 +82,13 @@ class TestApplyT:
         with pytest.raises(ValueError):
             ch.apply_T(ind, TOperator(9, (0, 0)))
 
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_q_below_one_rejected(self, q):
+        # TOperator(0, (0, 0)) used to have level 0, so apply_T read it as
+        # the identity and compose_T multiplied q by 0
+        with pytest.raises(ValueError, match="at least 1"):
+            TOperator(q, (0, 0))
+
     def test_semigroup_law(self, R, raster4):
         chi = ch.chi_function(raster4, Ideal(R, [R.var("x"), R.var("y")]))
         op1 = TOperator(3, (1, 2))
@@ -580,6 +587,14 @@ class TestStaircase:
     def test_p2_rejected(self):
         with pytest.raises(ValueError):
             ch.three_lines_staircase(2, 1)
+
+    @pytest.mark.parametrize("p", [1, 9, 15, 2, -3])
+    def test_non_prime_rejected(self, p):
+        # p = 9 used to give a "staircase" and a partial sum for a non-prime
+        with pytest.raises(ValueError, match="odd prime"):
+            ch.three_lines_staircase(p, 1)
+        with pytest.raises(ValueError, match="odd prime"):
+            ch.staircase_partial_sum(p, 3)
 
     def test_negative_depth_rejected(self):
         # it used to recurse until RecursionError
