@@ -174,6 +174,8 @@ def bracket_root(I: Ideal, e: int, J: Ideal | None = None) -> Ideal:
     Buchberger would only reduce to 0.  Terms x^a, x^b of a polynomial
     ring have the one component x^floor((a + b)/p^e): the floor root.
     """
+    if e < 1:
+        raise ValueError("e must be positive")
     ring = I.ring
     if J is not None and J.ring != ring:
         raise ValueError("ring mismatch")

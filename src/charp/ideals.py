@@ -2,14 +2,14 @@
 
 Equality, membership, colon, sums, products, and Frobenius powers are all
 decided through the unique reduced Groebner basis for the ring's fixed term
-order.  Ideals of a Laurent ring are represented canonically by the
-saturation (with respect to the product of all variables) of the ideal
-obtained by clearing denominators; monomials are units there, so this loses
-nothing.  Monomial ideals of a polynomial ring are decided in one place, on
-the antichains of their minimal exponent vectors (``_monomial_ideal``):
-products add exponents, meets take lcms, and the quotient by x^m subtracts
-m, floored at 0 (Miller and Sturmfels, *Combinatorial Commutative Algebra*,
-ch. 1).
+order.  A Laurent ideal extends its cleared twin, the ideal of its
+generators stripped of their monomial content (a unit) on the polynomial
+ring; its basis is the twin's saturation, and its meets and quotients are
+the twins', saturated once.  Monomial ideals of a polynomial ring are
+decided in one place, on the antichains of their minimal exponent vectors
+(``_monomial_ideal``): products add exponents, meets take lcms, and the
+quotient by x^m subtracts m, floored at 0 (Miller and Sturmfels,
+*Combinatorial Commutative Algebra*, ch. 1).
 """
 
 from __future__ import annotations
@@ -322,12 +322,10 @@ def _drop(f: Polynomial, ring: RingCtx, k: int) -> Polynomial:
     return Polynomial(ring, {m[k:]: c for m, c in f.terms.items()})
 
 
-def _strip_to_poly(f: Polynomial, twin: RingCtx) -> Polynomial:
-    """Clear negative exponents and strip the monomial content of f."""
-    if not f.terms:
-        return Polynomial(twin, {})
-    mins = [min(m[i] for m in f.terms) for i in range(len(next(iter(f.terms))))]
-    return Polynomial(twin, {tuple(x - lo for x, lo in zip(m, mins)): c
+def _strip_to_poly(f: Polynomial, ring: RingCtx) -> Polynomial:
+    """f less its monomial content, on ``ring`` (its own or the twin)."""
+    mins = [min(x) for x in zip(*f.terms)]
+    return Polynomial(ring, {tuple(map(sub, m, mins)): c
                              for m, c in f.terms.items()})
 
 
@@ -380,21 +378,21 @@ class Ideal:
     def groebner(self):
         """The unique reduced Groebner basis (tuple of Polynomials).
 
-        For Laurent rings this is the reduced basis of the saturated
-        polynomial representative; its elements generate the same Laurent
-        ideal.  On polynomial rings a principal or monomial ideal's basis is
-        written down in closed form (``_closed_form``), with no Buchberger
-        run; other ideals take one run and ``reduce_basis``.
+        A principal or monomial ideal of a polynomial ring has it in closed
+        form (``_closed_form``); others take one Buchberger run and
+        ``reduce_basis``.  A Laurent ideal takes its cleared twin's
+        saturation: the closed form if a twin generator is constant or the
+        only one (no variable divides it), else ``_saturate_gens``.
         """
         if self._gb is None:
             if not self.gens:
                 self._gb = ()
             elif self.ring.laurent:
                 twin = _twin_poly_ring(self.ring)
-                sat = _saturate_gens([_strip_to_poly(g, twin)
-                                      for g in self.gens], twin)
-                self._gb = tuple(Polynomial(self.ring, dict(g.terms))
-                                 for g in sat)
+                gens = [_strip_to_poly(g, twin) for g in self.gens]
+                self._gb = tuple(Polynomial(self.ring, dict(g.terms)) for g in
+                                 _closed_form(twin, gens)
+                                 or _saturate_gens(gens, twin))
             else:
                 self._gb = (_closed_form(self.ring, self.gens)
                             or reduce_basis(buchberger(list(self.gens))))
@@ -415,8 +413,7 @@ class Ideal:
         if f.is_zero():
             return True
         if self.ring.laurent:
-            twin = _twin_poly_ring(self.ring)
-            f = Polynomial(self.ring, dict(_strip_to_poly(f, twin).terms))
+            f = _strip_to_poly(f, self.ring)
         return normal_form(f, list(self.groebner())).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
@@ -494,27 +491,36 @@ def frob_power(I: Ideal, e: int) -> Ideal:
     return Ideal(I.ring, [frob(g, e) for g in I.gens])
 
 
+def _on_twin(op, a: Ideal, b: Ideal) -> Ideal:
+    """op(a, b) on a Laurent ring: op on the cleared twins, extended back and
+    saturated once, by ``groebner``.  Localization is exact, so extension
+    commutes with meets and with quotients by finitely generated ideals
+    (Atiyah and Macdonald, 3.11(v) and 3.15)."""
+    ring = a.ring
+    twin = _twin_poly_ring(ring)
+    out = op(*(Ideal(twin, [_strip_to_poly(g, twin) for g in x.gens])
+               for x in (a, b)))
+    return Ideal._reduced(ring, Ideal(ring, [Polynomial(ring, dict(g.terms))
+                                             for g in out.gens]).groebner())
+
+
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     """a meet b as the elimination of t from t a + (1 - t) b (Cox, Little and
-    O'Shea, 4.3), by one Buchberger run.  The result keeps the reduced basis
-    that ``_eliminate`` yields; on Laurent rings that is the meet of the
-    saturated representatives, itself saturated, so it is the reduced basis
-    of the Laurent meet.  (1 - t) goes on the side with fewer terms, as it
-    doubles every term it multiplies; the reduced basis is unique, so the
-    side does not change the result.  Monomial ideals meet by lcms."""
+    O'Shea, 4.3), by one Buchberger run, which yields the reduced basis the
+    result keeps.  (1 - t) goes on the side with fewer terms, as it doubles
+    every term it multiplies; the reduced basis is unique, so the side does
+    not change the result.  Monomial ideals meet by lcms; Laurent ideals
+    meet as their cleared twins do (``_on_twin``)."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     ring = a.ring
+    if ring.laurent:
+        return _on_twin(intersect, a, b)
     A, B = _exponents(ring, a.gens), _exponents(ring, b.gens)
     if A is not None and B is not None:
         return _monomial_ideal(ring, [tuple(map(max, m, n))
                                       for m in A for n in B])
-    if ring.laurent:
-        # work with the saturated polynomial representatives
-        a = Ideal(ring, list(a.groebner()))
-        b = Ideal(ring, list(b.groebner()))
-    work = _twin_poly_ring(ring) if ring.laurent else ring
-    ext = _ext_ring(work, 1)
+    ext = _ext_ring(ring, 1)
     if sum(len(g.terms) for g in a.gens) < sum(len(g.terms) for g in b.gens):
         a, b = b, a
     p = ring.p
@@ -522,10 +528,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
            for g in a.gens]
     sys += [Polynomial(ext, {(e,) + m: p - c if e else c for e in (0, 1)
                              for m, c in g.terms.items()}) for g in b.gens]
-    gb = _eliminate(sys, work, 1)
-    if ring.laurent:
-        gb = [Polynomial(ring, dict(g.terms)) for g in gb]
-    return Ideal._reduced(ring, gb)
+    return Ideal._reduced(ring, _eliminate(sys, ring, 1))
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
@@ -535,11 +538,14 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     (1)), a unit (giving I), or a term c x^m while I is monomial (giving I's
     exponents less m, floored at 0; see ``_colon_single``).  A quotient
     equal to (1) is left out of the meet, as X meet (1) = X, and two
-    monomial quotients meet by lcms, with no elimination (``intersect``)."""
+    monomial quotients meet by lcms, with no elimination (``intersect``);
+    Laurent quotients are the cleared twins' (``_on_twin``)."""
     if I.ring != J.ring:
         raise ValueError("ring mismatch")
     if J.is_zero():
         raise ValueError("colon by the zero ideal")
+    if I.ring.laurent:
+        return _on_twin(colon, I, J)
     result = None
     for g in J.gens:
         part = _colon_single(I, g)
@@ -551,32 +557,20 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _colon_single(I: Ideal, g: Polynomial) -> Ideal:
-    """(I : g) = (I meet (g)) / g.  As lead(g h) = lead(g) lead(h), the quotients
-    of a Groebner basis of I meet (g) are one of (I : g), so ``reduce_basis``
-    alone makes the reduced one: no further run.  On Laurent rings g is
-    stripped of its monomial content, so (g) is saturated, with basis g; and
-    (I : g) is saturated when I is, so the quotients need no saturation.
+    """(I : g) = (I meet (g)) / g, on a polynomial ring; ``colon`` takes
+    Laurent quotients to the twins.  As lead(g h) = lead(g) lead(h), the
+    quotients of a Groebner basis of I meet (g) are one of (I : g), so
+    ``reduce_basis`` alone makes the reduced one: no further run.
 
     (I : g) depends only on g mod I, since f g and f (g - h) differ by f h
-    within I.  So g is first replaced by its remainder modulo the generators
-    of I that ``intersect`` uses: I's generators, or on Laurent rings its
-    saturated basis, the remainder then stripped again.  A remainder of 0
-    puts g in I, and (I : g) = (1) with no elimination; a unit remainder
-    gives I itself.  A term remainder c x^m of a monomial I subtracts m
-    from I's exponents, floored at 0, with no elimination; on Laurent rings
-    a term is a unit, so the unit branch takes it first."""
+    within I, so g is first replaced by its remainder modulo I's
+    generators.  A remainder of 0 puts g in I: (I : g) = (1), with no
+    elimination; a constant gives I itself, and a term c x^m of a monomial
+    I subtracts m from I's exponents, floored at 0, with no elimination."""
     if g.is_zero():
         raise ValueError("colon by zero generator")
     ring = I.ring
-    if ring.laurent:
-        twin = _twin_poly_ring(ring)
-
-        def strip(f):
-            return Polynomial(ring, dict(_strip_to_poly(f, twin).terms))
-
-        g = strip(normal_form(strip(g), I.groebner()))
-    else:
-        g = normal_form(g, I.gens)
+    g = normal_form(g, I.gens)
     if g.is_zero():
         return Ideal._reduced(ring, [ring.one()])
     if g.is_unit():

@@ -337,6 +337,8 @@ def compose_T(first: TOperator, then: TOperator, p: int) -> TOperator:
     T_{q'|b'} (T_{q|b} Phi) = T_{q q' | b' + q' b} Phi."""
     q, b = first.q, first.offset
     qp, bp = then.q, then.offset
+    if len(b) != len(bp):
+        raise ValueError("offset arity mismatch")
     return TOperator(q * qp, tuple(x + qp * y for x, y in zip(bp, b)))
 
 
@@ -467,6 +469,8 @@ def hausdorff_distance(A, B) -> Fraction:
     A, B = list(A), list(B)
     if not A or not B:
         raise ValueError("Hausdorff distance needs nonempty sets")
+    if len({len(pt) for pt in A + B}) > 1:
+        raise ValueError("Hausdorff distance needs points of one dimension")
     L = lcm(*{c.denominator for pt in A + B for c in map(Fraction, pt)})
     Ai = [tuple(int(Fraction(c) * L) for c in pt) for pt in A]
     Bi = [tuple(int(Fraction(c) * L) for c in pt) for pt in B]

@@ -6,7 +6,9 @@ principal divisor where ``ideals.colon`` takes one.  The bodies of
 ``oracle_intersect``, ``oracle_colon_single`` and ``oracle_saturate_gens``
 are the replaced ones; they call each other and ``oracle_groebner`` instead
 of the package's functions, so no step of the oracle goes through the code
-it checks.
+it checks.  On Laurent rings they saturate every input first and eliminate
+on the saturated bases, where ``ideals`` runs on the cleared twins and
+saturates the result once.
 """
 
 from charp.ideals import (Ideal, _drop, _ext_ring, _lift, _strip_to_poly,

@@ -82,11 +82,16 @@ class TestExitCodes:
         ["staircase", "--p", "3", "--terms", "-2"],
         ["staircase", "--p", "9", "--depth", "2"],
         ["staircase", "--p", "1", "--depth", "2"],
+        ["bracket-root", "--p", "3", "--vars", "x,y", "--ideal", "x^2;y",
+         "--e", "-1"],
+        ["bracket-root", "--p", "3", "--vars", "x,y", "--ideal", "x^2;y",
+         "--e", "0"],
     ])
     def test_negative_size_is_usage(self, capsys, argv):
         # fpt used to end in a TypeError traceback, staircase --depth -1 in
         # a RecursionError, --terms -2 printed a sum of -2 terms, and
-        # --p 9 printed a staircase for a non-prime
+        # --p 9 printed a staircase for a non-prime; bracket-root --e -1
+        # printed {x^6.0, y^3.0} and --e 0 the ideal itself
         code, out, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:") and not out, (out, err)
 

@@ -290,6 +290,14 @@ class TestBracketRoot:
             for e in (1, 2):
                 assert ch.ideal_eq(ch.bracket_root(J, e), via_trace(J, e))
 
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_e_below_one_rejected(self, e):
+        # q = 3^-1 used to be a float, giving the root {x^6.0, y^3.0}, and
+        # e = 0 gave the ideal back
+        R = ring()
+        with pytest.raises(ValueError, match="e must be positive"):
+            ch.bracket_root(I(R, "x^2", "y"), e)
+
     def test_laurent_bracket_root(self):
         L = ring(names=("x",), laurent=True)
         # x^-1 = (x^-1)^3 * x^2: the component is a unit of the Laurent ring

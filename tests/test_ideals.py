@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 import charp as ch
 from charp import Ideal
 from charp.ideals import (_divide, _eliminate, _ext_ring, _lift, _spoly,
-                          buchberger, exact_div, normal_form, reduce_basis)
+                          _strip_to_poly, _twin_poly_ring, buchberger,
+                          exact_div, normal_form, reduce_basis)
 from charp.rings import EXP_LIMIT, heap_key, order_key, poly_str
 from elimination_oracle import (oracle_colon, oracle_groebner,
-                                oracle_intersect)
+                                oracle_intersect, oracle_saturate_gens)
 from work_counts import count_buchberger, count_groebner, patch_in_charp
 
 
@@ -689,17 +690,67 @@ def test_transform_sweep_divides_by_one_term(monkeypatch):
 
 
 def test_laurent_results_keep_their_basis(monkeypatch):
-    # the parent took one more run for each result's groebner(), and three
-    # runs for the colon, saturating the stripped divisor (x+y+1) too
+    # one run on the cleared twins and one to saturate the result; the
+    # meet took 3 when it saturated both inputs first
     R = ring(3, laurent=True)
     runs = count_buchberger(monkeypatch)
-    for op, cost in ((ch.intersect, 3), (ch.colon, 2)):
+    for op, cost in ((ch.intersect, 2), (ch.colon, 2)):
         before = len(runs)
         out = op(I(R, "x^2+y", "y^2+x"), I(R, "x+y+1"))
         assert len(runs) - before == cost
         out.groebner()
         assert len(runs) - before == cost
     assert out.basis_strings() == ("x^2 + y", "x*y + 2", "y^2 + x")
+
+
+def test_laurent_meet_runs_on_the_cleared_twins():
+    # a meet that took 8 s when intersect and colon saturated their inputs
+    # and eliminated on the saturated bases: 886 S-pairs in 3 runs for the
+    # meet, 883 in 2 for the quotient
+    R = ring(3, ("x", "y", "z"), laurent=True)
+    a = I(R, "y^2*z^-1 + x^-1*z + 2*x*y^-1*z^-1",
+          "x^2*z + 2*x^2*y^-1 + 2*x^-1*z^-1", "y*z^2 + y^2*z^-1 + x^-1*y*z")
+    b = I(R, "y*z^2 + 2*y^2 + 2*z^2")
+    for op, spairs, digest in ((ch.intersect, 252, "5121d5e1628d622c"),
+                               (ch.colon, 247, "19fc7c261e0d1622")):
+        with pytest.MonkeyPatch.context() as mp:
+            work = count_groebner(mp)
+            out = op(a, b)
+            assert len(work.runs) <= 2 and len(work.spairs) == spairs
+        assert out.content_hash() == digest
+
+
+@st.composite
+def closed_form_laurent(draw):
+    """A Laurent ideal in 2 or 3 variables whose cleared generators are one
+    polynomial, or include a constant: one generator, or 0-2 generators
+    and a term in any order."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 32003]))
+    R = ring(p, ("x", "y", "z")[:draw(st.integers(2, 3))], laurent=True)
+    monos = st.tuples(*[st.integers(-2, 3)] * R.nvars)
+    coeffs = st.integers(1, p - 1)
+    polys = st.dictionaries(monos, coeffs, min_size=1, max_size=4).map(
+        lambda d: ch.Polynomial(R, d))
+    if draw(st.booleans()):
+        return Ideal(R, [draw(polys)])
+    gens = draw(st.lists(polys, max_size=2))
+    gens.append(draw(st.builds(R.monomial, monos, coeffs)))
+    return Ideal(R, draw(st.permutations(gens)))
+
+
+@given(closed_form_laurent())
+@settings(max_examples=80, deadline=None)
+def test_laurent_closed_form_takes_no_run(a):
+    # a constant twin generator gives (1); one twin generator is divisible
+    # by no variable, so it is its own saturation
+    with pytest.MonkeyPatch.context() as mp:
+        runs = count_buchberger(mp)
+        gb = a.groebner()
+        assert not runs
+    twin = _twin_poly_ring(a.ring)
+    sat = oracle_saturate_gens([_strip_to_poly(g, twin) for g in a.gens], twin)
+    assert gb == reduce_basis([ch.Polynomial(a.ring, dict(g.terms))
+                               for g in sat])
 
 
 def test_transform_sweep_takes_no_run(monkeypatch):
@@ -775,10 +826,9 @@ def test_monomial_colon_cases(gens, term, want):
 
 
 def test_monomial_colon_rule_not_reached_on_laurent_rings():
-    # a term is a unit of a Laurent ring: (I : x y^-1) is I, from the unit
-    # branch.  The rule would build its ideal with _monomial_ideal; with
-    # I's basis already cached, the Laurent colon calls it not at all, and
-    # the polynomial twin of the call does
+    # a term is a unit of a Laurent ring: I = (1), and the cleared twins of
+    # I and of x y^-1 are constants, so the rule's _monomial_ideal is not
+    # called; the same call on a polynomial ring does call it
     calls = []
 
     def spy(original):

@@ -89,6 +89,11 @@ class TestApplyT:
         with pytest.raises(ValueError, match="at least 1"):
             TOperator(q, (0, 0))
 
+    def test_compose_refuses_mismatched_offsets(self):
+        # the pair used to compose to TOperator(9, (4,)), dropping an axis
+        with pytest.raises(ValueError, match="offset arity mismatch"):
+            ch.compose_T(TOperator(3, (1, 2)), TOperator(3, (1,)), 3)
+
     def test_semigroup_law(self, R, raster4):
         chi = ch.chi_function(raster4, Ideal(R, [R.var("x"), R.var("y")]))
         op1 = TOperator(3, (1, 2))
@@ -673,6 +678,11 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ch.hausdorff_distance(set(), {(F(0), F(0))})
+
+    def test_points_of_different_dimension_rejected(self):
+        # zip dropped the extra coordinate, giving 1
+        with pytest.raises(ValueError, match="one dimension"):
+            ch.hausdorff_distance([(0, 0)], [(1,)])
 
     @pytest.mark.parametrize("A,B,chamfer", [
         # a 14,001 x 2,000,001 grid against 2,001^2 pairs: brute force
