@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the xi = det^(p-1) identity: exhaustive over small general linear
 groups, sampled at larger sizes, polynomial-entry identity at symbolic level,
-and the combinatorial congruence behind it.
+and the combinatorial congruence behind it.  Each sweep prints the number of
+terms of its xi table, one per admissible matrix, and one (p, n) over the
+term budget shows its refusal.
 
 Usage: python scripts/xi_identity_sweep.py [--seed N]
 """
@@ -16,6 +18,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import charp as ch
 
 
+def xi_terms(p, n):
+    """The number of terms of the xi table of (p, n), one per admissible
+    matrix."""
+    return sum(1 for _ in ch.admissible_matrices(p, n))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
@@ -26,8 +34,8 @@ def main():
         t0 = time.time()
         rep = ch.verify_det_identity(p, n, "exhaustive")
         print(f"  GL_{n}(F_{p}): {rep.checked} elements, "
-              f"{rep.pairs_checked} pairs, ok = {rep.ok} "
-              f"({time.time() - t0:.2f}s)")
+              f"{rep.pairs_checked} pairs, ok = {rep.ok}, "
+              f"{xi_terms(p, n)} xi terms ({time.time() - t0:.2f}s)")
 
     print("== sampled sweeps ==")
     for p, n, count in [(5, 2, 10_000), (3, 3, 1_000), (7, 2, 2_000),
@@ -36,7 +44,17 @@ def main():
         rep = ch.verify_det_identity(p, n, "random", count=count,
                                      seed=args.seed)
         print(f"  GL_{n}(F_{p}) x{count}: ok = {rep.ok}, xi evaluated on "
-              f"{rep.distinct} distinct matrices ({time.time() - t0:.2f}s)")
+              f"{rep.distinct} distinct matrices, {xi_terms(p, n)} xi terms "
+              f"({time.time() - t0:.2f}s)")
+
+    print("== over the xi term budget ==")
+    t0 = time.time()
+    try:
+        ch.verify_det_identity(101, 3, "random", count=10, seed=args.seed)
+        print("  GL_3(F_101): not refused")
+    except ch.BudgetExceeded as exc:
+        print(f"  GL_3(F_101): refused, BudgetExceeded: {exc} "
+              f"({time.time() - t0:.2f}s)")
 
     print("== polynomial-entry identity (symbolic matrices) ==")
     for p, n in [(3, 2), (5, 2), (3, 3)]:

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product as iproduct, repeat
-from operator import add, mul
+from itertools import (accumulate, chain, permutations, product as iproduct,
+                       repeat)
+from operator import add, mul, sub
 from random import Random
 
 from .frobenius import decompose
@@ -18,6 +19,7 @@ from .rings import (Polynomial, RingCtx, _is_prime, frob, partial_derivative,
 
 FROBJAC_SIZE_BUDGET = 81
 EXHAUSTIVE_PAIR_BUDGET = 5_000_000  # |GL_n(F_p)|^2 pairs in one sweep
+XI_TERM_BUDGET = 200_000  # admissible matrices, so xi terms, of one (p, n)
 
 
 class PolyMatrix:
@@ -211,29 +213,46 @@ def _check_group(p: int, n: int):
 
 def admissible_matrices(p: int, n: int):
     """All n x n matrices with entries in [0, p-1] whose rows and columns each
-    sum to p-1."""
+    sum to p-1, at most XI_TERM_BUDGET of them: the next one raises
+    BudgetExceeded instead.  Every prefix of rows extends to a matrix, and
+    the last row is forced, the column sums left over, so the enumeration
+    takes time in proportion to its output."""
     _check_group(p, n)
     target = p - 1
 
     def rows(remaining_cols, depth):
-        if depth == 0:
-            if all(c == 0 for c in remaining_cols):
-                yield ()
+        if depth == 1:
+            yield (remaining_cols,)
             return
         for row in _compositions(target, n, remaining_cols):
-            rest = tuple(c - r for c, r in zip(remaining_cols, row))
+            rest = tuple(map(sub, remaining_cols, row))
             for tail in rows(rest, depth - 1):
                 yield (row,) + tail
 
-    return rows((target,) * n, n)
+    def bounded():
+        for count, a in enumerate(rows((target,) * n, n)):
+            if count == XI_TERM_BUDGET:
+                raise BudgetExceeded(
+                    f"more than {XI_TERM_BUDGET:,} admissible {n} x {n} "
+                    f"matrices for p = {p}, over the xi term budget")
+            yield a
+
+    return bounded()
 
 
 def _compositions(total, parts, caps):
+    """The tuples of ``parts`` entries in [0, caps[k]] summing to ``total``,
+    in lexicographic order; a head that leaves more than the caps after it
+    can hold is skipped, and a zero total ends in zeros at once."""
+    if not total:
+        yield (0,) * parts
+        return
     if parts == 1:
-        if 0 <= total <= caps[0]:
+        if total <= caps[0]:
             yield (total,)
         return
-    for head in range(min(total, caps[0]) + 1):
+    low = max(0, total - sum(caps[1:]))
+    for head in range(low, min(total, caps[0]) + 1):
         for tail in _compositions(total - head, parts - 1, caps[1:]):
             yield (head,) + tail
 
@@ -241,23 +260,78 @@ def _compositions(total, parts, caps):
 def _xi_terms(p: int, n: int):
     """One (multinomial coefficient mod p, ((l*n + k, a_lk), ...)) pair per
     admissible matrix a, listing only its nonzero entries by their row-major
-    flat index."""
+    flat index.  The matrices are all listed, under XI_TERM_BUDGET, before
+    any term is built, and the terms share one tuple per (l*n + k, a_lk).
+    By Wilson's theorem, (p-1)! = -1 mod p, so c(a) = prod_k (p-1)!/prod_l
+    a_lk! is (-1)^n / prod a_lk! mod p."""
     key = (p, n)
     cached = _XI_TERMS_CACHE.get(key)
     if cached is None:
-        terms = []
-        fact = math.factorial
-        for a in admissible_matrices(p, n):
-            coeff = math.prod(fact(p - 1) // math.prod(map(fact, col))
-                              for col in zip(*a)) % p
-            flat = (e for row in a for e in row)
-            terms.append((coeff, tuple((i, e) for i, e in enumerate(flat)
-                                       if e)))
-        cached = _XI_TERMS_CACHE[key] = tuple(terms)
+        pair = {}
+        supports = [tuple([pair.setdefault(ie, ie)
+                           for ie in enumerate(chain(*a)) if ie[1]])
+                    for a in list(admissible_matrices(p, n))]
+        inv = _inverse_factorials(p, {e for f in supports for _, e in f})
+        cached = _XI_TERMS_CACHE[key] = tuple(
+            ((-1) ** n * math.prod(inv[e] for _, e in f) % p, f)
+            for f in supports)
     return cached
 
 
+def _inverse_factorials(p: int, values) -> dict:
+    """{a: 1/a! mod p} for the a in ``values``, each in [0, p).  Wilson's
+    theorem gives a! (p-1-a)! = (-1)^(a+1) mod p, so 1/a! is
+    (-1)^(a+1) (p-1-a)! and no factorial past (p-1)/2 is multiplied out:
+    the one entry p-1 of a 1 x 1 table costs nothing at any p."""
+    top = max(min(a, p - 1 - a) for a in values)
+    fact = list(accumulate(range(1, top + 1), lambda f, i: f * i % p,
+                           initial=1))
+    return {a: pow(fact[a], -1, p) if 2 * a < p else
+            (-1) ** (a + 1) * fact[p - 1 - a] % p for a in values}
+
+
 _XI_TERMS_CACHE: dict = {}
+
+
+def _det_terms(n: int):
+    """Leibniz's expansion of an n x n determinant in the same form: one
+    (sgn sigma, ((i*n + sigma(i), 1), ...)) per permutation sigma.  Each
+    (p-1) P_sigma is admissible, so n! is at most the length of any
+    ``_xi_terms(p, n)``: a caller that has that table may build this one."""
+    cached = _DET_TERMS_CACHE.get(n)
+    if cached is None:
+        cached = _DET_TERMS_CACHE[n] = tuple(
+            (_sgn(sigma), tuple((i * n + j, 1) for i, j in enumerate(sigma)))
+            for sigma in permutations(range(n)))
+    return cached
+
+
+_DET_TERMS_CACHE: dict = {}
+
+
+def _term_sum(m, terms, p: int) -> int:
+    """The sum mod p of coeff * prod m[i]^e over the (coeff, ((i, e), ...))
+    of ``terms``, for a flat matrix ``m`` of residues; every e > 0, so a
+    zero entry ends its term."""
+    total = 0
+    for coeff, factors in terms:
+        for i, e in factors:
+            if not m[i]:
+                break
+            coeff *= m[i] ** e
+        else:
+            total += coeff
+    return total % p
+
+
+def _xi_flat(m, p: int, n: int) -> int:
+    """xi of a flat, row-major n x n matrix of residues mod p."""
+    return _term_sum(m, _xi_terms(p, n), p)
+
+
+def _det_flat(m, p: int, n: int) -> int:
+    """det mod p of a flat, row-major n x n matrix of residues mod p."""
+    return _term_sum(m, _det_terms(n), p)
 
 
 def _square_size(mu) -> int:
@@ -273,16 +347,7 @@ def xi_operator(mu, p: int) -> int:
     """Exact evaluation mod p of the sum over arithmetic doubly stochastic
     matrices a of (p-1)!^n / prod a_lk! * prod mu_lk^a_lk."""
     n = _square_size(mu)
-    m = [x % p for row in mu for x in row]
-    total = 0
-    for coeff, factors in _xi_terms(p, n):
-        for i, e in factors:  # every e > 0: a zero entry kills the term
-            if not m[i]:
-                break
-            coeff *= m[i] ** e
-        else:
-            total += coeff
-    return total % p
+    return _xi_flat(tuple([x % p for row in mu for x in row]), p, n)
 
 
 def xi_operator_poly(mu_rows, p: int) -> Polynomial:
@@ -305,7 +370,9 @@ def xi_operator_poly(mu_rows, p: int) -> Polynomial:
 
 def det_mod_p(mu, p: int) -> int:
     """Determinant of a square integer matrix mod a prime p, by fraction-free
-    (Bareiss) elimination over the integers, reduced mod p at the end."""
+    (Bareiss) elimination over the integers, reduced mod p at the end.  The
+    public determinant for any n; ``verify_det_identity`` reads its dets off
+    Leibniz's expansion instead (``_det_flat``)."""
     n = _square_size(mu)
     _check_prime(p)
     m = [list(row) for row in mu]
@@ -349,28 +416,34 @@ def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
     """Check xi(mu) = det(mu)^(p-1) and multiplicativity xi(mu nu) =
     xi(mu) xi(nu) over GL_n(F_p), exhaustively or on seeded random samples.
 
-    Matrices are handled as flat row-major tuples of residues.  Every sample
-    and pair is checked, but each distinct matrix gets one memo entry
-    (``_entry``) and xi is evaluated once per distinct matrix, in memos local
-    to this call; no sample list is kept.  An exhaustive sweep of more than
-    EXHAUSTIVE_PAIR_BUDGET pairs is refused; it looks products up by index
-    (``_exhaustive_pairs``)."""
+    Matrices are handled as flat row-major tuples of residues, and (p, n) is
+    checked once, here: det and xi are sparse term sums over the flat tuple
+    (``_det_flat`` and ``_xi_flat``).  The xi table is fetched first, so a
+    (p, n) with more than XI_TERM_BUDGET admissible matrices raises
+    BudgetExceeded before any matrix is drawn, and the det table, no longer
+    than it, is built only after it.  Every sample and pair is checked, but each
+    distinct matrix gets one memo entry (``_entry``) and xi is evaluated
+    once per distinct matrix, in memos local to this call; no sample list is
+    kept.  An exhaustive sweep of more than EXHAUSTIVE_PAIR_BUDGET pairs is
+    refused; it looks products up by index (``_exhaustive_pairs``)."""
     _check_group(p, n)
-    xis = {}
     if mode == "exhaustive":
         pairs = math.prod(p ** n - p ** k for k in range(n)) ** 2
         if pairs > EXHAUSTIVE_PAIR_BUDGET:
             raise BudgetExceeded(f"exhaustive GL{n}(F{p}) has {pairs:,} pairs, "
                                  f"over the budget of {EXHAUSTIVE_PAIR_BUDGET:,}")
+    elif mode != "random":
+        raise ValueError(f"unknown mode {mode!r}")
+    elif count < 1:
+        raise ValueError(f"random sample count {count} must be at least 1")
+    _xi_terms(p, n)  # first: its budget bounds the det table _entry builds
+    xis = {}
+    if mode == "exhaustive":
         group = [(mu, entry) for mu in iproduct(range(p), repeat=n * n)
                  if (entry := _entry(mu, p, n, xis))]
         bad = [entry[1] for _, entry in group if entry[1]]
         return IdentityReport(p, n, mode, len(group), pairs,
                               bad + _exhaustive_pairs(group, p, n), len(xis))
-    if mode != "random":
-        raise ValueError(f"unknown mode {mode!r}")
-    if count < 1:
-        raise ValueError(f"random sample count {count} must be at least 1")
     memo, bad, bad_pairs = {}, [], []
     get, xi_get = memo.get, xis.get
     left, prev = count, None  # prev: (xi, rows) of the previous sample
@@ -389,7 +462,7 @@ def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
                           for row in prev_rows for col in cols])
             lhs = xi_get(prod)
             if lhs is None:
-                lhs = xis[prod] = xi_operator(_rows(prod, n), p)
+                lhs = xis[prod] = _xi_flat(prod, p, n)
             if lhs != y * x % p:
                 bad_pairs.append(("multiplicativity", (prev_rows, rows), lhs,
                                   y * x % p))
@@ -407,17 +480,18 @@ def _rows(mu, n):
 
 
 def _entry(mu, p, n, xis):
-    """The memo entry of a flat matrix ``mu``: None if it is singular, else
-    (xi(mu), its identity counterexample or None, its rows, its columns).
-    det_mod_p and xi_operator see the nested rows; xi comes from the memo
-    ``xis`` if a product has already put it there."""
-    rows = _rows(mu, n)
-    d = det_mod_p(rows, p)
+    """The memo entry of a flat matrix ``mu`` of residues mod p: None if it
+    is singular, else (xi(mu), its identity counterexample or None, its
+    nested rows, its columns).  det and xi are read off the flat tuple by
+    ``_det_flat`` and ``_xi_flat``, with (p, n) already checked; xi comes
+    from the memo ``xis`` if a product has already put it there."""
+    d = _det_flat(mu, p, n)
     if not d:
         return None
     x = xis.get(mu)
     if x is None:
-        x = xis[mu] = xi_operator(rows, p)
+        x = xis[mu] = _xi_flat(mu, p, n)
+    rows = _rows(mu, n)
     rhs = pow(d, p - 1, p)
     return (x, ("identity", rows, x, rhs) if x != rhs else None, rows,
             tuple([mu[j::n] for j in range(n)]))

@@ -319,6 +319,15 @@ class TestXiOperator:
             want += (-1) ** inversions * math.prod(
                 mu[i][perm[i]] for i in range(n))
         assert ch.det_mod_p(mu, p) == want % p
+        # the det table of the sweep, on the flat residues
+        assert bc._det_flat(tuple(x % p for x in flat(mu)), p, n) == want % p
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 7)
+                                     for n in (1, 2)] + [(2, 3), (3, 3)])
+    def test_det_table_matches_bareiss_everywhere(self, p, n):
+        for m in iproduct(range(p), repeat=n * n):
+            assert bc._det_flat(m, p, n) == \
+                ch.det_mod_p(bc._rows(m, n), p), m
 
     def test_transpose_symmetry(self):
         import random
@@ -407,14 +416,14 @@ class TestVerifyDetIdentity:
 
     def test_gl2_f7_is_within_the_budget(self, monkeypatch):
         # 2016^2 = 4,064,256 pairs: the sweep starts (and is stopped at its
-        # first determinant instead of running for seconds)
+        # first determinant instead of running for a second)
         class Started(Exception):
             pass
 
-        def stop(mu, p):
+        def stop(m, p, n):
             raise Started
 
-        monkeypatch.setattr(bc, "det_mod_p", stop)
+        monkeypatch.setattr(bc, "_det_flat", stop)
         with pytest.raises(Started):
             ch.verify_det_identity(7, 2, "exhaustive")
 
@@ -438,6 +447,62 @@ class TestVerifyDetIdentity:
             tracemalloc.stop()
         assert rep.ok and rep.checked == 100_000
         assert peak < 1_000_000
+
+
+class TestXiTermBudget:
+    # admissible matrices, so xi terms, of (p, n): the largest targets of
+    # ROADMAP item 6
+    KEPT = [(7, 4, 132_724), (13, 3, 4_186), (5, 4, 10_147), (3, 5, 6_210)]
+
+    @pytest.mark.parametrize("p,n,size", KEPT)
+    def test_kept_tables(self, p, n, size):
+        assert size <= bc.XI_TERM_BUDGET
+        assert sum(1 for _ in ch.admissible_matrices(p, n)) == size
+
+    @pytest.mark.parametrize("refused", [
+        pytest.param(lambda: ch.verify_det_identity(101, 3, "random", count=1),
+                     id="sweep-101-3"),
+        pytest.param(lambda: ch.verify_det_identity(2 ** 31 - 1, 2, "random",
+                                                    count=1),
+                     id="sweep-2^31-1-2"),
+        pytest.param(lambda: ch.verify_det_identity(3, 9, "random", count=1),
+                     id="sweep-3-9"),
+        pytest.param(lambda: ch.xi_operator(((1, 0, 0), (0, 1, 0),
+                                             (0, 0, 1)), 101),
+                     id="xi_operator-101-3"),
+        # 13,268,976, 5,045,326 and 202,410 admissible matrices
+        pytest.param(lambda: list(ch.admissible_matrices(101, 3)),
+                     id="admissible-101-3"),
+        pytest.param(lambda: list(ch.admissible_matrices(11, 4)),
+                     id="admissible-11-4"),
+        pytest.param(lambda: list(ch.admissible_matrices(3, 6)),
+                     id="admissible-3-6"),
+    ])
+    def test_refused_within_seconds(self, refused):
+        # each of these ran without end, or out of memory, unbudgeted
+        start = time.perf_counter()
+        with pytest.raises(ch.BudgetExceeded, match="xi term budget"):
+            refused()
+        assert time.perf_counter() - start < 5
+
+    def test_budget_counts_yielded_matrices(self, monkeypatch):
+        monkeypatch.setattr(bc, "XI_TERM_BUDGET", 21)
+        assert len(list(ch.admissible_matrices(3, 3))) == 21
+        monkeypatch.setattr(bc, "XI_TERM_BUDGET", 20)
+        mats = ch.admissible_matrices(3, 3)
+        assert len(list(islice(mats, 20))) == 20
+        with pytest.raises(ch.BudgetExceeded):
+            next(mats)
+
+    def test_det_table_is_built_after_the_xi_table(self, monkeypatch):
+        # n! <= #admissible(p, n), so a refused xi table also spares a det
+        # table that may be too large: 9! = 362,880 at n = 9
+        built = count_calls(monkeypatch, "_det_terms")
+        with pytest.raises(ch.BudgetExceeded):
+            ch.verify_det_identity(101, 3, "random", count=1)
+        assert not built
+        assert ch.verify_det_identity(3, 2, "random", count=5).ok
+        assert set(built) == {2}
 
 
 class TestSampleStream:
@@ -565,9 +630,10 @@ def flat(mu):
     return tuple(x for row in mu for x in row)
 
 
-def is_nested(mu, n):
-    return type(mu) is tuple and len(mu) == n and \
-        all(type(row) is tuple and len(row) == n for row in mu)
+def is_flat(mu, p, n):
+    """Is ``mu`` a flat n x n tuple of residues mod p?"""
+    return type(mu) is tuple and len(mu) == n * n and \
+        all(type(x) is int and 0 <= x < p for x in mu)
 
 
 def written_out_xi(mu, p):
@@ -598,20 +664,25 @@ def scalar_matrices(draw):
 
 
 def plant_fault(monkeypatch, bad):
-    """Make xi_operator wrong by 1 on the nested matrices in ``bad``."""
-    real = bc.xi_operator
+    """Make xi wrong by 1 on the nested matrices in ``bad``, at the flat
+    evaluator ``_xi_flat``, which the sweep calls and ``xi_operator`` (so
+    the oracles) calls too."""
+    real, bad = bc._xi_flat, {flat(mu) for mu in bad}
     monkeypatch.setattr(
-        bc, "xi_operator",
-        lambda mu, q: (real(mu, q) + 1) % q if mu in bad else real(mu, q))
+        bc, "_xi_flat",
+        lambda m, q, n: (real(m, q, n) + 1) % q if m in bad
+        else real(m, q, n))
 
 
 def count_calls(monkeypatch, name):
+    """Record the first argument of every call of ``bc.<name>``: the
+    matrix, or n for ``_det_terms``."""
     calls = []
     real = getattr(bc, name)
 
-    def counted(mu, p):
+    def counted(mu, *args):
         calls.append(mu)
-        return real(mu, p)
+        return real(mu, *args)
 
     monkeypatch.setattr(bc, name, counted)
     return calls
@@ -643,10 +714,7 @@ class TestMemoisedVerifier:
     ])
     def test_planted_fault_lists_oracle_counterexamples(
             self, monkeypatch, p, n, mode, count, bad):
-        real = bc.xi_operator
-        monkeypatch.setattr(
-            bc, "xi_operator",
-            lambda mu, q: (real(mu, q) + 1) % q if mu == bad else real(mu, q))
+        plant_fault(monkeypatch, {bad})
         expected = oracle_verify(p, n, mode, count, seed=5)
         kinds = [c[0] for c in expected.counterexamples]
         assert "identity" in kinds and "multiplicativity" in kinds
@@ -666,10 +734,7 @@ class TestMemoisedVerifier:
     ])
     def test_exhaustive_index_matches_tuple_products(
             self, monkeypatch, p, n, bad):
-        real = bc.xi_operator
-        monkeypatch.setattr(
-            bc, "xi_operator",
-            lambda mu, q: (real(mu, q) + 1) % q if mu in bad else real(mu, q))
+        plant_fault(monkeypatch, bad)
         want = tuple_product_report(p, n)
         assert bool(want.counterexamples) == bool(bad)
         fast = ch.verify_det_identity(p, n, "exhaustive")
@@ -711,7 +776,7 @@ class TestMemoisedVerifier:
                 assert factors == tuple((i, e) for i, e in enumerate(flat(a))
                                         if e)
 
-    # (p, n, count) -> det_mod_p and xi_operator calls at seed 0: every
+    # (p, n, count) -> flat det and flat xi evaluations at seed 0: every
     # drawn matrix gets one det, every distinct sample or product one xi
     WORK = [((5, 2, 10_000), 625, 480), ((3, 3, 1_000), 1_719, 1_820),
             ((7, 2, 2_000), 1_495, 1_743)]
@@ -719,8 +784,10 @@ class TestMemoisedVerifier:
     def test_random_work_count(self):
         for (p, n, count), n_det, n_xi in self.WORK:
             with pytest.MonkeyPatch.context() as monkeypatch:
-                calls = count_calls(monkeypatch, "xi_operator")
-                dets = count_calls(monkeypatch, "det_mod_p")
+                calls = count_calls(monkeypatch, "_xi_flat")
+                dets = count_calls(monkeypatch, "_det_flat")
+                public = [count_calls(monkeypatch, name)
+                          for name in ("xi_operator", "det_mod_p")]
                 rep = ch.verify_det_identity(p, n, "random", count=count,
                                              seed=0)
             assert rep.ok and rep.checked == count
@@ -728,8 +795,10 @@ class TestMemoisedVerifier:
             assert (len(dets), len(calls)) == (n_det, n_xi)
             assert len(set(calls)) == len(calls) == rep.distinct
             assert len(set(dets)) == len(dets)  # one per drawn matrix
-            # the flat internal form never reaches the public functions
-            assert all(is_nested(mu, n) for mu in calls + dets)
+            # the sweep evaluates flat residue tuples, never through the
+            # public functions, which would check and flatten each again
+            assert all(is_flat(mu, p, n) for mu in calls + dets)
+            assert public == [[], []]
 
     @given(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 3),
            st.integers(1, 300), st.integers(0, 2 ** 32))
@@ -770,12 +839,16 @@ class TestMemoisedVerifier:
         assert same_report(fast, expected) and not fast.ok
 
     def test_exhaustive_work_count(self, monkeypatch):
-        calls = count_calls(monkeypatch, "xi_operator")
-        dets = count_calls(monkeypatch, "det_mod_p")
+        calls = count_calls(monkeypatch, "_xi_flat")
+        dets = count_calls(monkeypatch, "_det_flat")
+        public = [count_calls(monkeypatch, name)
+                  for name in ("xi_operator", "det_mod_p")]
         rep = ch.verify_det_identity(3, 2, "exhaustive")
         assert rep.ok and rep.pairs_checked == 48 * 48
         assert len(calls) == rep.distinct == 48  # the unmemoised loop made 6,960
         assert len(dets) == 3 ** 4  # one per matrix; the loop made 81 + 48
+        assert all(is_flat(mu, 3, 2) for mu in calls + dets)
+        assert public == [[], []]
 
     @pytest.mark.parametrize("p,n,mode,count", [
         (4, 2, "exhaustive", 0), (1, 2, "exhaustive", 0),

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -165,6 +166,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "xi", "--p", "3", "--n", "3",
                            "--exhaustive")
         assert code == 1 and "126,157,824 pairs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["xi", "--p", "101", "--n", "3", "--random", "10"],
+        ["xi-comb", "--p", "101", "--n", "3"]])
+    def test_xi_term_table_over_budget_is_usage(self, capsys, argv):
+        # 13,268,976 admissible 3 x 3 matrices at p = 101: neither command
+        # returned before the term budget
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "over the xi term budget" in err
+        assert time.perf_counter() - start < 5
 
     def test_removed_no_op_flags(self, capsys, tmp_path):
         for argv in (["staircase", "--p", "3", "--seed", "1"],

@@ -31,7 +31,13 @@ def test_xi_identity_sweep_runs():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert not [line for line in lines if "False" in line]
-    assert "  GL_2(F_5): 480 elements, 230400 pairs, ok = True" in proc.stdout
-    assert "GL_2(F_5) x10000: ok = True, xi evaluated on 480 distinct" \
+    assert "  GL_2(F_5): 480 elements, 230400 pairs, ok = True, 5 xi terms" \
+        in proc.stdout
+    assert "GL_2(F_5) x10000: ok = True, xi evaluated on 480 distinct " \
+        "matrices, 5 xi terms" in proc.stdout
+    assert "GL_3(F_3) x1000: ok = True, xi evaluated on 1820 distinct " \
+        "matrices, 21 xi terms" in proc.stdout
+    assert "  GL_3(F_101): refused, BudgetExceeded: more than 200,000 " \
+        "admissible 3 x 3 matrices for p = 101, over the xi term budget" \
         in proc.stdout
     assert "verified for all odd primes up to 101 (25 primes)" in proc.stdout
