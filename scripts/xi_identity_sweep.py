@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the xi = det^(p-1) identity: exhaustive over small general linear
-groups, sampled at larger sizes, polynomial-entry identity at symbolic level,
-and the combinatorial congruence behind it.  Each sweep prints the number of
-terms of its xi table, one per admissible matrix, and one (p, n) over the
-term budget shows its refusal.
+groups, sampled at larger sizes and at one large p, polynomial-entry
+identity at symbolic level, and the combinatorial congruence behind it.
+Each sweep prints the number of terms of its xi table, one per admissible
+matrix, and one (p, n) over the term budget shows its refusal.
 
 Usage: python scripts/xi_identity_sweep.py [--seed N]
 """
@@ -38,8 +38,9 @@ def main():
               f"{xi_terms(p, n)} xi terms ({time.time() - t0:.2f}s)")
 
     print("== sampled sweeps ==")
+    # the last at a large p, where each power in a term is taken mod p
     for p, n, count in [(5, 2, 10_000), (3, 3, 1_000), (7, 2, 2_000),
-                        (11, 2, 500), (5, 3, 200)]:
+                        (11, 2, 500), (5, 3, 200), (10007, 2, 5)]:
         t0 = time.time()
         rep = ch.verify_det_identity(p, n, "random", count=count,
                                      seed=args.seed)

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import (accumulate, chain, permutations, product as iproduct,
                        repeat)
-from operator import add, mul, sub
+from operator import add, sub
 from random import Random
 
 from .frobenius import decompose
@@ -205,8 +205,11 @@ def _check_prime(p: int):
 
 
 def _check_group(p: int, n: int):
-    """GL_n(F_p) needs a prime p and n >= 1; anything else is a usage error."""
+    """GL_n(F_p) needs a prime p and an int n >= 1; anything else is a usage
+    error."""
     _check_prime(p)
+    if not isinstance(n, int):
+        raise ValueError(f"matrix size n = {n!r} must be an int")
     if n < 1:
         raise ValueError(f"matrix size n = {n} must be at least 1")
 
@@ -312,13 +315,14 @@ _DET_TERMS_CACHE: dict = {}
 def _term_sum(m, terms, p: int) -> int:
     """The sum mod p of coeff * prod m[i]^e over the (coeff, ((i, e), ...))
     of ``terms``, for a flat matrix ``m`` of residues; every e > 0, so a
-    zero entry ends its term."""
+    zero entry ends its term.  Each power is taken mod p, so a term costs a
+    few products of residues at any p; the sum is reduced once, at the end."""
     total = 0
     for coeff, factors in terms:
         for i, e in factors:
             if not m[i]:
                 break
-            coeff *= m[i] ** e
+            coeff *= pow(m[i], e, p)
         else:
             total += coeff
     return total % p
@@ -417,15 +421,19 @@ def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
     xi(mu) xi(nu) over GL_n(F_p), exhaustively or on seeded random samples.
 
     Matrices are handled as flat row-major tuples of residues, and (p, n) is
-    checked once, here: det and xi are sparse term sums over the flat tuple
-    (``_det_flat`` and ``_xi_flat``).  The xi table is fetched first, so a
-    (p, n) with more than XI_TERM_BUDGET admissible matrices raises
-    BudgetExceeded before any matrix is drawn, and the det table, no longer
-    than it, is built only after it.  Every sample and pair is checked, but each
-    distinct matrix gets one memo entry (``_entry``) and xi is evaluated
-    once per distinct matrix, in memos local to this call; no sample list is
-    kept.  An exhaustive sweep of more than EXHAUSTIVE_PAIR_BUDGET pairs is
-    refused; it looks products up by index (``_exhaustive_pairs``)."""
+    checked once, here, with an int n and, in random mode, an int count:
+    det and xi are sparse term sums over the flat tuple (``_det_flat`` and
+    ``_xi_flat``).  The xi table is fetched first, so a (p, n) with more
+    than XI_TERM_BUDGET admissible matrices raises BudgetExceeded before any
+    matrix is drawn, and the det table, no longer than it, is built only
+    after it.  Every sample and pair is checked, but each distinct matrix
+    gets one memo entry (``_entry``: xi and its identity verdict) and xi is
+    evaluated once per distinct matrix, in memos local to this call; no
+    sample list is kept.  Random mode multiplies neighbouring samples with
+    the straight-line ``_product_kernel(n)``, and nested rows are built only
+    for a counterexample.  An exhaustive sweep of more than
+    EXHAUSTIVE_PAIR_BUDGET pairs is refused; it looks products up by index
+    (``_exhaustive_pairs``)."""
     _check_group(p, n)
     if mode == "exhaustive":
         pairs = math.prod(p ** n - p ** k for k in range(n)) ** 2
@@ -434,6 +442,8 @@ def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
                                  f"over the budget of {EXHAUSTIVE_PAIR_BUDGET:,}")
     elif mode != "random":
         raise ValueError(f"unknown mode {mode!r}")
+    elif not isinstance(count, int):
+        raise ValueError(f"random sample count {count!r} must be an int")
     elif count < 1:
         raise ValueError(f"random sample count {count} must be at least 1")
     _xi_terms(p, n)  # first: its budget bounds the det table _entry builds
@@ -444,32 +454,34 @@ def verify_det_identity(p: int, n: int, mode: str = "exhaustive",
         bad = [entry[1] for _, entry in group if entry[1]]
         return IdentityReport(p, n, mode, len(group), pairs,
                               bad + _exhaustive_pairs(group, p, n), len(xis))
+    # after the xi table: its budget refuses n >= 9 at every p, as 9! is over
+    # it even at p = 2, so a kernel has at most 8^3 = 512 products
+    times = _product_kernel(n)
     memo, bad, bad_pairs = {}, [], []
     get, xi_get = memo.get, xis.get
-    left, prev = count, None  # prev: (xi, rows) of the previous sample
+    left, prev, y = count, None, None  # prev: the previous sample, y: its xi
     for mu in _random_sample(Random(seed), p, n):
         entry = get(mu, False)
         if entry is False:
             entry = memo[mu] = _entry(mu, p, n, xis)
         if entry is None:  # singular: drawn again
             continue
-        x, fault, rows, cols = entry
+        x, fault = entry
         if fault:
             bad.append(fault)
         if prev:
-            y, prev_rows = prev
-            prod = tuple([sum(map(mul, row, col)) % p
-                          for row in prev_rows for col in cols])
+            prod = times(prev, mu, p)
             lhs = xi_get(prod)
             if lhs is None:
                 lhs = xis[prod] = _xi_flat(prod, p, n)
             if lhs != y * x % p:
-                bad_pairs.append(("multiplicativity", (prev_rows, rows), lhs,
+                bad_pairs.append(("multiplicativity",
+                                  (_rows(prev, n), _rows(mu, n)), lhs,
                                   y * x % p))
         left -= 1
         if not left:
             break
-        prev = x, rows
+        prev, y = mu, x
     return IdentityReport(p, n, mode, count, count - 1, bad + bad_pairs,
                           len(xis))
 
@@ -479,22 +491,41 @@ def _rows(mu, n):
     return tuple([mu[i:i + n] for i in range(0, n * n, n)])
 
 
+def _product_kernel(n: int):
+    """``times(a, b, p)``: the product mod p of flat, row-major n x n
+    matrices a and b, as a flat tuple.  Its body is one straight-line
+    expression, entry (i, j) being
+    (a[i*n]*b[j] + a[i*n+1]*b[n+j] + ... + a[i*n+n-1]*b[(n-1)*n+j]) % p,
+    generated from the int n alone and cached per n; it has n^3 products,
+    so callers bound n first."""
+    times = _KERNELS.get(n)
+    if times is None:
+        entries = "".join(
+            "(" + " + ".join(f"a[{i * n + k}]*b[{k * n + j}]"
+                             for k in range(n)) + ") % p, "
+            for i in range(n) for j in range(n))
+        times = _KERNELS[n] = eval(f"lambda a, b, p: ({entries})")
+    return times
+
+
+_KERNELS: dict = {}
+
+
 def _entry(mu, p, n, xis):
     """The memo entry of a flat matrix ``mu`` of residues mod p: None if it
-    is singular, else (xi(mu), its identity counterexample or None, its
-    nested rows, its columns).  det and xi are read off the flat tuple by
-    ``_det_flat`` and ``_xi_flat``, with (p, n) already checked; xi comes
-    from the memo ``xis`` if a product has already put it there."""
+    is singular, else (xi(mu), its identity counterexample or None), the
+    counterexample holding the nested rows of ``mu``.  det and xi are read
+    off the flat tuple by ``_det_flat`` and ``_xi_flat``, with (p, n)
+    already checked; xi comes from the memo ``xis`` if a product has
+    already put it there."""
     d = _det_flat(mu, p, n)
     if not d:
         return None
     x = xis.get(mu)
     if x is None:
         x = xis[mu] = _xi_flat(mu, p, n)
-    rows = _rows(mu, n)
     rhs = pow(d, p - 1, p)
-    return (x, ("identity", rows, x, rhs) if x != rhs else None, rows,
-            tuple([mu[j::n] for j in range(n)]))
+    return x, (("identity", _rows(mu, n), x, rhs) if x != rhs else None)
 
 
 def _exhaustive_pairs(group, p, n):
@@ -516,7 +547,8 @@ def _exhaustive_pairs(group, p, n):
     cols = [[index[mu[j::n]] for mu, _ in group] for j in range(n)]
     ys = [entry[0] for _, entry in group]
     want, bad = {}, []
-    for _, (x, _, rows, _) in group:
+    for mu, (x, _) in group:
+        rows = _rows(mu, n)
         V = [0] * len(index)
         for i, row in enumerate(rows):
             dots = [0]  # row . v mod p for v in F_p^n, in ``index`` order
@@ -534,9 +566,8 @@ def _exhaustive_pairs(group, p, n):
         if rhs is None:
             rhs = want[x] = [x * y % p for y in ys]
         if lhs != rhs:
-            bad += [("multiplicativity", (rows, nu), l, r)
-                    for (_, (_, _, nu, _)), l, r in zip(group, lhs, rhs)
-                    if l != r]
+            bad += [("multiplicativity", (rows, _rows(nu, n)), l, r)
+                    for (nu, _), l, r in zip(group, lhs, rhs) if l != r]
     return bad
 
 

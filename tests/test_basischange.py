@@ -436,6 +436,33 @@ class TestVerifyDetIdentity:
         assert rep.ok
         assert (rep.checked, rep.pairs_checked, rep.distinct) == pinned
 
+    @pytest.mark.parametrize("p,n,count", [
+        (1_000_003, 1, 3), (10_000_019, 1, 3), (10007, 2, 5)])
+    def test_large_p_sampled(self, p, n, count):
+        # each power is taken mod p: with exact powers m^e reduced at the
+        # end, the first took 16.6 s and the other two did not return
+        start = time.perf_counter()
+        rep = ch.verify_det_identity(p, n, "random", count=count)
+        assert rep.ok and rep.checked == count
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("n,count", [
+        (2, 2.5), (2, 3.0), (2.0, 5), (2, "5"), (1.5, 5)])
+    def test_non_integral_n_or_count_rejected(self, n, count):
+        # count = 2.5 stepped 2.5, 1.5, 0.5, -0.5, ... and never returned;
+        # n = 2.0 failed with a TypeError deep in admissible_matrices
+        with pytest.raises(ValueError, match="must be an int"):
+            ch.verify_det_identity(5, n, "random", count=count)
+
+    def test_non_integral_n_rejected_everywhere(self):
+        with pytest.raises(ValueError, match="must be an int"):
+            ch.verify_det_identity(3, 2.0, "exhaustive")
+        with pytest.raises(ValueError, match="must be an int"):
+            list(ch.admissible_matrices(3, 2.0))
+
+    def test_bool_is_an_int(self):
+        assert ch.verify_det_identity(3, True, "random", count=True).ok
+
     def test_random_mode_keeps_no_sample_list(self):
         # the memos hold at most the 16 matrices of M2(F2); a list of the
         # samples peaked at 18.5 MB here
@@ -540,9 +567,7 @@ def oracle_verify(p, n, mode, count=1000, seed=0):
 
     def check_pair(mu, nu):
         rep.pairs_checked += 1
-        prod = tuple(tuple(sum(mu[i][k] * nu[k][j] for k in range(n)) % p
-                           for j in range(n)) for i in range(n))
-        lhs = xi(prod)
+        lhs = xi(nested_product(mu, nu, p))
         rhs = xi(mu) * xi(nu) % p
         if lhs != rhs:
             rep.counterexamples.append(("multiplicativity", (mu, nu), lhs, rhs))
@@ -586,9 +611,7 @@ def tuple_product_report(p, n):
             rep.counterexamples.append(("identity", mu, lhs, rhs))
     for mu in group:
         for nu in group:
-            prod = tuple(tuple(sum(mu[i][k] * nu[k][j] for k in range(n)) % p
-                               for j in range(n)) for i in range(n))
-            lhs, rhs = xi(prod), xi(mu) * xi(nu) % p
+            lhs, rhs = xi(nested_product(mu, nu, p)), xi(mu) * xi(nu) % p
             if lhs != rhs:
                 rep.counterexamples.append(("multiplicativity", (mu, nu),
                                             lhs, rhs))
@@ -608,6 +631,13 @@ def oracle_sample(rng, p, n, count):
                 break
         sample.append(mu)
     return sample
+
+
+def nested_product(mu, nu, p):
+    """The product mod p of matrices given as nested tuples of rows."""
+    n = len(mu)
+    return tuple(tuple(sum(mu[i][k] * nu[k][j] for k in range(n)) % p
+                       for j in range(n)) for i in range(n))
 
 
 class CountingRandom(random.Random):
@@ -749,7 +779,7 @@ class TestMemoisedVerifier:
     @pytest.mark.parametrize("p,n", [(2, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
     def test_memo_entry_of_every_matrix(self, p, n):
         # the one memo entry per drawn matrix: None exactly when det = 0,
-        # else xi, the identity verdict, the nested rows and the columns
+        # else xi and the identity verdict, which alone holds nested rows
         for mu in iproduct(range(p), repeat=n * n):
             rows = tuple(mu[i * n:(i + 1) * n] for i in range(n))
             xis = {}
@@ -758,9 +788,9 @@ class TestMemoisedVerifier:
                 assert entry is None and not xis
                 continue
             x = bc.xi_operator(rows, p)
-            assert entry == (x, None, rows, tuple(zip(*rows)))
+            assert entry == (x, None)
             assert xis == {mu: x}
-            assert bc._entry(mu, p, n, {mu: x + 1})[:2] == \
+            assert bc._entry(mu, p, n, {mu: x + 1}) == \
                 (x + 1, ("identity", rows, x + 1, x))
 
     def test_sparse_terms_skip_zero_entries(self):
@@ -827,8 +857,7 @@ class TestMemoisedVerifier:
     def test_planted_fault_on_a_product_only(self, monkeypatch, p, n, count,
                                              seed):
         sample = oracle_sample(random.Random(seed), p, n, count)
-        products = [tuple(tuple(sum(mu[i][k] * nu[k][j] for k in range(n)) % p
-                                for j in range(n)) for i in range(n))
+        products = [nested_product(mu, nu, p)
                     for mu, nu in zip(sample, sample[1:])]
         bad = next(prod for prod in products if prod not in sample)
         plant_fault(monkeypatch, {bad})
@@ -857,6 +886,50 @@ class TestMemoisedVerifier:
     def test_bad_group_or_count_rejected(self, p, n, mode, count):
         with pytest.raises(ValueError):
             ch.verify_det_identity(p, n, mode, count=count)
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_kernel_matches_nested_product(self, p, n):
+        # the product that ``oracle_verify`` builds, on seeded flat matrices
+        rng = random.Random(p * 10 + n)
+        times = bc._product_kernel(n)
+        for _ in range(20):
+            a, b = (tuple(rng.randrange(p) for _ in range(n * n))
+                    for _ in range(2))
+            want = nested_product(bc._rows(a, n), bc._rows(b, n), p)
+            assert times(a, b, p) == flat(want)
+
+    def test_kernel_is_cached_per_n(self):
+        assert bc._product_kernel(3) is bc._product_kernel(3)
+        assert bc._product_kernel(2) is not bc._product_kernel(3)
+
+    @pytest.mark.parametrize("p,n,count,seed", [
+        (5, 2, 40, 1), (3, 3, 30, 2), (7, 1, 20, 0)])
+    def test_wrong_kernel_entry_is_reported_nested(self, monkeypatch, p, n,
+                                                   count, seed):
+        # entry (0, 0) of every product off by one: the pairs whose xi then
+        # differs are reported as nested rows, in the sample order
+        real = bc._product_kernel
+
+        def wrong(n):
+            times = real(n)
+            return lambda a, b, q: ((times(a, b, q)[0] + 1) % q,) + \
+                times(a, b, q)[1:]
+
+        monkeypatch.setattr(bc, "_product_kernel", wrong)
+        sample = oracle_sample(random.Random(seed), p, n, count)
+        want = []
+        for mu, nu in zip(sample, sample[1:]):
+            prod = list(wrong(n)(flat(mu), flat(nu), p))
+            lhs = bc.xi_operator(bc._rows(prod, n), p)
+            rhs = bc.xi_operator(mu, p) * bc.xi_operator(nu, p) % p
+            if lhs != rhs:
+                want.append(("multiplicativity", (mu, nu), lhs, rhs))
+        assert want
+        rep = ch.verify_det_identity(p, n, "random", count=count, seed=seed)
+        assert rep.counterexamples == want and not rep.ok
 
 
 class TestCombinatorialIdentity:

@@ -37,6 +37,9 @@ def test_xi_identity_sweep_runs():
         "matrices, 5 xi terms" in proc.stdout
     assert "GL_3(F_3) x1000: ok = True, xi evaluated on 1820 distinct " \
         "matrices, 21 xi terms" in proc.stdout
+    # the large-p sampled line: each power in a term is taken mod p
+    assert "  GL_2(F_10007) x5: ok = True, xi evaluated on 9 distinct " \
+        "matrices, 10007 xi terms" in proc.stdout
     assert "  GL_3(F_101): refused, BudgetExceeded: more than 200,000 " \
         "admissible 3 x 3 matrices for p = 101, over the xi term budget" \
         in proc.stdout
