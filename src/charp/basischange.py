@@ -200,6 +200,8 @@ def dual_ratio_direct(new_basis, ring: RingCtx, e: int) -> Polynomial:
 
 
 def _check_prime(p: int):
+    if not isinstance(p, int):
+        raise ValueError(f"p = {p!r} must be an int")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 

@@ -414,9 +414,31 @@ class _ClassAutomaton:
         out = self._products.get(key) if any(m) else cid
         if out is None:
             J = self.classes[cid]
-            for gens, e in zip(self.gens, m):
-                J = product(power(Ideal(J.ring, gens), e), J)
+            for i, (gens, e) in enumerate(zip(self.gens, m)):
+                if e and len(gens) > 1 and _exponents(J.ring, gens) is None:
+                    J = product(self.classes[self._power(i, e)], J)
+                else:
+                    J = product(power(Ideal(J.ring, gens), e), J)
             out = self._products[key] = self.intern(J)
+        return out
+
+    def _power(self, i: int, e: int) -> int:
+        """The class of a_i^e, as a_i^(e-1) a_i: the powers are kept in the
+        product memo, as products with the unit class, so this starts from
+        the highest one there and takes one product a step."""
+        a = Ideal(self.C.ring, self.gens[i])
+        zeros = (0,) * len(self.gens)
+
+        def key(k):
+            return zeros[:i] + (k,) + zeros[i + 1:], self.unit
+
+        k = e
+        while k and key(k) not in self._products:
+            k -= 1
+        out = self._products[key(k)] if k else self.unit
+        for k in range(k + 1, e + 1):
+            out = self._products[key(k)] = self.intern(
+                product(self.classes[out], a))
         return out
 
     def plus(self, a: int, b: int) -> int:

@@ -139,15 +139,16 @@ def _row_echelon(ring, rows):
     """The reduced row echelon form over F_p of ``rows``, term dicts read as
     vectors in the monomial basis with the columns in term order: rows
     spanning the same F_p-space, monic, with distinct leads, each lead in no
-    other row, as Polynomials of ``ring``."""
+    other row, as Polynomials of ``ring``.  As the held rows are fully
+    reduced, subtracting one brings in no held lead, so a new row is reduced
+    by the held rows whose leads it contains, each once; the intersection
+    of the two key views runs over the smaller of them."""
     p, key = ring.p, heap_key(ring)
     out = {}  # lead monomial -> terms of a row
     for terms in rows:
         r = dict(terms)
-        for m, row in out.items():
-            c = r.get(m)
-            if c:
-                _subtract_multiple(r, row, c, p)
+        for m in out.keys() & r.keys():
+            _subtract_multiple(r, out[m], r[m], p)
         if r:
             m = min(r, key=key)
             inv = ring.modulus.inv(r[m])

@@ -408,10 +408,11 @@ class Polynomial:
 
 
 def pow_poly(f: Polynomial, m: int) -> Polynomial:
-    """f**m via base-p splitting: f^m = f^(m mod p) * frob(f^(m//p), 1).
-
-    Keeps huge exponents tractable because frob only rescales exponent
-    vectors.  Negative m is allowed exactly when f is a unit.
+    """f**m.  One term c x^a is powered in closed form, c^m x^(m a); any
+    other f by base-p splitting, f^m = f^(m mod p) * frob(f^(m//p), 1), which
+    keeps huge exponents tractable because frob only rescales exponent
+    vectors, and each digit power by the ladder of ``_pow_cached``.
+    Negative m is allowed exactly when f is a unit.
     """
     if m < 0:
         return pow_poly(f.inverse_unit(), -m)
@@ -420,19 +421,43 @@ def pow_poly(f: Polynomial, m: int) -> Polynomial:
     return _pow_cached(f, m)
 
 
-@lru_cache(maxsize=4096)
+POW_CACHE_SIZE = 4096
+_climbing = set()  # the f whose digit powers a cold call is filling in
+
+
+@lru_cache(maxsize=POW_CACHE_SIZE)
 def _pow_cached(f: Polynomial, m: int) -> Polynomial:
+    """f^m, memoised.  A digit power f^r, 1 < r < p, is f^(r-1) f with
+    f^(r-1) read from this cache, one product by f: a Cartier step asks for
+    f^s at every digit s < p.  The outermost cold call fills the
+    powers below r lowest first, so each of them finds its predecessor
+    cached and no call recurses more than two frames.  Where p - 1 exceeds
+    the cache, a ladder would evict its own links, and the digit power is
+    taken by squaring instead."""
     ring = f.ring
     if m == 0:
         return ring.one()
     if m == 1:
         return f
+    if len(f.terms) == 1:
+        if max(f.max_abs_exponents(), default=0) * m >= EXP_LIMIT:
+            raise ExponentOverflow("power exponent exceeds the 64-bit range")
+        (a, c), = f.terms.items()
+        return Polynomial(ring, {tuple(x * m for x in a): pow(c, m, ring.p)})
     p = ring.p
     r, q = m % p, m // p
-    head = _binary_pow(f, r)
-    if q == 0:
-        return head
-    return head * frob(_pow_cached(f, q), 1)
+    if q:
+        return _pow_cached(f, r) * frob(_pow_cached(f, q), 1)
+    if p - 1 > POW_CACHE_SIZE:
+        return _binary_pow(f, r)
+    if f not in _climbing:
+        _climbing.add(f)
+        try:
+            for j in range(2, r):
+                _pow_cached(f, j)
+        finally:
+            _climbing.discard(f)
+    return _pow_cached(f, r - 1) * f
 
 
 def _binary_pow(f: Polynomial, r: int) -> Polynomial:

@@ -373,6 +373,14 @@ class TestXiOperator:
             det = ch.PolyMatrix(S, mu).det()
             assert lhs == ch.pow_poly(det, p - 1)
 
+    def test_gl1_at_large_p(self):
+        # xi of a 1 x 1 matrix (m) is m^(p-1): one power of a one term, in
+        # closed form, however far p - 1 lies past the recursion limit
+        S = ring(10007, ("a", "b"))
+        m = S.poly("3*a*b^2")
+        assert ch.xi_operator_poly([[m]], 10007) == \
+            S.monomial((10006, 20012), pow(3, 10006, 10007))
+
 
 class TestVerifyDetIdentity:
     def test_exhaustive_gl2_f3(self):
@@ -453,6 +461,15 @@ class TestVerifyDetIdentity:
         # n = 2.0 failed with a TypeError deep in admissible_matrices
         with pytest.raises(ValueError, match="must be an int"):
             ch.verify_det_identity(5, n, "random", count=count)
+
+    @pytest.mark.parametrize("p", [5.0, 7.0, "5", 2.5])
+    def test_non_integral_p_rejected(self, p):
+        # p = 5.0 passed the primality test and failed with a TypeError
+        # deep in admissible_matrices
+        with pytest.raises(ValueError, match="must be an int"):
+            ch.verify_det_identity(p, 2, "random", count=3)
+        with pytest.raises(ValueError, match="must be an int"):
+            list(ch.admissible_matrices(p, 2))
 
     def test_non_integral_n_rejected_everywhere(self):
         with pytest.raises(ValueError, match="must be an int"):

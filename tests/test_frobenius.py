@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charp as ch
-from charp import Ideal, poly_str
-from charp.frobenius import _row_echelon, _split
-from charp.rings import order_key
+from charp import Ideal, Polynomial, poly_str
+from charp.frobenius import _row_echelon, _split, _subtract_multiple
+from charp.rings import heap_key, order_key
 from elimination_oracle import oracle_groebner
 
 
@@ -363,6 +363,42 @@ def test_row_echelon_drops_linear_dependence():
     assert _row_echelon(R, [R.poly("x+y").terms, R.poly("2*x+2*y").terms]) \
         == [R.poly("x+y")]
     assert _row_echelon(R, []) == []
+
+
+def full_loop_echelon(ring, rows):
+    """Test-local oracle: the row echelon form with each new row reduced by
+    every held row in turn."""
+    p, key = ring.p, heap_key(ring)
+    out = {}
+    for terms in rows:
+        r = dict(terms)
+        for m, row in out.items():
+            c = r.get(m)
+            if c:
+                _subtract_multiple(r, row, c, p)
+        if r:
+            m = min(r, key=key)
+            inv = ring.modulus.inv(r[m])
+            r = {t: v * inv % p for t, v in r.items()}
+            for row in out.values():
+                c = row.get(m)
+                if c:
+                    _subtract_multiple(row, r, c, p)
+            out[m] = r
+    return [Polynomial(ring, r) for r in out.values()]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_held_lead_echelon_matches_full_loop(data):
+    # up to 12 rows of up to 6 terms over 9 monomials, so rows often share
+    # monomials and depend on one another
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    R = ring(p)
+    rows = data.draw(st.lists(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(1, p - 1), max_size=6), max_size=12))
+    assert _row_echelon(R, rows) == full_loop_echelon(R, rows)
 
 
 # --- the root of a product, split term pair by term pair -------------------------

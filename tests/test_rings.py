@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import charp as ch
-from charp import poly_str
+from charp import Polynomial, poly_str, rings
 from charp.rings import EXP_LIMIT
 
 
@@ -130,6 +132,68 @@ class TestPow:
         R = ring()
         with pytest.raises(ch.ExponentOverflow):
             ch.pow_poly(R.poly("x"), 2 ** 63)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_digit_powers_match_naive(self, data):
+        # f^r for r < p: by the ladder f^(r-1) f from a cold cache, or in
+        # closed form c^r x^(r a) for one term, Laurent ones included
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+        laurent = data.draw(st.booleans())
+        low = -3 if laurent else 0
+        terms = data.draw(st.dictionaries(
+            st.tuples(st.integers(low, 3), st.integers(low, 3)),
+            st.integers(1, p - 1),
+            min_size=1, max_size=data.draw(st.sampled_from([1, 4]))))
+        f = Polynomial(ring(p, laurent=laurent), terms)
+        r = data.draw(st.integers(0, p - 1))
+        rings._pow_cached.cache_clear()
+        assert ch.pow_poly(f, r).terms == naive_pow(terms, r, p)
+
+    def test_one_term_power_overflows_as_its_product_does(self):
+        L = ring(5, laurent=True)
+        for exps in ((2 ** 62, 1), (3, -(2 ** 62))):
+            f = L.monomial(exps, 2)
+            with pytest.raises(ch.ExponentOverflow):
+                f * f
+            with pytest.raises(ch.ExponentOverflow):
+                ch.pow_poly(f, 2)
+        f = L.monomial((2 ** 62 - 1, -1), 2)
+        assert ch.pow_poly(f, 2) == f * f == L.monomial((2 ** 63 - 2, -2), 4)
+        assert ch.pow_poly(L.poly("3*x^-2*y"), 7) == L.monomial((-14, 7), 3 ** 7)
+
+    @pytest.mark.parametrize("p", [1103, 32003])
+    def test_power_past_the_recursion_limit(self, p):
+        # 1100 exceeds the default recursion limit of 1000: at p = 1103 the
+        # ladder climbs 1099 links from a cold cache; at p = 32003, where
+        # p - 1 exceeds the cache, the digit power is taken by squaring
+        rings._pow_cached.cache_clear()
+        g = ch.pow_poly(ring(p, ("x",)).poly("x+1"), 1100)
+        assert g.terms == {(k,): c for k in range(1101)
+                           if (c := math.comb(1100, k) % p)}
+
+    @pytest.mark.parametrize("order", [range(11), range(10, -1, -1)])
+    def test_digit_powers_take_one_product_each(self, monkeypatch, order):
+        # f^0..f^(p-1) from a cold cache take p - 2 products in any order:
+        # f^r = f^(r-1) f, the powers below r read from the cache
+        calls = []
+        real = Polynomial.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        rings._pow_cached.cache_clear()
+        R = ring(11, ("x", "y", "z"))
+        f = R.poly("x^3+y^4+z^5")
+        powers = {r: ch.pow_poly(f, r) for r in order}
+        assert len(calls) == 11 - 2
+        assert powers[10].terms == naive_pow(dict(f.terms), 10, 11)
+        g = R.poly("2*x*y^3")
+        calls.clear()
+        assert ch.pow_poly(g, 10) == R.monomial((10, 30, 0), 1024)
+        assert not calls
 
 
 class TestOverflowBound:

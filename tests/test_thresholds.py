@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction as F
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,6 +127,23 @@ def lines_fpt(p):
     return F(2, 3) if p % 3 == 1 else F(2 * p - 1, 3 * p)
 
 
+def diagonal_fpt(exps, p):
+    """fpt(x_1^a_1 + ... + x_n^a_n) for p dividing no a_i (Hernandez,
+    F-invariants of diagonal hypersurfaces, Proc. AMS 2015): with L + 1 the
+    first position e >= 1 where the e-th base-p digits of the 1/a_i sum to
+    p or more, fpt = sum_i trunc_L(1/a_i) + p^-L; sum_i 1/a_i if they never
+    do.  The digits repeat with period ord_a(p), so positions up to the
+    product of the a_i decide."""
+    def digit(a, e):
+        return p ** e // a % p
+
+    for e in range(1, prod(exps) + 1):
+        if sum(digit(a, e) for a in exps) >= p:
+            return sum(F(p ** (e - 1) // a, p ** (e - 1))
+                       for a in exps) + F(1, p ** (e - 1))
+    return sum(F(1, a) for a in exps)
+
+
 def ideal(R, *gens):
     return Ideal(R, [R.poly(g) for g in gens])
 
@@ -179,6 +197,14 @@ class TestExactThresholds:
         res = ch.fpt_search([], ideal(Rp, "x^2+y^3"), depth=3)
         assert res.candidate == expected
         assert res.lo < expected <= res.hi
+
+    def test_diagonal_at_large_p(self):
+        # the digits of 1/3, 1/4, 1/5 in base 89 are 29, 22, 17 and then
+        # 59, 22, 71, which carry: fpt = (29 + 22 + 17 + 1)/89.  Each
+        # Cartier step takes f^s for every digit s < 89, one product each
+        R89 = ch.RingCtx(("x", "y", "z"), ch.PrimeModulus(89))
+        res = ch.fpt_search([], ideal(R89, "x^3+y^4+z^5"), depth=6)
+        assert res.candidate == diagonal_fpt((3, 4, 5), 89) == F(69, 89)
 
     def test_unit_free_ideal_has_no_threshold(self, R):
         with pytest.raises(ch.ThresholdError):
